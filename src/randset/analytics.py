@@ -14,7 +14,7 @@ from scipy import integrate, special
 
 from .geomcore import lune_fraction, unit_ball_volume, validate_dimension
 from .models import ShapeKind, count_scale, point_misses_shape
-from .ppp import RadialMeasure, RngStream, axis_cosines
+from .ppp import RadialMeasure, RngStream, axis_cosines, invert_increasing
 
 
 def lune_fraction_closed_2d(r) -> np.ndarray | float:
@@ -142,29 +142,6 @@ def miss_weight_mc(shape: ShapeKind, mu: RadialMeasure, d: int, r: float, n: int
     m = float(np.mean(miss))
     se = float(np.sqrt(m * (1.0 - m) / n))
     return scale * m, scale * se
-
-
-def invert_increasing(fn, y, lo: float, hi: float, tol: float = 1e-12,
-                      max_iter: int = 200) -> np.ndarray | float:
-    """Vectorized bisection solve of fn(x) = y for increasing fn on [lo, hi]."""
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
-    flo = float(np.asarray(fn(lo), dtype=float))
-    fhi = float(np.asarray(fn(hi), dtype=float))
-    if np.any(y < flo - 1e-12) or np.any(y > fhi + 1e-12):
-        raise ValueError("target outside the range of fn on [lo, hi]")
-    a = np.full(y.shape, lo)
-    b = np.full(y.shape, hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        below = np.asarray(fn(mid), dtype=float) < y
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-        if np.max(b - a) < tol:
-            break
-    out = 0.5 * (a + b)
-    return float(out[0]) if scalar else out
 
 
 def sample_radius_exact(d: int, lam: float, n: int, rng: RngStream,

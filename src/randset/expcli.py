@@ -260,7 +260,10 @@ def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
         d2 = (np.sum(x * x, axis=1)[:, None] - 2.0 * x @ centers.T
               + np.sum(centers * centers, axis=1)[None, :])
         fracs[i] = np.mean(np.all(d2 <= 1.0 + 1e-12, axis=1))
-    return wd * float(fracs.mean()), wd * float(fracs.std(ddof=1) / np.sqrt(reps))
+    se = wd * float(fracs.std(ddof=1) / np.sqrt(reps))
+    # fractions with no spread at all (no probe hit, say) get the one-hit
+    # resolution as their error, so the sigma gap stays finite
+    return wd * float(fracs.mean()), se or wd / (reps * pts_per)
 
 
 def _block_volume_sweep(cfg: ExperimentConfig, lam: float) -> list[tuple]:

@@ -98,15 +98,6 @@ def cap_hyp_distance(delta: float) -> float:
     return 1.0 - float(np.cos(delta))
 
 
-def as_unit_vector(v) -> np.ndarray:
-    """Return v normalized to unit length; near-unit input is renormalized."""
-    arr = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(arr))
-    if n < UNIT_NORM_TOL:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    return arr / n
-
-
 @dataclass(frozen=True)
 class DirectionGrid:
     """A fixed set of unit vectors used for quadrature and sup-norm scans."""

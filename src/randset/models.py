@@ -9,6 +9,7 @@ and the one-dimensional warm-up model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -91,16 +92,71 @@ def count_scale(shape: ShapeKind, mu: RadialMeasure, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# radius functions of the three models (vectorized over directions x pins)
+# exit distances: how far one pinned copy reaches along a direction.  Every
+# radius below is the minimum of these over the pins, clipped to the ball.
+# The kernels broadcast elementwise and do not clip.
+
+
+def _ball_exit(dot, s2):
+    """Positive root of t^2 - 2 t dot + s2 = 1, the exit from the unit ball
+    centered at c, with dot = <dir, c> and s2 = |c|^2.  Needs s2 <= 1 and
+    array input; works in place on one temporary of the broadcast shape."""
+    t = dot * dot
+    t += 1.0
+    t -= s2
+    np.maximum(t, 0.0, out=t)
+    np.sqrt(t, out=t)
+    t += dot
+    return t
+
+
+def _halfspace_exit(p, cos):
+    """Exit from {x : <x, Theta> <= p}: p / cos, or +inf when the ray does
+    not face the boundary."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(cos > _TINY, p / cos, np.inf)
+
+
+def _cone_exit(p, cos, beta):
+    """Exit from the planar cone with apex p * Theta, axis -Theta and
+    half-angle beta.
+
+    The origin lies inside on the axis at distance p from the apex.  Along
+    a ray at angle gamma from the axis the point t*dir - apex is a positive
+    combination of dir and the axis, so its angle to the axis grows
+    monotonically from 0 to gamma: the ray exits exactly once iff
+    gamma > beta, at the sine-rule distance
+
+        t = p * sin(beta) / sin(gamma - beta),
+
+    and never otherwise (+inf).  sin(gamma - beta) is assembled from the
+    cosine, so no inverse trig is needed, and the second root of the
+    underlying quadratic (the mirror nappe of the quadric) never enters.
+    beta = pi/2 reduces exactly to the half-space exit.
+    """
+    sinb, cosb = np.sin(beta), np.cos(beta)
+    du = -cos  # cos(gamma), as the axis is -Theta
+    sq = np.sqrt(np.maximum(1.0 - du * du, 0.0))
+    den = sq * cosb - du * sinb  # sin(gamma - beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > _TINY, p * sinb / den, np.inf)
+
+
+def _exit_distance(shape: ShapeKind, p, cos):
+    """Exit distance of the copy of `shape` pinned at p * Theta along a unit
+    direction with cos = <dir, Theta>."""
+    if shape.kind == "ball":
+        return _ball_exit(p * cos, p * p)
+    if shape.kind == "half-space":
+        return _halfspace_exit(p, cos)
+    return _cone_exit(p, cos, shape.beta)
 
 
 def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Radial exit distance of the set (unit ball) ∩ ⋂_i (c_i + unit ball).
 
-    centers must lie in the closed unit ball.  For each unit direction the
-    exit from a single translated ball solves t^2 - 2 t <dir,c> + |c|^2 = 1,
-    whose positive root is <dir,c> + sqrt(<dir,c>^2 + 1 - |c|^2).  No
-    centers means the unit ball itself, radius 1.
+    centers must lie in the closed unit ball.  No centers means the unit
+    ball itself, radius 1.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     centers = np.asarray(centers, dtype=float)
@@ -110,8 +166,7 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
     s2 = np.sum(centers * centers, axis=1)
     if np.any(s2 > 1.0 + 1e-9):
         raise ValueError("ball model centers must lie in the unit ball")
-    dot = dirs @ centers.T
-    t = dot + np.sqrt(np.maximum(dot * dot + 1.0 - s2[None, :], 0.0))
+    t = _ball_exit(dirs @ centers.T, s2)
     return np.clip(np.min(t, axis=1), 0.0, 1.0)
 
 
@@ -129,49 +184,27 @@ def halfspace_intersection_radius(normals: np.ndarray, offsets: np.ndarray,
     if normals.size == 0:
         return np.full(dirs.shape[0], float(rmax))
     normals = np.atleast_2d(normals)
-    dot = dirs @ normals.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(dot > _TINY, offsets[None, :] / dot, np.inf)
+    t = _halfspace_exit(offsets, dirs @ normals.T)
     return np.clip(np.min(t, axis=1), 0.0, float(rmax))
 
 
 def cone_exit_radius(pin_radii: np.ndarray, pin_dirs: np.ndarray, beta: float,
                      dirs: np.ndarray) -> np.ndarray:
-    """First exit along each direction from ⋂_i of pinned planar cones.
-
-    Each cone has its apex at p_i * Theta_i, axis pointing back through
-    the origin, and half-angle beta, so the origin always lies inside on
-    the axis at distance p_i from the apex.  Along a ray at angle gamma
-    from the axis the point t*dir - apex is a positive combination of dir
-    and the axis, so its angle to the axis grows monotonically from 0 to
-    gamma: the ray exits exactly once iff gamma > beta, at the sine-rule
-    distance
-
-        t = p * sin(beta) / sin(gamma - beta).
-
-    sin(gamma - beta) is assembled from dot products, so no inverse trig
-    is needed, and the second root of the underlying quadratic (the
-    mirror nappe of the quadric) never enters.  beta = pi/2 reduces
-    exactly to the pinned half-space model.
-    """
+    """First exit along each direction from ⋂_i of pinned planar cones with
+    apexes p_i * Theta_i, axes -Theta_i and half-angle beta."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     pin_radii = np.asarray(pin_radii, dtype=float)
     if pin_radii.size == 0:
         return np.ones(dirs.shape[0])
     pin_dirs = np.atleast_2d(np.asarray(pin_dirs, dtype=float))
-    sinb, cosb = np.sin(beta), np.cos(beta)
-    # axis u_i = -Theta_i, so cos(gamma) = <dir, u_i> = -<dir, Theta_i>
-    du = -(dirs @ pin_dirs.T)
-    sq = np.sqrt(np.maximum(1.0 - du * du, 0.0))
-    den = sq * cosb - du * sinb  # sin(gamma - beta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(den > _TINY, pin_radii[None, :] * sinb / den, np.inf)
+    t = _cone_exit(pin_radii, dirs @ pin_dirs.T, beta)
     return np.clip(np.min(t, axis=1), 0.0, 1.0)
 
 
 def point_misses_shape(shape: ShapeKind, r: float, pin_radii: np.ndarray,
                        pin_cosines: np.ndarray) -> np.ndarray:
-    """Indicator that the probe point r*e1 escapes each pinned shape copy.
+    """Indicator that the probe point r*e1 escapes each pinned shape copy,
+    that is, that the copy's exit distance along e1 falls below r.
 
     pin_cosines are the cosines <e1, Theta_i>.  For cones this needs the
     full angle, so it is restricted to d = 2 elsewhere; here the cosine
@@ -179,16 +212,7 @@ def point_misses_shape(shape: ShapeKind, r: float, pin_radii: np.ndarray,
     """
     p = np.asarray(pin_radii, dtype=float)
     u = np.asarray(pin_cosines, dtype=float)
-    if shape.kind == "ball":
-        return p * p - 2.0 * r * p * u + r * r > 1.0
-    if shape.kind == "half-space":
-        return p < r * u
-    # cone: miss iff the angle between r*e1 - p*Theta and the axis -Theta
-    # reaches beta
-    wu = p - r * u  # <r e1 - p Theta, -Theta>
-    norm2 = r * r - 2.0 * r * p * u + p * p
-    norm = np.sqrt(np.maximum(norm2, 0.0))
-    return wu <= np.cos(shape.beta) * norm
+    return _exit_distance(shape, p, u) < r
 
 
 # ---------------------------------------------------------------------------
@@ -212,80 +236,60 @@ class ModelRealization:
         return self.pin_radii.shape[0]
 
 
-def sample_intersection_model(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
-                              rng: RngStream) -> ModelRealization:
+def _mean_pin_count(d: int, lam: float, mu: RadialMeasure,
+                    shape: ShapeKind) -> tuple[int, float]:
+    """Check a model's arguments; return d and the mean pin count."""
     d = validate_dimension(d)
-    if lam < 0:
-        raise ValueError("intensity must be >= 0")
+    if not np.isfinite(lam) or lam < 0:
+        raise ValueError(f"intensity must be finite and >= 0, got {lam}")
     if shape.kind == "cone" and d != 2:
         raise ValueError("the cone model is only defined for d = 2")
-    mean = lam * unit_ball_volume(d) * count_scale(shape, mu, d)
+    return d, lam * unit_ball_volume(d) * count_scale(shape, mu, d)
+
+
+def sample_intersection_model(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
+                              rng: RngStream) -> ModelRealization:
+    d, mean = _mean_pin_count(d, lam, mu, shape)
     n = sample_poisson_count(mean, rng)
     p = np.asarray(mu.inverse_cdf(rng.gen.random(n)), dtype=float)
     th = uniform_directions(d, n, rng)
 
     if shape.kind == "ball":
-        centers = p[:, None] * th
-
-        def fn(dirs):
-            return ball_intersection_radius(centers, dirs)
+        fn = partial(ball_intersection_radius, p[:, None] * th)
     elif shape.kind == "half-space":
-
-        def fn(dirs):
-            return halfspace_intersection_radius(th, p, dirs)
+        fn = partial(halfspace_intersection_radius, th, p)
     else:
-        beta = shape.beta
-
-        def fn(dirs):
-            return cone_exit_radius(p, th, beta, dirs)
-
+        fn = partial(cone_exit_radius, p, th, shape.beta)
     return ModelRealization(d, float(lam), shape, mu.name, p, th, StarSet(d, fn))
 
 
-def build_intersection(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
-                       rng: RngStream) -> StarSet:
-    """Sample the process and return the realized intersection as a StarSet."""
-    return sample_intersection_model(d, lam, mu, shape, rng).star
+_CHUNK_PINS = 2_000_000
 
 
 def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
-                      n: int, rng: RngStream, chunk: int = 2_000_000) -> np.ndarray:
+                      n: int, rng: RngStream) -> np.ndarray:
     """n independent model radii along a fixed axis, fully vectorized.
 
     Rotation invariance makes the radius along e1 equal in law to the
     radius in any direction, so each replicate only needs the pin radius
     and the axis cosine of each of its points.  Replicates are pooled and
-    reduced with a segmented minimum; memory is bounded by `chunk` points.
+    reduced with a segmented minimum; memory is bounded by _CHUNK_PINS
+    points (a replicate is never split).
     """
-    d = validate_dimension(d)
-    if shape.kind == "cone" and d != 2:
-        raise ValueError("the cone model is only defined for d = 2")
+    d, mean = _mean_pin_count(d, lam, mu, shape)
     if n < 0:
         raise ValueError("n must be >= 0")
-    mean = lam * unit_ball_volume(d) * count_scale(shape, mu, d)
     g = rng.gen
     out = np.empty(n, dtype=float)
     done = 0
-    per = max(1, int(chunk / max(mean, 1.0)))
+    per = max(1, int(_CHUNK_PINS / max(mean, 1.0)))
     while done < n:
         m = min(per, n - done)
         counts = g.poisson(mean, m)
         tot = int(counts.sum())
         p = np.asarray(mu.inverse_cdf(g.random(tot)), dtype=float)
         u = axis_cosines(d, tot, rng)
-        if shape.kind == "ball":
-            dot = p * u
-            t = dot + np.sqrt(np.maximum(dot * dot + 1.0 - p * p, 0.0))
-        elif shape.kind == "half-space":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(u > _TINY, p / u, np.inf)
-        else:
-            sinb, cosb = np.sin(shape.beta), np.cos(shape.beta)
-            du = -u
-            sq = np.sqrt(np.maximum(1.0 - du * du, 0.0))
-            den = sq * cosb - du * sinb
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(den > _TINY, p * sinb / den, np.inf)
+        t = _exit_distance(shape, p, u)
         out[done:done + m] = np.clip(segmented_min(t, counts, np.inf), 0.0, 1.0)
         done += m
     return out
@@ -320,12 +324,9 @@ class CroftonCell:
 
     @property
     def star(self) -> StarSet:
-        normals, offsets, w = self.normals, self.offsets, self.window
-
-        def fn(dirs):
-            return halfspace_intersection_radius(normals, offsets, dirs, rmax=w)
-
-        return StarSet(self.dim, fn, rmax=w)
+        fn = partial(halfspace_intersection_radius, self.normals, self.offsets,
+                     rmax=self.window)
+        return StarSet(self.dim, fn, rmax=self.window)
 
     @property
     def max_radius(self) -> float:
@@ -382,18 +383,17 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
 
 
 def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0,
-                 window_radius: float = 10.0, max_enlargements: int = 3,
-                 probe_grid: DirectionGrid | None = None) -> CroftonCell:
+                 window_radius: float = 10.0, max_enlargements: int = 3) -> CroftonCell:
     """Sample the zero cell of an isotropic Poisson hyperplane process.
 
     Hyperplane distances from the origin form a Poisson process of the
     given rate per unit distance (rate 2 normalizes the measure of
     hyperplanes meeting the unit ball to 2); normals are uniform on the
-    sphere.  Sampling is windowed: if the cell is not certified to fit in
-    the current window (some vertex, or a whole probe direction, reaches
-    it) the window doubles and new hyperplanes are superposed on the old
-    ones, which preserves the law.  After max_enlargements doublings an
-    uncertified cell raises UnboundedCellError.
+    sphere.  Sampling is windowed: if the exact cell is not certified to
+    fit in the current window (some vertex reaches it) the window doubles
+    and new hyperplanes are superposed on the old ones, which preserves the
+    law.  After max_enlargements doublings an uncertified cell raises
+    UnboundedCellError.
     """
     d = validate_dimension(d)
     if d < 2:
@@ -411,12 +411,7 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0,
             offs = rng.gen.uniform(lo, hi, n_new)
             normals = np.vstack([normals, uniform_directions(d, n_new, rng)])
             offsets = np.concatenate([offsets, offs])
-        cheap_ok = True
-        if probe_grid is not None:
-            probe_r = halfspace_intersection_radius(normals, offsets, probe_grid.points,
-                                                    rmax=np.inf)
-            cheap_ok = bool(np.all(probe_r < hi))
-        result = _zero_cell_polytope(d, normals, offsets, hi) if cheap_ok else None
+        result = _zero_cell_polytope(d, normals, offsets, hi)
         if result is not None:
             verts, vol = result
             return CroftonCell(d, normals, offsets, verts, vol, hi, attempt)
@@ -496,8 +491,10 @@ def first_circle_crossing(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.min(cand, axis=1)
 
 
-def sphere_tessellation_cell_2d(points, grid: DirectionGrid,
-                                jump_threshold: float = 0.2) -> TessellationCell:
+_JUMP_THRESHOLD = 0.2
+
+
+def sphere_tessellation_cell_2d(points, grid: DirectionGrid) -> TessellationCell:
     """Extract the origin cell of the circle tessellation in the plane."""
     if isinstance(points, ProcessSample):
         if points.dim != 2:
@@ -512,7 +509,7 @@ def sphere_tessellation_cell_2d(points, grid: DirectionGrid,
     radii = np.minimum(first_circle_crossing(pts, grid.points), 1.0)
     nxt = np.roll(radii, -1)
     scale = np.minimum(radii, nxt)
-    flagged = np.abs(radii - nxt) > jump_threshold * scale
+    flagged = np.abs(radii - nxt) > _JUMP_THRESHOLD * scale
     frac = float(np.count_nonzero(flagged)) / grid.size
 
     def fn(dirs):
@@ -546,25 +543,6 @@ class CouplingOutput:
     tess_cell: TessellationCell
     hausdorff_scaled: float
     grid: DirectionGrid
-
-
-def _min_ball_exit_with_cull(base_radii: np.ndarray, centers: np.ndarray,
-                             dirs: np.ndarray) -> np.ndarray:
-    """Fold extra ball centers into per-direction exit radii, skipping any
-    center whose slack 1 - |c| already exceeds the current maximum (its exit
-    distance is at least that slack, so it cannot bind)."""
-    radii = base_radii.copy()
-    if centers.size == 0:
-        return radii
-    centers = np.atleast_2d(centers)
-    slack = 1.0 - np.linalg.norm(centers, axis=1)
-    keep = slack <= np.max(radii)
-    if not np.any(keep):
-        return radii
-    sub = centers[keep]
-    dot = dirs @ sub.T
-    t = dot + np.sqrt(np.maximum(dot * dot + 1.0 - np.sum(sub * sub, axis=1)[None, :], 0.0))
-    return np.minimum(radii, np.min(t, axis=1))
 
 
 def coupling_transform(tess_sample: ProcessSample, eps: float, rng: RngStream,
@@ -616,14 +594,14 @@ def coupling_transform(tess_sample: ProcessSample, eps: float, rng: RngStream,
 
     cell = sphere_tessellation_cell_2d(tess_sample, grid)
     shell_radii = ball_intersection_radius(corrected, grid.points)
-    inter_radii = _min_ball_exit_with_cull(shell_radii, bulk.points, grid.points)
+    # a bulk center's exit distance is at least its slack 1 - |c|, so only
+    # centers with slack up to the largest shell radius can bind
+    slack = 1.0 - np.linalg.norm(bulk.points, axis=1)
+    kept = bulk.points[slack <= np.max(shell_radii)]
+    inter_radii = np.minimum(shell_radii, ball_intersection_radius(kept, grid.points))
 
     all_centers = np.vstack([corrected, bulk.points]) if bulk.count else corrected
-
-    def fn(dirs):
-        return ball_intersection_radius(all_centers, dirs)
-
-    inter = StarSet(2, fn)
+    inter = StarSet(2, partial(ball_intersection_radius, all_centers))
     h = float(np.max(np.abs(inter_radii - cell.radii)))
     return CouplingOutput(2, lam, float(eps), pts, shifted, corrected, inter,
                           cell, lam * h, grid)

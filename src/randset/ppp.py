@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -93,24 +94,37 @@ def depth_radial_law(d: int) -> RadialMeasure:
     )
 
 
-def radial_law_from_cdf(name: str, cdf: Callable, tol: float = 1e-12) -> RadialMeasure:
+_ROOT_TOL = 1e-12
+_ROOT_MAX_ITER = 200
+
+
+def invert_increasing(fn, y, lo: float, hi: float) -> np.ndarray | float:
+    """Vectorized bisection solve of fn(x) = y for increasing fn on [lo, hi];
+    stops once every bracket is narrower than _ROOT_TOL."""
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 0
+    y = np.atleast_1d(y)
+    flo = float(np.asarray(fn(lo), dtype=float))
+    fhi = float(np.asarray(fn(hi), dtype=float))
+    if np.any(y < flo - 1e-12) or np.any(y > fhi + 1e-12):
+        raise ValueError("target outside the range of fn on [lo, hi]")
+    a = np.full(y.shape, lo)
+    b = np.full(y.shape, hi)
+    for _ in range(_ROOT_MAX_ITER):
+        mid = 0.5 * (a + b)
+        below = np.asarray(fn(mid), dtype=float) < y
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+        if np.max(b - a) < _ROOT_TOL:
+            break
+    out = 0.5 * (a + b)
+    return float(out[0]) if scalar else out
+
+
+def radial_law_from_cdf(name: str, cdf: Callable) -> RadialMeasure:
     """Wrap an increasing CDF on [0,1]; the inverse is found by bisection."""
-
-    def inverse(u):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        lo = np.zeros_like(u_arr)
-        hi = np.ones_like(u_arr)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(cdf(mid), dtype=float) < u_arr
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < tol:
-                break
-        out = 0.5 * (lo + hi)
-        return out if np.ndim(u) else float(out[0])
-
-    return RadialMeasure(name=name, cdf=cdf, inverse_cdf=inverse)
+    return RadialMeasure(name=name, cdf=cdf,
+                         inverse_cdf=partial(invert_increasing, cdf, lo=0.0, hi=1.0))
 
 
 def sample_poisson_count(mean: float, rng: RngStream) -> int:
@@ -275,17 +289,9 @@ class ShellDepthCdfs:
 
     def folded_inverse(self, u):
         u = self._check_quantile(u)
-        target = np.atleast_1d(np.asarray(u, dtype=float)) * self._den_folded
-        lo = np.zeros_like(target)
-        hi = np.full_like(target, self.eps)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            val = (1.0 + mid) ** self.d - (1.0 - mid) ** self.d
-            below = val < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return out if np.ndim(u) else float(out[0])
+        d = self.d
+        return invert_increasing(lambda w: (1.0 + w) ** d - (1.0 - w) ** d,
+                                 u * self._den_folded, 0.0, self.eps)
 
     def transport(self, w):
         """Monotone transport of a folded-law depth onto the inner law.
@@ -297,10 +303,6 @@ class ShellDepthCdfs:
         same bound; the depth-space map is the one the coupling uses.)
         """
         return self.inner_inverse(self.folded(w))
-
-    def correct_folded_depth(self, w):
-        """Alias of :meth:`transport`, named for its role in the coupling."""
-        return self.transport(w)
 
 
 def shell_depth_cdfs(eps: float, d: int) -> ShellDepthCdfs:

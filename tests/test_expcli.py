@@ -252,6 +252,20 @@ class TestRecordSemantics:
                     for r in run_experiment(big) if r.lam == 50.0}
         assert recs_small == recs_big
 
+    def test_hit_or_miss_without_hits(self, monkeypatch):
+        # at this seed no hit-or-miss probe lands in the intersection, so the
+        # replicate fractions have no spread; the standard error floors at
+        # the one-hit resolution instead of dividing the sigma gap by zero
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        cfg = build_config("volume-sweep", {},
+                           {"lambda_grid": (200.0,), "samples": 20, "seed": 12345})
+        recs = {r.metric: r for r in run_experiment(cfg)}
+        hm = recs["volume_hit_or_miss"]
+        assert hm.value == 0.0
+        assert hm.std_error == np.pi / (2 * 2000)
+        gap = recs["hit_or_miss_sigma_gap"].value
+        assert gap == -recs["volume_quadrature"].value / hm.std_error
+
 
 CLI_ARGS = ["warmup-1d", "--d", "1", "--lambda", "60", "--replicates", "2000",
             "--seed", "4"]
@@ -272,6 +286,14 @@ def console_script_target():
     return module, attr
 
 
+def package_env():
+    """The caller's environment, one worker, the package on PYTHONPATH."""
+    env = dict(os.environ, RANDSET_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_PARENT), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_cli(command, tmp_path, env):
     out = tmp_path / "cli.csv"
     proc = subprocess.run([*command, *CLI_ARGS, "--out", str(out)],
@@ -287,12 +309,12 @@ class TestConsoleScript:
         # so no install is needed.
         module, attr = console_script_target()
         assert getattr(importlib.import_module(module), attr, None) is main
-        env = dict(os.environ, RANDSET_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(PACKAGE_PARENT), env.get("PYTHONPATH")) if p)
         wrapper = (f"import sys; from {module} import {attr}; "
                    f"sys.exit({attr}())")
-        run_cli([sys.executable, "-c", wrapper], tmp_path, env)
+        run_cli([sys.executable, "-c", wrapper], tmp_path, package_env())
+
+    def test_module_entry_point(self, tmp_path):
+        run_cli([sys.executable, "-m", "randset"], tmp_path, package_env())
 
     @pytest.mark.skipif(
         shutil.which("randset") is None,

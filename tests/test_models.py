@@ -1,6 +1,8 @@
 """Intersection models, tessellation cells, coupling, meeting counts."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial import ConvexHull
 
@@ -23,10 +25,10 @@ from randset.models import (
     HalfSpace,
     ShapeKind,
     UnboundedCellError,
+    _exit_distance,
     _polygon_area,
     _zero_cell_polytope,
     ball_intersection_radius,
-    build_intersection,
     cone,
     cone_exit_radius,
     count_scale,
@@ -44,7 +46,7 @@ from randset.models import (
     shell_containment_indicator,
     sphere_tessellation_cell_2d,
 )
-from randset.ppp import ProcessSample, RngStream, depth_radial_law, uniform_radial_law
+from randset.ppp import ProcessSample, depth_radial_law, uniform_radial_law
 
 from conftest import assert_close_sigma, binomial_se
 
@@ -200,26 +202,33 @@ class TestPointMiss:
     @pytest.mark.parametrize("shape", [BALL, HALF_SPACE, cone(2.0 * np.pi / 5.0)])
     def test_dual_route(self, shape, rng):
         # missing the shape pinned at (p, theta) is the same as the probe
-        # radius exceeding the exit radius along e1
+        # r*e1 lying outside that copy, tested by direct geometric membership
         g = rng.spawn("miss", shape.kind).gen
         angles = g.uniform(0.0, 2.0 * np.pi, 40)
         th = np.column_stack([np.cos(angles), np.sin(angles)])
         p = g.uniform(0.2, 0.9, 40)
-        e1 = np.array([[1.0, 0.0]])
+        seen = set()
         for i in range(40):
-            if shape.kind == "ball":
-                exit_r = ball_intersection_radius(p[i] * th[i:i + 1], e1)[0]
-            elif shape.kind == "half-space":
-                exit_r = halfspace_intersection_radius(th[i:i + 1], p[i:i + 1],
-                                                       e1)[0]
-            else:
-                exit_r = cone_exit_radius(p[i:i + 1], th[i:i + 1], shape.beta,
-                                          e1)[0]
+            apex = p[i] * th[i]
             for r in (0.05, 0.3, 0.62, 0.97):
-                if abs(r - exit_r) < 1e-6:
+                x = np.array([r, 0.0])
+                if shape.kind == "ball":
+                    margin = 1.0 - np.linalg.norm(x - apex)
+                    inside = margin >= 0.0
+                elif shape.kind == "half-space":
+                    margin = p[i] - x @ th[i]
+                    inside = HalfSpace(th[i], p[i]).contains(x)
+                else:
+                    # inside iff the angle at the apex stays below beta
+                    w = x - apex
+                    margin = -(w @ th[i]) - np.cos(shape.beta) * np.linalg.norm(w)
+                    inside = margin >= 0.0
+                if abs(margin) < 1e-9:
                     continue
                 miss = point_misses_shape(shape, r, p[i:i + 1], th[i:i + 1, 0])
-                assert bool(miss[0]) == (r > exit_r)
+                assert bool(miss[0]) == (not inside)
+                seen.add(inside)
+        assert seen == {True, False}
 
 
 class TestSampleModel:
@@ -242,13 +251,13 @@ class TestSampleModel:
         with pytest.raises(ValueError):
             sample_intersection_model(2, -2.0, uniform_radial_law(2), BALL, rng)
 
-    def test_build_intersection_matches(self, rng):
-        grid = direction_grid(2, 64)
-        a = sample_intersection_model(2, 30.0, uniform_radial_law(2), BALL,
-                                      RngStream(424, 7)).star.radii(grid)
-        b = build_intersection(2, 30.0, uniform_radial_law(2), BALL,
-                               RngStream(424, 7)).radii(grid)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("lam", [np.nan, -1.0, np.inf])
+    def test_bad_intensity(self, lam, rng):
+        mu = uniform_radial_law(2)
+        with pytest.raises(ValueError, match="intensity must be finite and >= 0"):
+            sample_intersection_model(2, lam, mu, BALL, rng)
+        with pytest.raises(ValueError, match="intensity must be finite and >= 0"):
+            sample_axis_radii(2, lam, mu, BALL, 4, rng)
 
     def test_membership_brute_force_ball(self, rng):
         m = sample_intersection_model(2, 20.0, uniform_radial_law(2), BALL,
@@ -291,6 +300,54 @@ class TestSampleModel:
             cur = ball_intersection_radius(c[:k], dirs)
             assert np.all(cur <= prev + 1e-12)
             prev = cur
+
+
+SHAPES = st.one_of(st.sampled_from([BALL, HALF_SPACE]),
+                   st.floats(0.1, 3.0).map(cone))
+# pins as (radius, angle) pairs in the plane
+PINS = st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 2.0 * np.pi)),
+                min_size=1, max_size=12)
+KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
+def model_radius(shape, pins, dirs):
+    """The public radius function of `shape` for the given pins."""
+    p = np.array([q for q, _ in pins])
+    th = np.array([[np.cos(a), np.sin(a)] for _, a in pins])
+    if shape.kind == "ball":
+        return ball_intersection_radius(p[:, None] * th, dirs)
+    if shape.kind == "half-space":
+        return halfspace_intersection_radius(th, p, dirs)
+    return cone_exit_radius(p, th, shape.beta, dirs)
+
+
+class TestExitKernelProperties:
+    DIRS = direction_grid(2, 64).points
+
+    @KERNEL_SETTINGS
+    @given(shape=SHAPES, pins=PINS)
+    def test_radii_in_unit_interval(self, shape, pins):
+        r = model_radius(shape, pins, self.DIRS)
+        assert np.all((r >= 0.0) & (r <= 1.0))
+
+    @KERNEL_SETTINGS
+    @given(shape=SHAPES, pins=PINS)
+    def test_adding_a_pin_never_grows_a_radius(self, shape, pins):
+        prev = np.ones(self.DIRS.shape[0])
+        for k in range(1, len(pins) + 1):
+            cur = model_radius(shape, pins[:k], self.DIRS)
+            assert np.all(cur <= prev + 1e-12)
+            prev = cur
+
+    @KERNEL_SETTINGS
+    @given(shape=SHAPES, pins=PINS)
+    def test_axis_route_matches_vector_route(self, shape, pins):
+        # along e1 the dispatch only needs cos = Theta_1
+        p = np.array([q for q, _ in pins])
+        cos = np.cos(np.array([a for _, a in pins]))
+        axis = np.clip(np.min(_exit_distance(shape, p, cos)), 0.0, 1.0)
+        vector = model_radius(shape, pins, np.array([[1.0, 0.0]]))[0]
+        assert abs(axis - vector) <= 1e-12
 
 
 class TestExactRadiusLaws:

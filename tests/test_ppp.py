@@ -256,7 +256,7 @@ class TestShellDepthTransport:
         c = shell_depth_cdfs(eps, 2)
         u = rng.spawn("pair").gen.random(10_000)
         w = np.asarray(c.folded_inverse(u))
-        assert np.max(np.abs(w - c.correct_folded_depth(w))) <= 2.0 * eps * eps
+        assert np.max(np.abs(w - c.transport(w))) <= 2.0 * eps * eps
 
     def test_transported_law_matches_inner(self, rng):
         # pushing folded draws through the transport yields the inner law
