@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .geomcore import lune_fraction, unit_ball_volume, validate_dimension
+from .geomcore import (
+    lune_fraction,
+    unit_ball_volume,
+    validate_dimension,
+    validate_intensity,
+)
 from .models import ShapeKind, count_scale, point_misses_shape
 from .ppp import RadialMeasure, RngStream, axis_cosines, invert_increasing
 
@@ -153,8 +158,7 @@ def sample_radius_exact(d: int, lam: float, n: int, rng: RngStream,
     probe direction entirely).  Defaults to the ball model's lune weight.
     """
     d = validate_dimension(d)
-    if lam < 0:
-        raise ValueError("intensity must be >= 0")
+    lam = validate_intensity(lam)
     if miss_fn is None:
         def miss_fn(r):
             return lune_fraction(d, r)
@@ -186,8 +190,7 @@ class RadiusLaw:
 
     def __post_init__(self):
         validate_dimension(self.dim)
-        if self.lam < 0:
-            raise ValueError("intensity must be >= 0")
+        validate_intensity(self.lam)
         if self.miss_fn is None:
             d = self.dim
             object.__setattr__(self, "miss_fn", lambda r: lune_fraction(d, r))
@@ -226,8 +229,7 @@ def expected_volume_quadrature(d: int, lam: float, miss_fn=None) -> float:
     ball volume exactly.
     """
     d = validate_dimension(d)
-    if lam < 0:
-        raise ValueError("intensity must be >= 0")
+    lam = validate_intensity(lam)
     if lam == 0:
         return unit_ball_volume(d)
     if miss_fn is None:
@@ -248,15 +250,22 @@ def expected_volume_quadrature(d: int, lam: float, miss_fn=None) -> float:
     return val
 
 
+_MAX_CONSTANT_DIM = 37
+
+
 def asymptotic_volume_constant(d: int) -> float:
     """Limit of lam^d E|I| for the ball model: d! omega_d / omega_{d-1}^d.
 
     The radius law concentrates at scale 1/lam where the lune weight is
     linear with slope omega_{d-1}/omega_d, so lam R converges to a Weibull
     variable whose d-th moment gives the constant (2 for d = 1, pi/2 for
-    d = 2, 8/pi^2 for d = 3).
+    d = 2, 8/pi^2 for d = 3).  It grows like a power of d!, and beyond
+    d = _MAX_CONSTANT_DIM it exceeds the largest float64.
     """
     d = validate_dimension(d)
+    if d > _MAX_CONSTANT_DIM:
+        raise ValueError(f"the asymptotic volume constant is a finite float64 only "
+                         f"for 1 <= d <= {_MAX_CONSTANT_DIM}, got d = {d}")
     return special.factorial(d, exact=True) * unit_ball_volume(d) / unit_ball_volume(d - 1) ** d
 
 

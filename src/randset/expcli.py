@@ -204,11 +204,10 @@ def _transformed_ks(out: list, tag: str, sample: np.ndarray, law) -> None:
          np.sqrt(max(atom * (1 - atom), law.atom_mass()) / n))
 
 
-def _block_radius_convergence(cfg: ExperimentConfig, lam: float) -> list[tuple]:
+def _block_radius_convergence(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
     d = cfg.d
     if cfg.samples < 2:
         raise ConfigError("radius-convergence needs samples >= 2")
-    rng = RngStream(cfg.seed).spawn("radius-convergence", d, float(lam))
     mu = ppp.uniform_radial_law(d)
     n = cfg.samples
 
@@ -266,11 +265,10 @@ def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
     return wd * float(fracs.mean()), se or wd / (reps * pts_per)
 
 
-def _block_volume_sweep(cfg: ExperimentConfig, lam: float) -> list[tuple]:
+def _block_volume_sweep(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
     d = cfg.d
     if cfg.samples < 2:
         raise ConfigError("volume-sweep needs samples >= 2")
-    rng = RngStream(cfg.seed).spawn("volume-sweep", d, float(lam))
     out: list[tuple] = []
     vq = analytics.expected_volume_quadrature(d, lam)
     const = analytics.asymptotic_volume_constant(d)
@@ -304,12 +302,11 @@ def _block_volume_sweep(cfg: ExperimentConfig, lam: float) -> list[tuple]:
     return out
 
 
-def _block_coupling(cfg: ExperimentConfig, lam: float) -> list[tuple]:
+def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
     if cfg.d != 2:
         raise ConfigError("the coupling experiment requires d = 2")
     if cfg.replicates < 2:
         raise ConfigError("coupling needs replicates >= 2")
-    rng = RngStream(cfg.seed).spawn("coupling", 2, float(lam))
     grid = direction_grid(2, cfg.grid_size)
     eps = np.log(lam) ** 2 / (2.0 * lam)
     n = cfg.replicates
@@ -349,13 +346,12 @@ def _block_coupling(cfg: ExperimentConfig, lam: float) -> list[tuple]:
     return out
 
 
-def _block_crofton(cfg: ExperimentConfig, rate: float) -> list[tuple]:
+def _block_crofton(cfg: ExperimentConfig, rate: float, rng: RngStream) -> list[tuple]:
     d = cfg.d
     if d < 2:
         raise ConfigError("the crofton experiment requires d >= 2")
     if cfg.replicates < 2:
         raise ConfigError("crofton needs replicates >= 2")
-    rng = RngStream(cfg.seed).spawn("crofton", d, float(rate))
     n = cfg.replicates
     vols = np.empty(n)
     enlargements = 0
@@ -413,12 +409,11 @@ def _block_crofton(cfg: ExperimentConfig, rate: float) -> list[tuple]:
     return out
 
 
-def _block_warmup(cfg: ExperimentConfig, lam: float) -> list[tuple]:
+def _block_warmup(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
     if cfg.d != 1:
         raise ConfigError("the warmup-1d experiment requires d = 1")
     if cfg.replicates < 2:
         raise ConfigError("warmup-1d needs replicates >= 2")
-    rng = RngStream(cfg.seed).spawn("warmup-1d", cfg.d, float(lam))
     st = models.interval_intersection_stats(lam, cfg.replicates, rng)
     out: list[tuple] = []
     n = cfg.replicates
@@ -434,10 +429,9 @@ def _block_warmup(cfg: ExperimentConfig, lam: float) -> list[tuple]:
     return out
 
 
-def _block_meeting(cfg: ExperimentConfig, lam: float) -> list[tuple]:
+def _block_meeting(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
     if cfg.replicates < 2:
         raise ConfigError("meeting-counts needs replicates >= 2")
-    rng = RngStream(cfg.seed).spawn("meeting-counts", cfg.d, float(lam))
     out: list[tuple] = []
     for model in models.MEETING_MODELS:
         mean, se, asym = models.meeting_count_mc(model, cfg.d, lam, cfg.eps,
@@ -453,12 +447,11 @@ _CONE_PROBE = 0.4
 _CONE_SMALL_R = (0.16, 0.08, 0.04, 0.02)
 
 
-def _block_cone(cfg: ExperimentConfig, lam: float) -> list[tuple]:
+def _block_cone(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
     if cfg.d != 2:
         raise ConfigError("the cone experiment requires d = 2")
     if cfg.samples < 2:
         raise ConfigError("cone needs samples >= 2")
-    rng = RngStream(cfg.seed).spawn("cone", cfg.d, float(lam))
     mu = ppp.uniform_radial_law(2)
     r = _CONE_PROBE
     out: list[tuple] = []
@@ -511,11 +504,14 @@ _BLOCKS = {
 }
 
 
-def _run_block(cfg: ExperimentConfig, lam: float) -> tuple[float, list[tuple], float]:
+def _run_block(cfg: ExperimentConfig, lam: float) -> tuple[float, int, list[tuple], float]:
+    """Run one block on the stream keyed by (experiment, d, lambda); return
+    lambda, that stream's id, the metrics and the block's wall time in ms."""
+    rng = RngStream(cfg.seed).spawn(cfg.experiment, cfg.d, float(lam))
     t0 = time.perf_counter()
-    metrics = _BLOCKS[cfg.experiment](cfg, lam)
+    metrics = _BLOCKS[cfg.experiment](cfg, lam, rng)
     ms = (time.perf_counter() - t0) * 1000.0
-    return lam, metrics, ms
+    return lam, rng.stream_id, metrics, ms
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -540,20 +536,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     within their block, making (experiment, lambda, replicate) unique.
     """
     workers = _worker_count(len(cfg.lambda_grid))
-    results: dict[float, tuple[list[tuple], float]] = {}
+    results: dict[float, tuple[int, list[tuple], float]] = {}
     if workers == 1 or len(cfg.lambda_grid) == 1:
         for lam in cfg.lambda_grid:
-            lam_, metrics, ms = _run_block(cfg, lam)
-            results[lam_] = (metrics, ms)
+            lam_, *rest = _run_block(cfg, lam)
+            results[lam_] = rest
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for lam_, metrics, ms in pool.map(_run_block, [cfg] * len(cfg.lambda_grid),
-                                              cfg.lambda_grid):
-                results[lam_] = (metrics, ms)
+            for lam_, *rest in pool.map(_run_block, [cfg] * len(cfg.lambda_grid),
+                                        cfg.lambda_grid):
+                results[lam_] = rest
     records: list[ExperimentRecord] = []
     for lam in cfg.lambda_grid:
-        metrics, ms = results[lam]
-        block_seed = RngStream(cfg.seed).spawn(cfg.experiment, cfg.d, float(lam)).stream_id
+        block_seed, metrics, ms = results[lam]
         for idx, (metric, value, se) in enumerate(metrics):
             records.append(ExperimentRecord(cfg.experiment, cfg.d, lam, idx,
                                             block_seed, metric, value, se, ms))

@@ -24,6 +24,14 @@ def validate_dimension(d) -> int:
     return int(d)
 
 
+def validate_intensity(lam) -> float:
+    """Check that a Poisson intensity is finite and >= 0 and return it as a
+    float; lam = 0 (the empty process) is valid."""
+    if not np.isfinite(lam) or lam < 0:
+        raise ValueError(f"intensity must be finite and >= 0, got {lam}")
+    return float(lam)
+
+
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in d dimensions.
 

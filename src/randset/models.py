@@ -13,7 +13,13 @@ from functools import partial
 
 import numpy as np
 
-from .geomcore import DirectionGrid, StarSet, unit_ball_volume, validate_dimension
+from .geomcore import (
+    DirectionGrid,
+    StarSet,
+    unit_ball_volume,
+    validate_dimension,
+    validate_intensity,
+)
 from .ppp import (
     ProcessSample,
     RadialMeasure,
@@ -240,8 +246,7 @@ def _mean_pin_count(d: int, lam: float, mu: RadialMeasure,
                     shape: ShapeKind) -> tuple[int, float]:
     """Check a model's arguments; return d and the mean pin count."""
     d = validate_dimension(d)
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError(f"intensity must be finite and >= 0, got {lam}")
+    lam = validate_intensity(lam)
     if shape.kind == "cone" and d != 2:
         raise ValueError("the cone model is only defined for d = 2")
     return d, lam * unit_ball_volume(d) * count_scale(shape, mu, d)
@@ -333,42 +338,12 @@ class CroftonCell:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
 
-def _clip_polygon(poly: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Keep the part of a convex polygon with <x, normal> <= offset."""
-    d = poly @ normal - offset
-    out = []
-    k = poly.shape[0]
-    for i in range(k):
-        j = (i + 1) % k
-        if d[i] <= 0.0:
-            out.append(poly[i])
-        if (d[i] < 0.0 < d[j]) or (d[j] < 0.0 < d[i]):
-            t = d[i] / (d[i] - d[j])
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.asarray(out) if out else np.empty((0, 2))
-
-
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
 def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
                         window: float) -> tuple[np.ndarray, float] | None:
     """Exact vertices and volume of {x : <x,n_i> <= p_i}, or None when the
     cell is not certified to fit inside the window."""
     if normals.shape[0] == 0:
         return None
-    if d == 2:
-        box = 4.0 * window
-        poly = np.array([[-box, -box], [box, -box], [box, box], [-box, box]])
-        for i in range(normals.shape[0]):
-            poly = _clip_polygon(poly, normals[i], offsets[i])
-            if poly.shape[0] == 0:
-                return np.empty((0, 2)), 0.0
-        if np.max(np.linalg.norm(poly, axis=1)) >= window:
-            return None
-        return poly, _polygon_area(poly)
     from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
     halfspaces = np.column_stack([normals, -offsets])
@@ -382,17 +357,21 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
     return verts, float(ConvexHull(verts).volume)
 
 
-def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0,
-                 window_radius: float = 10.0, max_enlargements: int = 3) -> CroftonCell:
+_WINDOW_RADIUS = 10.0
+_MAX_ENLARGEMENTS = 3
+
+
+def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCell:
     """Sample the zero cell of an isotropic Poisson hyperplane process.
 
     Hyperplane distances from the origin form a Poisson process of the
     given rate per unit distance (rate 2 normalizes the measure of
     hyperplanes meeting the unit ball to 2); normals are uniform on the
-    sphere.  Sampling is windowed: if the exact cell is not certified to
-    fit in the current window (some vertex reaches it) the window doubles
-    and new hyperplanes are superposed on the old ones, which preserves the
-    law.  After max_enlargements doublings an uncertified cell raises
+    sphere.  Sampling is windowed: the first window has radius
+    _WINDOW_RADIUS, and if the exact cell is not certified to fit in the
+    current window (some vertex reaches it) the window doubles and new
+    hyperplanes are superposed on the old ones, which preserves the law.
+    After _MAX_ENLARGEMENTS doublings an uncertified cell raises
     UnboundedCellError.
     """
     d = validate_dimension(d)
@@ -400,12 +379,10 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0,
         raise ValueError("tessellation cells need d >= 2")
     if radial_rate <= 0:
         raise ValueError("radial rate must be positive")
-    if window_radius < 10.0:
-        raise ValueError("window_radius must be >= 10")
     normals = np.empty((0, d))
     offsets = np.empty(0)
-    lo, hi = 0.0, float(window_radius)
-    for attempt in range(max_enlargements + 1):
+    lo, hi = 0.0, _WINDOW_RADIUS
+    for attempt in range(_MAX_ENLARGEMENTS + 1):
         n_new = sample_poisson_count(radial_rate * (hi - lo), rng)
         if n_new:
             offs = rng.gen.uniform(lo, hi, n_new)
@@ -418,7 +395,7 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0,
         lo, hi = hi, 2.0 * hi
     raise UnboundedCellError(
         f"zero cell not certified bounded within window {lo:g} after "
-        f"{max_enlargements} enlargements")
+        f"{_MAX_ENLARGEMENTS} enlargements")
 
 
 def segment_crossing_count(d: int, length: float, rng: RngStream,
@@ -495,15 +472,11 @@ _JUMP_THRESHOLD = 0.2
 
 
 def sphere_tessellation_cell_2d(points, grid: DirectionGrid) -> TessellationCell:
-    """Extract the origin cell of the circle tessellation in the plane."""
-    if isinstance(points, ProcessSample):
-        if points.dim != 2:
-            raise ValueError("sphere tessellation cell is implemented for d = 2")
-        pts = points.points
-    else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.size and pts.shape[1] != 2:
-            raise ValueError("sphere tessellation cell is implemented for d = 2")
+    """Extract the origin cell of the circle tessellation in the plane
+    whose circles are centered at the rows of `points`."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size and pts.shape[1] != 2:
+        raise ValueError("sphere tessellation cell is implemented for d = 2")
     if grid.dim != 2:
         raise ValueError("need a planar direction grid")
     radii = np.minimum(first_circle_crossing(pts, grid.points), 1.0)
@@ -524,22 +497,20 @@ def sphere_tessellation_cell_2d(points, grid: DirectionGrid) -> TessellationCell
 
 @dataclass(frozen=True)
 class CouplingOutput:
-    """Everything the shell coupling produces from one annulus sample.
+    """What the shell coupling produces from one annulus sample.
 
     shifted_points is the raw fold (outer points sent antipodally, inner
     points untouched); corrected_points additionally push every depth
     through the folded-to-inner transport, an O(eps^2) nudge, and are the
-    centers the intersection star set is actually built from (together
-    with the independent bulk sample).
+    centers the intersection side is built from (together with the
+    independent bulk sample).  tess_cell is the origin cell of the
+    untouched sample, and hausdorff_scaled is lam times the radius-sup
+    distance between the two sides on grid.
     """
 
-    dim: int
     lam: float
-    eps: float
-    tess_points: np.ndarray
     shifted_points: np.ndarray
     corrected_points: np.ndarray
-    intersection: StarSet
     tess_cell: TessellationCell
     hausdorff_scaled: float
     grid: DirectionGrid
@@ -560,9 +531,9 @@ def coupling_transform(tess_sample: ProcessSample, eps: float, rng: RngStream,
     correction per point.  An independent uniform Poisson(lam) sample on the
     ball of radius 1 - eps fills in the bulk, whose copies almost never
     bind.  Returned are the folded and the corrected points, the
-    ball-intersection star set of the corrected points plus bulk, the
-    tessellation origin cell of the untouched sample, and lam times their
-    radius-sup distance on the grid.
+    tessellation origin cell of the untouched sample, and lam times the
+    radius-sup distance on the grid between that cell and the ball
+    intersection of the corrected points plus bulk.
     """
     if tess_sample.dim != 2:
         raise ValueError("the coupling is implemented for d = 2")
@@ -592,19 +563,15 @@ def coupling_transform(tess_sample: ProcessSample, eps: float, rng: RngStream,
 
     bulk = sample_ball_uniform(2, lam, rng, rmax=1.0 - eps)
 
-    cell = sphere_tessellation_cell_2d(tess_sample, grid)
+    cell = sphere_tessellation_cell_2d(pts, grid)
     shell_radii = ball_intersection_radius(corrected, grid.points)
     # a bulk center's exit distance is at least its slack 1 - |c|, so only
     # centers with slack up to the largest shell radius can bind
     slack = 1.0 - np.linalg.norm(bulk.points, axis=1)
     kept = bulk.points[slack <= np.max(shell_radii)]
     inter_radii = np.minimum(shell_radii, ball_intersection_radius(kept, grid.points))
-
-    all_centers = np.vstack([corrected, bulk.points]) if bulk.count else corrected
-    inter = StarSet(2, partial(ball_intersection_radius, all_centers))
     h = float(np.max(np.abs(inter_radii - cell.radii)))
-    return CouplingOutput(2, lam, float(eps), pts, shifted, corrected, inter,
-                          cell, lam * h, grid)
+    return CouplingOutput(lam, shifted, corrected, cell, lam * h, grid)
 
 
 def shell_containment_indicator(d: int, lam: float, rng: RngStream,
@@ -617,8 +584,8 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
     verdict agrees with the full model exactly.
     """
     d = validate_dimension(d)
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
+    if not 1.0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and exceed 1, got {lam}")
     if margin is None:
         margin = 2.0 * np.log(lam) ** 2 / lam
     if margin >= 1.0:
@@ -639,8 +606,7 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
 def interval_intersection_1d(lam: float, rng: RngStream) -> tuple[float, float]:
     """Intersection of [-1,1] with all intervals [c-1, c+1] for c in a
     Poisson(lam) sample on [-1, 1]; the empty sample leaves [-1, 1]."""
-    if lam < 0:
-        raise ValueError("intensity must be >= 0")
+    lam = validate_intensity(lam)
     n = sample_poisson_count(2.0 * lam, rng)
     if n == 0:
         return -1.0, 1.0
@@ -651,6 +617,7 @@ def interval_intersection_1d(lam: float, rng: RngStream) -> tuple[float, float]:
 def interval_intersection_stats(lam: float, replicates: int, rng: RngStream) -> dict:
     """Batched endpoints of the 1-d model; returns scaled length moments and
     the endpoint correlation."""
+    lam = validate_intensity(lam)
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     g = rng.gen
@@ -688,6 +655,7 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
     sphere, about 2*d*omega_d*lam*eps.
     """
     d = validate_dimension(d)
+    lam = validate_intensity(lam)
     if model not in MEETING_MODELS:
         raise ValueError(f"unknown meeting-count model {model!r}")
     if not 0 < eps < 0.25:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from .geomcore import unit_ball_volume, validate_dimension
+from .geomcore import unit_ball_volume, validate_dimension, validate_intensity
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,6 +104,8 @@ def invert_increasing(fn, y, lo: float, hi: float) -> np.ndarray | float:
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
+    if y.size == 0:
+        return np.empty(y.shape)
     flo = float(np.asarray(fn(lo), dtype=float))
     fhi = float(np.asarray(fn(hi), dtype=float))
     if np.any(y < flo - 1e-12) or np.any(y > fhi + 1e-12):
@@ -193,8 +195,7 @@ def sample_product_process(d: int, lam: float, mu: RadialMeasure, rng: RngStream
     intensity-lam process on the unit ball.
     """
     d = validate_dimension(d)
-    if lam < 0:
-        raise ValueError("intensity must be >= 0")
+    lam = validate_intensity(lam)
     n = sample_poisson_count(lam * unit_ball_volume(d), rng)
     radii = np.asarray(mu.inverse_cdf(rng.gen.random(n)), dtype=float)
     dirs = uniform_directions(d, n, rng)
@@ -220,8 +221,7 @@ def sample_shell(d: int, lam: float, eps: float, side: str, rng: RngStream) -> P
     or the full annulus.  Expected count is lam * omega_d * (hi^d - lo^d).
     """
     d = validate_dimension(d)
-    if lam < 0:
-        raise ValueError("intensity must be >= 0")
+    lam = validate_intensity(lam)
     lo, hi = _shell_bounds(eps, side)
     mass = unit_ball_volume(d) * (hi**d - lo**d)
     n = sample_poisson_count(lam * mass, rng)
@@ -235,8 +235,9 @@ def sample_shell(d: int, lam: float, eps: float, side: str, rng: RngStream) -> P
 def sample_ball_uniform(d: int, lam: float, rng: RngStream, rmax: float = 1.0) -> ProcessSample:
     """Homogeneous Poisson(lam) sample on the centered ball of radius rmax."""
     d = validate_dimension(d)
-    if lam < 0 or rmax <= 0:
-        raise ValueError("need lam >= 0 and rmax > 0")
+    lam = validate_intensity(lam)
+    if not rmax > 0:
+        raise ValueError("rmax must be > 0")
     n = sample_poisson_count(lam * unit_ball_volume(d) * rmax**d, rng)
     radii = rmax * rng.gen.random(n) ** (1.0 / d)
     dirs = uniform_directions(d, n, rng)
@@ -316,8 +317,8 @@ def coupon_bound(k: int, a_star: float, lam: float) -> float:
         raise ValueError("k must be an integer >= 1")
     if not 0.0 < a_star <= 1.0 / k:
         raise ValueError("need 0 < a_star <= 1/k")
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
+    if not 1.0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and exceed 1, got {lam}")
     if a_star == 1.0:
         return 0.0
     return float(k * lam ** np.log1p(-a_star))
@@ -372,8 +373,8 @@ def poisson_log_tail_check(lam: float, d: int = 2) -> tuple[float, bool]:
     """P(Poisson(V_eps * lam) < log(lam)) with eps = log(lam)^2 / lam and
     V_eps the annulus volume; returns (probability, probability < 1/lam)."""
     d = validate_dimension(d)
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
+    if not 1.0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and exceed 1, got {lam}")
     eps = np.log(lam) ** 2 / lam
     vol = unit_ball_volume(d) * ((1.0 + eps) ** d - (1.0 - eps) ** d)
     threshold = np.log(lam)

@@ -176,6 +176,10 @@ class TestInvertIncreasing:
         with pytest.raises(ValueError):
             invert_increasing(lambda x: x, 3.0, 0.0, 2.0)
 
+    def test_empty_target(self):
+        out = invert_increasing(lambda x: x, np.empty(0), 0.0, 2.0)
+        assert out.shape == (0,)
+
 
 class TestExactSampler:
     def test_zero_intensity(self, rng):
@@ -303,6 +307,18 @@ class TestAsymptoticConstant:
                                                               abs=1e-14)
         assert asymptotic_volume_constant(3) == pytest.approx(8.0 / np.pi**2,
                                                               abs=1e-14)
+
+    def test_large_dimension(self):
+        # d = 37 is the last d whose constant fits in float64; check it
+        # against the log-gamma form of d! omega_d / omega_{d-1}^d
+        d = 37
+        log_wd = lambda k: 0.5 * k * np.log(np.pi) - special.gammaln(0.5 * k + 1.0)
+        log_const = special.gammaln(d + 1.0) + log_wd(d) - d * log_wd(d - 1)
+        assert asymptotic_volume_constant(d) == pytest.approx(np.exp(log_const),
+                                                              rel=1e-10)
+        for d in (38, 60, 171):
+            with pytest.raises(ValueError, match="1 <= d <= 37"):
+                asymptotic_volume_constant(d)
 
     def test_weibull_moment_route(self):
         # d omega_d int t^(d-1) exp(-omega_{d-1} t) dt, evaluated numerically
