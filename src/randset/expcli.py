@@ -14,11 +14,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import astuple, dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,19 +33,7 @@ from .ppp import RngStream
 CSV_HEADER = ["experiment", "d", "lambda", "replicate", "seed", "metric",
               "value", "std_error", "runtime_ms"]
 
-EXPERIMENTS = ("radius-convergence", "volume-sweep", "coupling", "crofton",
-               "warmup-1d", "meeting-counts", "cone")
-
-EXPERIMENT_DEFAULTS = {
-    "radius-convergence": dict(d=2, lambda_grid=(10.0, 50.0, 200.0), samples=100_000),
-    "volume-sweep": dict(d=2, lambda_grid=(50.0, 200.0, 1000.0, 10000.0), samples=20_000),
-    "coupling": dict(d=2, lambda_grid=(1000.0, 3000.0, 10000.0), replicates=200,
-                     grid_size=1024),
-    "crofton": dict(d=2, lambda_grid=(2.0,), replicates=8000),
-    "warmup-1d": dict(d=1, lambda_grid=(100.0,), replicates=100_000),
-    "meeting-counts": dict(d=2, lambda_grid=(10000.0,), replicates=2000, eps=1e-3),
-    "cone": dict(d=2, lambda_grid=(5.0,), samples=20_000),
-}
+_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -87,8 +79,15 @@ class ExperimentConfig:
             raise ConfigError("grid_size must be >= 8")
         if not 0.0 < self.eps < 0.25:
             raise ConfigError("eps must lie in (0, 0.25)")
-        if self.format not in ("csv", "json"):
+        if self.format not in _FORMATS:
             raise ConfigError("format must be csv or json")
+        spec = _EXPERIMENT_TABLE[self.experiment]
+        op, _, bound = spec.d_rule.partition(" ")
+        if op and not _D_RULES[op](self.d, int(bound)):
+            raise ConfigError(f"the {self.experiment} experiment requires d {spec.d_rule}")
+        if getattr(self, spec.count) < 2:
+            raise ConfigError(f"{self.experiment} needs {spec.count} >= 2")
+        self.lambda_grid = tuple(map(float, self.lambda_grid))
         if not self.output_path:
             self.output_path = f"randset-{self.experiment}.{self.format}"
 
@@ -105,20 +104,9 @@ class ExperimentRecord:
     std_error: float | None
     runtime_ms: float
 
-    def row(self) -> list[str]:
-        return [self.experiment, str(self.d), repr(float(self.lam)),
-                str(self.replicate), str(self.seed), self.metric,
-                repr(float(self.value)),
-                "" if self.std_error is None else repr(float(self.std_error)),
-                repr(float(self.runtime_ms))]
-
 
 # ---------------------------------------------------------------------------
 # configuration parsing
-
-_INT_KEYS = {"d", "replicates", "samples", "seed", "grid_size"}
-_FLOAT_KEYS = {"eps"}
-_STR_KEYS = {"experiment", "output_path", "format"}
 
 
 def _parse_lambda_grid(text: str) -> tuple[float, ...]:
@@ -126,6 +114,31 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
         return tuple(float(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"could not parse lambda grid from {text!r}") from None
+
+
+class _Option(NamedTuple):
+    flag: str
+    parse: Callable[[str], object] = str
+    # "KEY must be NOUN" when parse fails; argparse parses the options that
+    # have one, the rest are parsed after it and report their own errors
+    noun: str = ""
+    flag_kwargs: dict = {}  # more add_argument keywords
+
+
+# config key -> its command-line flag and its parser; a config file takes the
+# key itself (dashes for underscores allowed), and `lambda` for lambda_grid
+_OPTIONS = {
+    "d": _Option("--d", int, "an integer"),
+    "lambda_grid": _Option("--lambda", _parse_lambda_grid, flag_kwargs=dict(
+        metavar="GRID", help="comma-separated intensity grid, e.g. 10,50,200")),
+    "replicates": _Option("--replicates", int, "an integer"),
+    "samples": _Option("--samples", int, "an integer"),
+    "seed": _Option("--seed", int, "an integer"),
+    "grid_size": _Option("--grid-size", int, "an integer"),
+    "eps": _Option("--eps", float, "a number"),
+    "output_path": _Option("--out"),
+    "format": _Option("--format", flag_kwargs=dict(choices=_FORMATS)),
+}
 
 
 def parse_config_file(path: str) -> dict:
@@ -147,32 +160,25 @@ def parse_config_file(path: str) -> dict:
         else:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key = key.strip().replace("-", "_")
-        val = val.strip()
-        if key == "lambda" or key == "lambda_grid":
-            out["lambda_grid"] = _parse_lambda_grid(val)
-        elif key in _INT_KEYS:
-            try:
-                out[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} must be an integer") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                out[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} must be a number") from None
-        elif key in _STR_KEYS:
-            out[key] = val
-        else:
+        key = "lambda_grid" if key == "lambda" else key
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = _OPTIONS[key].parse(val.strip())
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: {key} must be {_OPTIONS[key].noun}") from None
     return out
 
 
 def build_config(experiment: str, file_options: dict, cli_options: dict) -> ExperimentConfig:
     """Defaults, then config file, then command-line flags."""
-    merged = dict(EXPERIMENT_DEFAULTS.get(experiment, {}))
+    spec = _EXPERIMENT_TABLE.get(experiment)
+    merged = dict(spec.defaults if spec else {})
     merged.update({k: v for k, v in file_options.items() if v is not None})
     merged.update({k: v for k, v in cli_options.items() if v is not None})
-    merged.pop("experiment", None)
     try:
         return ExperimentConfig(experiment=experiment, **merged)
     except TypeError as e:
@@ -206,8 +212,6 @@ def _transformed_ks(out: list, tag: str, sample: np.ndarray, law) -> None:
 
 def _block_radius_convergence(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
     d = cfg.d
-    if cfg.samples < 2:
-        raise ConfigError("radius-convergence needs samples >= 2")
     mu = ppp.uniform_radial_law(d)
     n = cfg.samples
 
@@ -267,8 +271,6 @@ def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
 
 def _block_volume_sweep(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
     d = cfg.d
-    if cfg.samples < 2:
-        raise ConfigError("volume-sweep needs samples >= 2")
     out: list[tuple] = []
     vq = analytics.expected_volume_quadrature(d, lam)
     const = analytics.asymptotic_volume_constant(d)
@@ -303,10 +305,6 @@ def _block_volume_sweep(cfg: ExperimentConfig, lam: float, rng: RngStream) -> li
 
 
 def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
-    if cfg.d != 2:
-        raise ConfigError("the coupling experiment requires d = 2")
-    if cfg.replicates < 2:
-        raise ConfigError("coupling needs replicates >= 2")
     grid = direction_grid(2, cfg.grid_size)
     eps = np.log(lam) ** 2 / (2.0 * lam)
     n = cfg.replicates
@@ -348,10 +346,6 @@ def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[t
 
 def _block_crofton(cfg: ExperimentConfig, rate: float, rng: RngStream) -> list[tuple]:
     d = cfg.d
-    if d < 2:
-        raise ConfigError("the crofton experiment requires d >= 2")
-    if cfg.replicates < 2:
-        raise ConfigError("crofton needs replicates >= 2")
     n = cfg.replicates
     vols = np.empty(n)
     enlargements = 0
@@ -410,10 +404,6 @@ def _block_crofton(cfg: ExperimentConfig, rate: float, rng: RngStream) -> list[t
 
 
 def _block_warmup(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
-    if cfg.d != 1:
-        raise ConfigError("the warmup-1d experiment requires d = 1")
-    if cfg.replicates < 2:
-        raise ConfigError("warmup-1d needs replicates >= 2")
     st = models.interval_intersection_stats(lam, cfg.replicates, rng)
     out: list[tuple] = []
     n = cfg.replicates
@@ -430,8 +420,6 @@ def _block_warmup(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tup
 
 
 def _block_meeting(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
-    if cfg.replicates < 2:
-        raise ConfigError("meeting-counts needs replicates >= 2")
     out: list[tuple] = []
     for model in models.MEETING_MODELS:
         mean, se, asym = models.meeting_count_mc(model, cfg.d, lam, cfg.eps,
@@ -448,10 +436,6 @@ _CONE_SMALL_R = (0.16, 0.08, 0.04, 0.02)
 
 
 def _block_cone(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
-    if cfg.d != 2:
-        raise ConfigError("the cone experiment requires d = 2")
-    if cfg.samples < 2:
-        raise ConfigError("cone needs samples >= 2")
     mu = ppp.uniform_radial_law(2)
     r = _CONE_PROBE
     out: list[tuple] = []
@@ -493,25 +477,43 @@ def _block_cone(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple
     return out
 
 
-_BLOCKS = {
-    "radius-convergence": _block_radius_convergence,
-    "volume-sweep": _block_volume_sweep,
-    "coupling": _block_coupling,
-    "crofton": _block_crofton,
-    "warmup-1d": _block_warmup,
-    "meeting-counts": _block_meeting,
-    "cone": _block_cone,
+class _Experiment(NamedTuple):
+    block: Callable[[ExperimentConfig, float, RngStream], list[tuple]]
+    count: str      # "samples" or "replicates", whichever must be >= 2
+    d_rule: str     # "OP N" with OP one of _D_RULES, or "" for any d
+    defaults: dict  # overrides of the ExperimentConfig defaults
+
+
+_D_RULES = {"=": operator.eq, ">=": operator.ge}
+
+_EXPERIMENT_TABLE = {
+    "radius-convergence": _Experiment(_block_radius_convergence, "samples", "", dict(
+        d=2, lambda_grid=(10.0, 50.0, 200.0), samples=100_000)),
+    "volume-sweep": _Experiment(_block_volume_sweep, "samples", "", dict(
+        d=2, lambda_grid=(50.0, 200.0, 1000.0, 10000.0), samples=20_000)),
+    "coupling": _Experiment(_block_coupling, "replicates", "= 2", dict(
+        d=2, lambda_grid=(1000.0, 3000.0, 10000.0), replicates=200, grid_size=1024)),
+    "crofton": _Experiment(_block_crofton, "replicates", ">= 2", dict(
+        d=2, lambda_grid=(2.0,), replicates=8000)),
+    "warmup-1d": _Experiment(_block_warmup, "replicates", "= 1", dict(
+        d=1, lambda_grid=(100.0,), replicates=100_000)),
+    "meeting-counts": _Experiment(_block_meeting, "replicates", "", dict(
+        d=2, lambda_grid=(10000.0,), replicates=2000, eps=1e-3)),
+    "cone": _Experiment(_block_cone, "samples", "= 2", dict(
+        d=2, lambda_grid=(5.0,), samples=20_000)),
 }
 
+EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
 
-def _run_block(cfg: ExperimentConfig, lam: float) -> tuple[float, int, list[tuple], float]:
+
+def _run_block(cfg: ExperimentConfig, lam: float) -> tuple[int, list[tuple], float]:
     """Run one block on the stream keyed by (experiment, d, lambda); return
-    lambda, that stream's id, the metrics and the block's wall time in ms."""
+    that stream's id, the metrics and the block's wall time in ms."""
     rng = RngStream(cfg.seed).spawn(cfg.experiment, cfg.d, float(lam))
     t0 = time.perf_counter()
-    metrics = _BLOCKS[cfg.experiment](cfg, lam, rng)
+    metrics = _EXPERIMENT_TABLE[cfg.experiment].block(cfg, lam, rng)
     ms = (time.perf_counter() - t0) * 1000.0
-    return lam, rng.stream_id, metrics, ms
+    return rng.stream_id, metrics, ms
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -536,22 +538,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     within their block, making (experiment, lambda, replicate) unique.
     """
     workers = _worker_count(len(cfg.lambda_grid))
-    results: dict[float, tuple[int, list[tuple], float]] = {}
-    if workers == 1 or len(cfg.lambda_grid) == 1:
-        for lam in cfg.lambda_grid:
-            lam_, *rest = _run_block(cfg, lam)
-            results[lam_] = rest
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for lam_, *rest in pool.map(_run_block, [cfg] * len(cfg.lambda_grid),
-                                        cfg.lambda_grid):
-                results[lam_] = rest
-    records: list[ExperimentRecord] = []
-    for lam in cfg.lambda_grid:
-        block_seed, metrics, ms = results[lam]
-        for idx, (metric, value, se) in enumerate(metrics):
-            records.append(ExperimentRecord(cfg.experiment, cfg.d, lam, idx,
-                                            block_seed, metric, value, se, ms))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        blocks = list((map if pool is None else pool.map)(
+            partial(_run_block, cfg), cfg.lambda_grid))
+    records = [ExperimentRecord(cfg.experiment, cfg.d, lam, idx, block_seed,
+                                metric, value, se, ms)
+               for lam, (block_seed, metrics, ms) in zip(cfg.lambda_grid, blocks)
+               for idx, (metric, value, se) in enumerate(metrics)]
     bad = [r for r in records if not np.isfinite(r.value)
            or (r.std_error is not None and not np.isfinite(r.std_error))]
     if bad:
@@ -561,21 +554,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
 
 def write_records(records: list[ExperimentRecord], path: str, fmt: str) -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
             w = csv.writer(fh)
             w.writerow(CSV_HEADER)
-            for r in records:
-                w.writerow(r.row())
-        return
-    payload = [{
-        "experiment": r.experiment, "d": r.d, "lambda": r.lam,
-        "replicate": r.replicate, "seed": r.seed, "metric": r.metric,
-        "value": r.value, "std_error": r.std_error, "runtime_ms": r.runtime_ms,
-    } for r in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+            w.writerows(astuple(r) for r in records)
+        else:
+            json.dump([dict(zip(CSV_HEADER, astuple(r))) for r in records], fh, indent=2)
+            fh.write("\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -585,30 +571,16 @@ def main(argv: list[str] | None = None) -> int:
                     "Poisson tessellation cells.")
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--d", type=int, dest="d")
-    parser.add_argument("--lambda", dest="lambda_grid", metavar="GRID",
-                        help="comma-separated intensity grid, e.g. 10,50,200")
-    parser.add_argument("--replicates", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--grid-size", type=int, dest="grid_size")
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--out", dest="output_path")
-    parser.add_argument("--format", choices=("csv", "json"))
+    for key, opt in _OPTIONS.items():
+        parser.add_argument(opt.flag, dest=key, type=opt.parse if opt.noun else None,
+                            **opt.flag_kwargs)
     args = parser.parse_args(argv)
 
     try:
         file_options = parse_config_file(args.config) if args.config else {}
-        cli_options = {k: v for k, v in vars(args).items()
-                       if k not in ("experiment", "config")}
-        if cli_options.get("lambda_grid") is not None:
-            cli_options["lambda_grid"] = _parse_lambda_grid(cli_options["lambda_grid"])
+        cli_options = {key: _OPTIONS[key].parse(getattr(args, key))
+                       for key in _OPTIONS if getattr(args, key) is not None}
         cfg = build_config(args.experiment, file_options, cli_options)
-    except ConfigError as e:
-        print(f"randset: config error: {e}", file=sys.stderr)
-        return 2
-
-    try:
         records = run_experiment(cfg)
     except ConfigError as e:
         print(f"randset: config error: {e}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .ppp import (
     axis_cosines,
     sample_ball_uniform,
     sample_poisson_count,
+    sample_shell,
     segmented_min,
     shell_depth_cdfs,
     uniform_directions,
@@ -357,6 +358,11 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
     return verts, float(ConvexHull(verts).volume)
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 _WINDOW_RADIUS = 10.0
 _MAX_ENLARGEMENTS = 3
 
@@ -377,8 +383,7 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCel
     d = validate_dimension(d)
     if d < 2:
         raise ValueError("tessellation cells need d >= 2")
-    if radial_rate <= 0:
-        raise ValueError("radial rate must be positive")
+    _check_positive("radial_rate", radial_rate)
     normals = np.empty((0, d))
     offsets = np.empty(0)
     lo, hi = 0.0, _WINDOW_RADIUS
@@ -409,8 +414,8 @@ def segment_crossing_count(d: int, length: float, rng: RngStream,
     validate_dimension(d)
     if d < 2:
         raise ValueError("crossing counts need d >= 2")
-    if length <= 0:
-        raise ValueError("length must be positive")
+    _check_positive("length", length)
+    _check_positive("radial_rate", radial_rate)
     n = sample_poisson_count(radial_rate * length, rng)
     if n == 0:
         return 0
@@ -590,13 +595,8 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
         margin = 2.0 * np.log(lam) ** 2 / lam
     if margin >= 1.0:
         return True
-    inner = 1.0 - margin
-    n = sample_poisson_count(lam * unit_ball_volume(d) * (1.0 - inner**d), rng)
-    u = rng.gen.random(n)
-    radii = (inner**d + u * (1.0 - inner**d)) ** (1.0 / d)
-    dirs = uniform_directions(d, n, rng)
-    r = ball_intersection_radius(radii[:, None] * dirs, grid.points)
-    return bool(np.max(r) <= margin)
+    shell = sample_shell(d, lam, margin, "inner", rng)
+    return bool(np.max(ball_intersection_radius(shell.points, grid.points)) <= margin)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +628,9 @@ def interval_intersection_stats(lam: float, replicates: int, rng: RngStream) -> 
     lo = np.maximum(-1.0, -segmented_min(-c, counts, 2.0) - 1.0)
     hi = np.minimum(1.0, segmented_min(c, counts, 2.0) + 1.0)
     length = lam * (hi - lo)
-    neg_lo = -lo
-    corr = float(np.corrcoef(neg_lo, hi)[0, 1])
+    # an endpoint with no spread (every replicate empty at lam = 0) is a
+    # constant, uncorrelated with everything
+    corr = float(np.corrcoef(-lo, hi)[0, 1]) if np.ptp(lo) and np.ptp(hi) else 0.0
     return {
         "scaled_length_mean": float(length.mean()),
         "scaled_length_var": float(length.var(ddof=1)),

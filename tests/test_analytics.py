@@ -78,6 +78,24 @@ class TestHalfspaceMiss:
         with pytest.raises(ValueError):
             halfspace_miss_series(2, 1.1)
 
+    def test_series_dimension_range(self):
+        # d = 60 is the last d whose alternating sum keeps the 1e-9 agreement
+        # with the quadrature; the cancellation grows with d
+        for r in np.linspace(0.0, 1.0, 11):
+            assert abs(halfspace_miss_series(60, r)
+                       - halfspace_miss_quadrature(60, r)) < 1e-9
+        for d in (61, 200, 400):
+            with pytest.raises(ValueError, match="series needs 1 <= d <= 60"):
+                halfspace_miss_series(d, 0.5)
+
+    def test_quadrature_dimension_range(self):
+        # the weight at r = 1 approaches 1/2 - 1/sqrt(2 pi d) as d grows
+        for d in (400, 10_000):
+            gap = (0.5 - halfspace_miss_quadrature(d, 1.0)) * np.sqrt(2.0 * np.pi * d)
+            assert gap == pytest.approx(1.0, abs=1e-2 if d == 400 else 1e-3)
+        with pytest.raises(ValueError, match="quadrature needs 1 <= d <= 10000"):
+            halfspace_miss_quadrature(10_001, 0.5)
+
 
 class TestAngularBetaCoefficient:
     def test_gamma_identity(self):

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import randset
+from randset import expcli
 from randset.expcli import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -58,6 +60,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_file(str(p))
 
+    def test_experiment_key_unknown(self, tmp_path):
+        # the experiment is the positional argument; a file cannot set it
+        p = tmp_path / "run.cfg"
+        p.write_text("samples = 10\nexperiment = cone\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: unknown key 'experiment'"):
+            parse_config_file(str(p))
+
     def test_type_errors(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("samples = many\n")
@@ -75,6 +84,22 @@ class TestConfigFile:
         assert _parse_lambda_grid("1,2.5;10") == (1.0, 2.5, 10.0)
         with pytest.raises(ConfigError):
             _parse_lambda_grid("1,abc")
+
+
+# each experiment's rule on d and on the count it needs at least two of
+EXPERIMENT_RULES = [
+    ("coupling", {"d": 3}, "the coupling experiment requires d = 2"),
+    ("cone", {"d": 1}, "the cone experiment requires d = 2"),
+    ("crofton", {"d": 1}, "the crofton experiment requires d >= 2"),
+    ("warmup-1d", {"d": 2}, "the warmup-1d experiment requires d = 1"),
+    ("radius-convergence", {"samples": 1}, "radius-convergence needs samples >= 2"),
+    ("volume-sweep", {"samples": 1}, "volume-sweep needs samples >= 2"),
+    ("coupling", {"replicates": 1}, "coupling needs replicates >= 2"),
+    ("crofton", {"replicates": 1}, "crofton needs replicates >= 2"),
+    ("warmup-1d", {"replicates": 1}, "warmup-1d needs replicates >= 2"),
+    ("meeting-counts", {"replicates": 1}, "meeting-counts needs replicates >= 2"),
+    ("cone", {"samples": 1}, "cone needs samples >= 2"),
+]
 
 
 class TestBuildConfig:
@@ -106,6 +131,26 @@ class TestBuildConfig:
             ExperimentConfig(experiment="cone", lambda_grid=(2.0,), eps=0.3)
         with pytest.raises(ConfigError, match="format"):
             ExperimentConfig(experiment="cone", lambda_grid=(2.0,), format="xml")
+
+    @pytest.mark.parametrize("experiment, options, message", EXPERIMENT_RULES)
+    def test_experiment_rules_before_any_block(self, experiment, options, message,
+                                               monkeypatch, capsys):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_config(experiment, {}, options)
+
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(expcli, "_run_block", no_block)
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        flags = [a for k, v in options.items() for a in (f"--{k}", str(v))]
+        assert main([experiment, *flags]) == 2
+        assert capsys.readouterr().err == f"randset: config error: {message}\n"
+
+    def test_lambda_grid_as_floats(self):
+        cfg = ExperimentConfig(experiment="cone", lambda_grid=[2, 5])
+        assert cfg.lambda_grid == (2.0, 5.0)
+        assert all(type(v) is float for v in cfg.lambda_grid)
 
     def test_default_output_name(self):
         cfg = ExperimentConfig(experiment="cone", lambda_grid=(2.0,),
@@ -194,6 +239,7 @@ class TestEndToEnd:
         payload = json.loads(j.read_text())
         assert len(payload) == len(rows)
         for rec, row in zip(payload, rows):
+            assert list(rec) == CSV_HEADER
             assert rec["metric"] == row[5]
             assert rec["value"] == float(row[6])
             assert rec["seed"] == int(row[4])

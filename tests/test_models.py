@@ -1,4 +1,6 @@
 """Intersection models, tessellation cells, coupling, meeting counts."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,12 @@ _LAM_ABOVE_ONE_ENTRY_POINTS = (
     lambda lam, rng: poisson_log_tail_check(lam),
     lambda lam, rng: shell_containment_indicator(2, lam, rng, direction_grid(2, 8)),
 )
+# the tessellation entry points' positive rates and lengths, by argument name
+_RATE_ENTRY_POINTS = (
+    ("radial_rate", lambda v, rng: crofton_cell(2, rng, radial_rate=v)),
+    ("radial_rate", lambda v, rng: segment_crossing_count(2, 1.0, rng, radial_rate=v)),
+    ("length", lambda v, rng: segment_crossing_count(2, v, rng)),
+)
 
 
 class TestSampleModel:
@@ -293,13 +301,17 @@ class TestSampleModel:
         for call in _LAM_ABOVE_ONE_ENTRY_POINTS:
             with pytest.raises(ValueError, match="lam must be finite and exceed 1"):
                 call(lam, rng)
+        for name, call in _RATE_ENTRY_POINTS:
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                call(lam, rng)
 
-    # at lam = 0 every 1-d replicate is [-1, 1], so the endpoint correlation
-    # is 0/0 and numpy warns
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
     def test_zero_intensity_accepted(self, rng):
-        for call in _INTENSITY_ENTRY_POINTS:
-            call(0.0, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in _INTENSITY_ENTRY_POINTS:
+                call(0.0, rng)
+            # every replicate is [-1, 1]: constant endpoints, no correlation
+            assert interval_intersection_stats(0.0, 4, rng)["endpoint_corr"] == 0.0
 
     def test_custom_law_without_pins(self):
         # a Poisson count of 0 hands the bisection inverse an empty target
