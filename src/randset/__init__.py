@@ -4,12 +4,10 @@ tessellation cells."""
 from .geomcore import (
     DirectionGrid,
     StarSet,
-    ball_star,
     cap_hyp_distance,
     direction_grid,
     hausdorff_star,
     lune_fraction,
-    lune_linear_coefficient,
     star_volume,
     unit_ball_volume,
     unit_sphere_area,
@@ -28,7 +26,6 @@ from .ppp import (
     poisson_total_variation,
     radial_law_from_cdf,
     sample_ball_uniform,
-    sample_product_process,
     sample_shell,
     shell_depth_cdfs,
     uniform_radial_law,
@@ -75,68 +72,6 @@ from .analytics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BALL",
-    "HALF_SPACE",
-    "CouplingOutput",
-    "CroftonCell",
-    "CroftonMoments",
-    "DirectionGrid",
-    "ModelRealization",
-    "ProcessSample",
-    "RadialMeasure",
-    "RadiusLaw",
-    "RngStream",
-    "ShapeKind",
-    "ShellDepthCdfs",
-    "StarSet",
-    "TessellationCell",
-    "UnboundedCellError",
-    "asymptotic_volume_constant",
-    "ball_star",
-    "cap_hyp_distance",
-    "cone",
-    "cone_uniform_weight",
-    "count_scale",
-    "coupling_transform",
-    "coupon_bound",
-    "coupon_empirical",
-    "crofton_cell",
-    "crofton_moments",
-    "depth_radial_law",
-    "direction_grid",
-    "expected_volume_quadrature",
-    "halfspace_miss_quadrature",
-    "halfspace_miss_series",
-    "halfspace_uniform_weight",
-    "hausdorff_star",
-    "interval_intersection_1d",
-    "interval_intersection_stats",
-    "invert_increasing",
-    "ks_statistic",
-    "lune_fraction",
-    "lune_fraction_closed_2d",
-    "lune_linear_coefficient",
-    "meeting_count_mc",
-    "miss_weight_mc",
-    "poisson_log_tail_check",
-    "poisson_tail_crossover",
-    "poisson_total_variation",
-    "radial_law_from_cdf",
-    "radius_moment_volume",
-    "sample_axis_radii",
-    "sample_ball_uniform",
-    "sample_intersection_model",
-    "sample_product_process",
-    "sample_radius_exact",
-    "sample_shell",
-    "segment_crossing_count",
-    "shell_containment_indicator",
-    "shell_depth_cdfs",
-    "sphere_tessellation_cell_2d",
-    "star_volume",
-    "uniform_radial_law",
-    "unit_ball_volume",
-    "unit_sphere_area",
-    "wedge_volume",
-]
+# every name imported above, bar the submodules the imports bind
+__all__ = sorted(name for name in dict(globals()) if not name.startswith("_")
+                 and name not in ("analytics", "geomcore", "models", "ppp"))

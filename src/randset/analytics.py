@@ -181,6 +181,8 @@ def sample_radius_exact(d: int, lam: float, n: int, rng: RngStream,
     """
     d = validate_dimension(d)
     lam = validate_intensity(lam)
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if miss_fn is None:
         miss_fn = _lune_weight(d)
     out = np.ones(n)
@@ -307,10 +309,16 @@ class CroftonMoments:
     zero_cell_mean: float
 
 
+_MAX_CROFTON_DIM = 128
+
+
 def crofton_moments(d: int) -> CroftonMoments:
+    """The constants for 2 <= d <= _MAX_CROFTON_DIM; past it the zero-cell
+    mean exceeds the largest float64."""
     d = validate_dimension(d)
-    if d < 2:
-        raise ValueError("tessellation constants need d >= 2")
+    if not 2 <= d <= _MAX_CROFTON_DIM:
+        raise ValueError(f"tessellation constants need 2 <= d <= {_MAX_CROFTON_DIM}, "
+                         f"got d = {d}")
     wd = unit_ball_volume(d)
     wd1 = unit_ball_volume(d - 1)
     chord = 2.0 * wd1 / (d * wd)

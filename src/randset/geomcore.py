@@ -32,15 +32,22 @@ def validate_intensity(lam) -> float:
     return float(lam)
 
 
+_MAX_BALL_DIM = 341
+
+
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in d dimensions.
 
     Accepts d = 0 and returns 1.0, the convention that makes the
     d = 1 forms of the wedge volume and the asymptotic volume constant
-    come out right.
+    come out right.  Past d = _MAX_BALL_DIM the gamma function overflows
+    and the volume would read 0, so larger d raise.
     """
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
         raise ValueError(f"dimension must be an integer >= 0, got {d!r}")
+    if d > _MAX_BALL_DIM:
+        raise ValueError(f"the unit ball volume is a positive float64 only for "
+                         f"0 <= d <= {_MAX_BALL_DIM}, got d = {d}")
     return float(np.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0))
 
 
@@ -78,12 +85,6 @@ def lune_fraction(d: int, r) -> float | np.ndarray:
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(out)
     return out
-
-
-def lune_linear_coefficient(d: int) -> float:
-    """Leading coefficient of lune_fraction(d, r) as r -> 0, omega_{d-1}/omega_d."""
-    d = validate_dimension(d)
-    return unit_ball_volume(d - 1) / unit_ball_volume(d)
 
 
 def wedge_volume(d: int, r: float) -> float:
@@ -137,8 +138,8 @@ def direction_grid(d: int, n: int, seed: int = 0) -> DirectionGrid:
     same array.
     """
     d = validate_dimension(d)
-    if n < 1:
-        raise ValueError("grid size must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"grid size must be an integer >= 1, got {n!r}")
     if d == 1:
         pts = np.where(np.arange(n)[:, None] % 2 == 0, 1.0, -1.0)
         return DirectionGrid(1, pts, "alternating-1d")
@@ -198,18 +199,6 @@ class StarSet:
             return False
         r = float(np.asarray(self.radius_fn((arr / nx)[None, :]), dtype=float)[0])
         return nx <= r
-
-
-def ball_star(d: int, radius: float = 1.0) -> StarSet:
-    """The centered ball of the given radius as a StarSet."""
-    d = validate_dimension(d)
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-
-    def fn(dirs: np.ndarray) -> np.ndarray:
-        return np.full(dirs.shape[0], float(radius))
-
-    return StarSet(d, fn, rmax=max(radius, 1.0))
 
 
 def star_volume(star: StarSet, grid: DirectionGrid) -> float:

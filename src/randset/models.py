@@ -334,10 +334,6 @@ class CroftonCell:
                      rmax=self.window)
         return StarSet(self.dim, fn, rmax=self.window)
 
-    @property
-    def max_radius(self) -> float:
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
-
 
 def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
                         window: float) -> tuple[np.ndarray, float] | None:
@@ -593,6 +589,8 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
         raise ValueError(f"lam must be finite and exceed 1, got {lam}")
     if margin is None:
         margin = 2.0 * np.log(lam) ** 2 / lam
+    if not margin > 0.0:
+        raise ValueError(f"margin must be > 0, got {margin}")
     if margin >= 1.0:
         return True
     shell = sample_shell(d, lam, margin, "inner", rng)

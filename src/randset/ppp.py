@@ -188,30 +188,21 @@ class ProcessSample:
         return self.points.shape[0]
 
 
-def sample_product_process(d: int, lam: float, mu: RadialMeasure, rng: RngStream) -> ProcessSample:
-    """Poisson(lam * omega_d) points with iid radii from mu and uniform angles.
+def _sample_band(d: int, lam: float, lo: float, hi: float, rng: RngStream) -> np.ndarray:
+    """Homogeneous Poisson(lam) points on the band lo < |x| < hi, shape (n, d).
 
-    With mu the uniform radial law this is exactly the homogeneous
-    intensity-lam process on the unit ball.
+    Draws the count (mean lam * omega_d * (hi^d - lo^d)), then the radii by
+    inverting the radial CDF (r^d - lo^d) / (hi^d - lo^d), then uniform
+    directions; every ball and shell sample goes through here.
     """
     d = validate_dimension(d)
     lam = validate_intensity(lam)
-    n = sample_poisson_count(lam * unit_ball_volume(d), rng)
-    radii = np.asarray(mu.inverse_cdf(rng.gen.random(n)), dtype=float)
-    dirs = uniform_directions(d, n, rng)
-    return ProcessSample(d, radii[:, None] * dirs, float(lam), "ball")
-
-
-def _shell_bounds(eps: float, side: str) -> tuple[float, float]:
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if side == "inner":
-        return 1.0 - eps, 1.0
-    if side == "outer":
-        return 1.0, 1.0 + eps
-    if side == "both":
-        return 1.0 - eps, 1.0 + eps
-    raise ValueError(f"side must be inner/outer/both, got {side!r}")
+    if not 0.0 <= lo < hi < np.inf:
+        raise ValueError(f"need 0 <= lo < hi < inf, got lo = {lo}, hi = {hi}")
+    lo_d, hi_d = lo**d, hi**d
+    n = sample_poisson_count(lam * (unit_ball_volume(d) * (hi_d - lo_d)), rng)
+    radii = (lo_d + rng.gen.random(n) * (hi_d - lo_d)) ** (1.0 / d)
+    return radii[:, None] * uniform_directions(d, n, rng)
 
 
 def sample_shell(d: int, lam: float, eps: float, side: str, rng: RngStream) -> ProcessSample:
@@ -220,28 +211,24 @@ def sample_shell(d: int, lam: float, eps: float, side: str, rng: RngStream) -> P
     side selects the inner shell (1-eps, 1), the outer shell (1, 1+eps),
     or the full annulus.  Expected count is lam * omega_d * (hi^d - lo^d).
     """
-    d = validate_dimension(d)
-    lam = validate_intensity(lam)
-    lo, hi = _shell_bounds(eps, side)
-    mass = unit_ball_volume(d) * (hi**d - lo**d)
-    n = sample_poisson_count(lam * mass, rng)
-    u = rng.gen.random(n)
-    radii = (lo**d + u * (hi**d - lo**d)) ** (1.0 / d)
-    dirs = uniform_directions(d, n, rng)
-    region = {"inner": "shell-inner", "outer": "shell-outer", "both": "annulus"}[side]
-    return ProcessSample(d, radii[:, None] * dirs, float(lam), region, eps=float(eps))
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    bands = {"inner": (1.0 - eps, 1.0, "shell-inner"),
+             "outer": (1.0, 1.0 + eps, "shell-outer"),
+             "both": (1.0 - eps, 1.0 + eps, "annulus")}
+    if side not in bands:
+        raise ValueError(f"side must be inner/outer/both, got {side!r}")
+    lo, hi, region = bands[side]
+    pts = _sample_band(d, lam, lo, hi, rng)
+    return ProcessSample(pts.shape[1], pts, float(lam), region, eps=float(eps))
 
 
 def sample_ball_uniform(d: int, lam: float, rng: RngStream, rmax: float = 1.0) -> ProcessSample:
     """Homogeneous Poisson(lam) sample on the centered ball of radius rmax."""
-    d = validate_dimension(d)
-    lam = validate_intensity(lam)
     if not rmax > 0:
         raise ValueError("rmax must be > 0")
-    n = sample_poisson_count(lam * unit_ball_volume(d) * rmax**d, rng)
-    radii = rmax * rng.gen.random(n) ** (1.0 / d)
-    dirs = uniform_directions(d, n, rng)
-    return ProcessSample(d, radii[:, None] * dirs, float(lam), "ball")
+    pts = _sample_band(d, lam, 0.0, rmax, rng)
+    return ProcessSample(pts.shape[1], pts, float(lam), "ball")
 
 
 class ShellDepthCdfs:
@@ -288,12 +275,6 @@ class ShellDepthCdfs:
         w = self._check_depth(w)
         return ((1.0 + w) ** self.d - (1.0 - w) ** self.d) / self._den_folded
 
-    def folded_inverse(self, u):
-        u = self._check_quantile(u)
-        d = self.d
-        return invert_increasing(lambda w: (1.0 + w) ** d - (1.0 - w) ** d,
-                                 u * self._den_folded, 0.0, self.eps)
-
     def transport(self, w):
         """Monotone transport of a folded-law depth onto the inner law.
 
@@ -337,14 +318,19 @@ def coupon_empirical(k: int, probs, t: int, replicates: int, rng: RngStream) -> 
     return float(1.0 - seen.all(axis=1).mean())
 
 
+def _check_poisson_shift(mu: float, delta: float) -> None:
+    for name, value in (("mu", mu), ("delta", delta)):
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def poisson_total_variation(mu: float, delta: float) -> float:
     """Exact total variation distance between Poisson(mu) and Poisson(mu+delta).
 
     Summed directly from the pmfs over a range wide enough that the
     truncated tail is below machine precision.
     """
-    if mu < 0 or delta < 0:
-        raise ValueError("need mu >= 0 and delta >= 0")
+    _check_poisson_shift(mu, delta)
     if delta == 0.0:
         return 0.0
     hi = int(np.ceil(mu + delta + 12.0 * np.sqrt(mu + delta) + 30.0))
@@ -362,10 +348,12 @@ def poisson_total_variation(mu: float, delta: float) -> float:
 def poisson_tail_crossover(mu: float, delta: float) -> float:
     """Independent route to the same TV distance via the single sign change
     of the pmf difference; used to cross-check the summation."""
-    if delta <= 0:
+    _check_poisson_shift(mu, delta)
+    if delta == 0.0:
         return 0.0
     kappa = delta / np.log((mu + delta) / mu) if mu > 0 else 0.0
-    m = int(np.ceil(kappa)) - 1
+    # at mu = 0 the pmf difference is positive at k = 0 only
+    m = max(int(np.ceil(kappa)) - 1, 0)
     return float(stats.poisson.cdf(m, mu) - stats.poisson.cdf(m, mu + delta))
 
 

@@ -1,4 +1,6 @@
 """Closed forms, quadratures, exact samplers, and their cross-checks."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -20,11 +22,11 @@ from randset.analytics import (
     radius_moment_volume,
     sample_radius_exact,
 )
-from randset.geomcore import lune_fraction, star_volume, ball_star, direction_grid, unit_ball_volume
+from randset.geomcore import lune_fraction, star_volume, direction_grid, unit_ball_volume
 from randset.models import BALL, HALF_SPACE, cone, sample_axis_radii, segment_crossing_count
 from randset.ppp import RngStream, depth_radial_law, uniform_radial_law
 
-from conftest import assert_close_sigma, binomial_se
+from conftest import assert_close_sigma, ball_star, binomial_se
 
 
 class TestLuneClosed2d:
@@ -240,6 +242,10 @@ class TestExactSampler:
     def test_domain(self, rng):
         with pytest.raises(ValueError):
             sample_radius_exact(2, -1.0, 10, rng)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sample_radius_exact(2, 1.0, -1, rng)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            RadiusLaw(2, 1.0).sample(-1, rng)
 
 
 class TestRadiusLaw:
@@ -381,6 +387,11 @@ class TestCroftonMoments:
     def test_domain(self):
         with pytest.raises(ValueError):
             crofton_moments(1)
+        # d = 128 is the last d whose zero-cell mean is a finite float64
+        assert np.isfinite(astuple(crofton_moments(128))).all()
+        for d in (129, 200, 400):
+            with pytest.raises(ValueError, match="2 <= d <= 128"):
+                crofton_moments(d)
 
 
 class TestKsStatistic:

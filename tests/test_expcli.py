@@ -184,6 +184,17 @@ TINY_ARGS = {
     "cone": ["--lambda", "5", "--samples", "3000"],
 }
 
+# the smallest runs with two blocks each
+POOL_ARGS = {
+    "radius-convergence": ["--lambda", "5,10", "--samples", "200"],
+    "volume-sweep": ["--lambda", "50,150", "--samples", "100"],
+    "coupling": ["--lambda", "400,900", "--replicates", "2", "--grid-size", "64"],
+    "crofton": ["--lambda", "1,2", "--replicates", "20"],
+    "warmup-1d": ["--lambda", "50,100", "--replicates", "200", "--d", "1"],
+    "meeting-counts": ["--lambda", "2000,5000", "--replicates", "50"],
+    "cone": ["--lambda", "5,10", "--samples", "300"],
+}
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -218,9 +229,10 @@ class TestEndToEnd:
         rb = [r[:8] for r in read_rows(b)]
         assert ra == rb
 
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        args = ["volume-sweep", "--lambda", "50,150", "--samples", "500",
-                "--seed", "3"]
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_worker_pool_matches_serial(self, experiment, tmp_path, monkeypatch):
+        # two lambda values, so two workers really share the blocks
+        args = [experiment, *POOL_ARGS[experiment], "--seed", "3"]
         a, b = tmp_path / "serial.csv", tmp_path / "pool.csv"
         monkeypatch.setenv("RANDSET_THREADS", "1")
         assert main([*args, "--out", str(a)]) == 0

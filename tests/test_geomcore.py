@@ -1,17 +1,16 @@
 """Geometry layer: exact constants, lune/wedge weights, star sets."""
 import numpy as np
 import pytest
+from scipy import special
 from scipy.spatial import cKDTree
 
 from randset.geomcore import (
     DirectionGrid,
     StarSet,
-    ball_star,
     cap_hyp_distance,
     direction_grid,
     hausdorff_star,
     lune_fraction,
-    lune_linear_coefficient,
     star_volume,
     unit_ball_volume,
     unit_sphere_area,
@@ -19,7 +18,7 @@ from randset.geomcore import (
     wedge_volume,
 )
 
-from conftest import assert_close_sigma, binomial_se
+from conftest import assert_close_sigma, ball_star, binomial_se
 
 
 def polygon_star(angles_deg=None, normals=None, offsets=None, rmax=1.0):
@@ -67,6 +66,16 @@ class TestBallVolume:
             validate_dimension(True)
         assert validate_dimension(np.int64(3)) == 3
 
+    def test_large_dimension(self):
+        # d = 341 is the last d whose gamma(d/2 + 1) is finite; past it the
+        # volume would read 0 and every sampler would draw nothing
+        d = 341
+        log_wd = 0.5 * d * np.log(np.pi) - special.gammaln(0.5 * d + 1.0)
+        assert unit_ball_volume(d) == pytest.approx(np.exp(log_wd), rel=1e-10)
+        for d in (342, 400):
+            with pytest.raises(ValueError, match="0 <= d <= 341"):
+                unit_ball_volume(d)
+
 
 class TestLuneFraction:
     def test_endpoints(self):
@@ -99,7 +108,7 @@ class TestLuneFraction:
     def test_linear_coefficient_bound(self):
         # |F(r)/r - omega_{d-1}/omega_d| <= r^2 for small r
         for d in range(1, 7):
-            c1 = lune_linear_coefficient(d)
+            c1 = unit_ball_volume(d - 1) / unit_ball_volume(d)
             for r in (1e-3, 3e-3, 1e-2):
                 assert abs(lune_fraction(d, r) / r - c1) <= r * r
 
@@ -198,6 +207,10 @@ class TestDirectionGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             direction_grid(2, 0)
+        for n in (2.5, 8.0, True):
+            with pytest.raises(ValueError, match="grid size must be an integer"):
+                direction_grid(2, n)
+        assert direction_grid(2, np.int64(4)).size == 4
         with pytest.raises(ValueError):
             DirectionGrid(2, np.array([[1.0, 1.0]]), "bad")
 

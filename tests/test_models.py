@@ -57,7 +57,6 @@ from randset.ppp import (
     poisson_log_tail_check,
     radial_law_from_cdf,
     sample_ball_uniform,
-    sample_product_process,
     sample_shell,
     uniform_radial_law,
 )
@@ -253,7 +252,6 @@ _INTENSITY_ENTRY_POINTS = (
     lambda lam, rng: sample_radius_exact(2, lam, 4, rng),
     lambda lam, rng: RadiusLaw(2, lam).atom_mass(),
     lambda lam, rng: expected_volume_quadrature(2, lam),
-    lambda lam, rng: sample_product_process(2, lam, uniform_radial_law(2), rng),
     lambda lam, rng: sample_shell(2, lam, 0.1, "both", rng),
     lambda lam, rng: sample_ball_uniform(2, lam, rng),
     lambda lam, rng: interval_intersection_1d(lam, rng),
@@ -312,6 +310,20 @@ class TestSampleModel:
                 call(0.0, rng)
             # every replicate is [-1, 1]: constant endpoints, no correlation
             assert interval_intersection_stats(0.0, 4, rng)["endpoint_corr"] == 0.0
+
+    def test_large_dimension(self, rng):
+        # past d = 341 the ball volume underflowed to 0, so these drew or
+        # integrated an empty process; d = 341 itself still runs
+        entry_points = (
+            lambda d: sample_intersection_model(d, 10.0, uniform_radial_law(d), BALL, rng),
+            lambda d: sample_axis_radii(d, 10.0, uniform_radial_law(d), BALL, 4, rng),
+            lambda d: expected_volume_quadrature(d, 10.0),
+            lambda d: poisson_log_tail_check(10.0, d),
+        )
+        for call in entry_points:
+            call(341)
+            with pytest.raises(ValueError, match="0 <= d <= 341"):
+                call(342)
 
     def test_custom_law_without_pins(self):
         # a Poisson count of 0 hands the bisection inverse an empty target
@@ -534,7 +546,7 @@ class TestCroftonCell:
         cell = crofton_cell(2, rng.spawn("feas"))
         slack = cell.vertices @ cell.normals.T - cell.offsets[None, :]
         assert np.max(slack) <= 1e-9
-        assert cell.max_radius < cell.window
+        assert np.linalg.norm(cell.vertices, axis=1).max() < cell.window
 
     def test_zero_cell_mean_area(self, rng):
         # E[area] = pi^3/2 at radial rate 2 in the plane
@@ -701,6 +713,9 @@ class TestShellContainment:
         grid = direction_grid(2, 16)
         with pytest.raises(ValueError):
             shell_containment_indicator(2, 1.0, rng, grid)
+        for margin in (np.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="margin must be > 0"):
+                shell_containment_indicator(2, 50.0, rng, grid, margin=margin)
 
     def test_high_intensity_frequency(self, rng):
         grid = direction_grid(2, 512)

@@ -4,6 +4,7 @@ import pytest
 from scipy import special, stats
 
 from randset.geomcore import unit_ball_volume
+from randset.models import BALL, sample_intersection_model
 from randset.ppp import (
     RngStream,
     axis_cosines,
@@ -16,7 +17,6 @@ from randset.ppp import (
     radial_law_from_cdf,
     sample_ball_uniform,
     sample_poisson_count,
-    sample_product_process,
     sample_shell,
     segmented_min,
     shell_depth_cdfs,
@@ -105,10 +105,14 @@ class TestPoissonCount:
 
 
 class TestProductProcess:
+    """The ball model's pins: Poisson(lam * omega_d) points with iid radii
+    from mu and uniform directions, the homogeneous process on the unit ball
+    when mu is the uniform radial law."""
+
     def test_empty_at_zero(self, rng):
-        s = sample_product_process(2, 0.0, uniform_radial_law(2), rng.spawn("e"))
-        assert s.count == 0
-        assert s.points.shape == (0, 2)
+        m = sample_intersection_model(2, 0.0, uniform_radial_law(2), BALL, rng.spawn("e"))
+        assert m.count == 0
+        assert m.pin_dirs.shape == (0, 2)
 
     def test_uniform_radial_ks(self, rng):
         root = rng.spawn("prod-ks")
@@ -116,10 +120,10 @@ class TestProductProcess:
         total = 0
         i = 0
         while total < 100_000:
-            s = sample_product_process(2, 100.0, uniform_radial_law(2),
-                                       root.spawn(i))
-            pooled.append(np.linalg.norm(s.points, axis=1))
-            total += s.count
+            m = sample_intersection_model(2, 100.0, uniform_radial_law(2), BALL,
+                                          root.spawn(i))
+            pooled.append(m.pin_radii)
+            total += m.count
             i += 1
         r = np.sort(np.concatenate(pooled))
         n = r.size
@@ -133,10 +137,10 @@ class TestProductProcess:
         total = 0
         i = 0
         while total < 100_000:
-            s = sample_product_process(2, 100.0, depth_radial_law(2),
-                                       root.spawn(i))
-            radii.append(np.linalg.norm(s.points, axis=1))
-            total += s.count
+            m = sample_intersection_model(2, 100.0, depth_radial_law(2), BALL,
+                                          root.spawn(i))
+            radii.append(m.pin_radii)
+            total += m.count
             i += 1
         r = np.concatenate(radii)
         frac = np.mean(r > 0.9)
@@ -147,19 +151,15 @@ class TestProductProcess:
         root = rng.spawn("prod-count")
         counts = []
         for i in range(400):
-            s = sample_product_process(3, 40.0, uniform_radial_law(3),
-                                       root.spawn(i))
-            assert s.region == "ball"
-            if s.count:
-                assert np.linalg.norm(s.points, axis=1).max() <= 1.0 + 1e-12
-            counts.append(s.count)
+            m = sample_intersection_model(3, 40.0, uniform_radial_law(3), BALL,
+                                          root.spawn(i))
+            if m.count:
+                pins = m.pin_radii[:, None] * m.pin_dirs
+                assert np.linalg.norm(pins, axis=1).max() <= 1.0 + 1e-12
+            counts.append(m.count)
         mean = 40.0 * unit_ball_volume(3)
         assert_close_sigma(np.mean(counts), mean,
                            np.sqrt(mean / len(counts)), label="product count")
-
-    def test_domain(self, rng):
-        with pytest.raises(ValueError):
-            sample_product_process(2, -1.0, uniform_radial_law(2), rng)
 
 
 class TestShellSampling:
@@ -221,6 +221,12 @@ class TestShellSampling:
         assert ks < 1.95 / np.sqrt(s.count)
 
 
+def folded_depths(eps, lam, rng):
+    """Depths |1 - |x|| of a planar annulus sample, as the coupling takes them."""
+    pts = sample_shell(2, lam, eps, "both", rng).points
+    return np.clip(np.abs(np.linalg.norm(pts, axis=1) - 1.0), 0.0, eps)
+
+
 class TestShellDepthTransport:
     def test_cdf_endpoints(self):
         c = shell_depth_cdfs(0.05, 2)
@@ -239,7 +245,6 @@ class TestShellDepthTransport:
         c = shell_depth_cdfs(0.02, 3)
         w = np.linspace(0.0, 0.02, 201)
         assert np.allclose(c.inner_inverse(c.inner(w)), w, atol=1e-12)
-        assert np.allclose(c.folded_inverse(c.folded(w)), w, atol=1e-10)
 
     def test_transport_sweep(self):
         # sup_w |w - T(w)| <= C eps^2 with C <= 2, uniformly in eps
@@ -254,18 +259,20 @@ class TestShellDepthTransport:
         # sampled folded depths move by at most 2 eps^2 under the coupling
         eps = 1e-2
         c = shell_depth_cdfs(eps, 2)
-        u = rng.spawn("pair").gen.random(10_000)
-        w = np.asarray(c.folded_inverse(u))
+        w = folded_depths(eps, 8e4, rng.spawn("pair"))
+        assert w.size > 9_000
         assert np.max(np.abs(w - c.transport(w))) <= 2.0 * eps * eps
 
     def test_transported_law_matches_inner(self, rng):
-        # pushing folded draws through the transport yields the inner law
+        # the depths of an annulus sample follow the folded law, and the
+        # transport pushes them onto the inner law
         eps = 0.05
         c = shell_depth_cdfs(eps, 2)
-        u = rng.spawn("law").gen.random(50_000)
-        w = c.transport(np.asarray(c.folded_inverse(u)))
-        ks = stats.kstest(w, lambda t: c.inner(t)).statistic
-        assert ks < 1.95 / np.sqrt(w.size)
+        w = folded_depths(eps, 8e4, rng.spawn("law"))
+        assert w.size > 45_000
+        crit = 1.95 / np.sqrt(w.size)
+        assert stats.kstest(w, lambda t: c.folded(t)).statistic < crit
+        assert stats.kstest(c.transport(w), lambda t: c.inner(t)).statistic < crit
 
     def test_domain(self):
         c = shell_depth_cdfs(0.01, 2)
@@ -336,7 +343,8 @@ class TestPoissonBounds:
     def test_crossover_identity(self):
         # TV between Poissons equals the CDF gap at the single pmf
         # sign change; independent route through the crossover index
-        for mu in (0.5, 2.0, 5.0, 20.0, 100.0):
+        # (at mu = 0 the sign changes right after k = 0)
+        for mu in (0.0, 0.5, 2.0, 5.0, 20.0, 100.0):
             for delta in (0.01, 0.1, 1.0):
                 assert poisson_total_variation(mu, delta) == pytest.approx(
                     poisson_tail_crossover(mu, delta), abs=1e-12)
@@ -347,10 +355,12 @@ class TestPoissonBounds:
         assert tv == pytest.approx(0.0175409, abs=2e-6)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            poisson_total_variation(-1.0, 0.1)
-        with pytest.raises(ValueError):
-            poisson_total_variation(1.0, -0.1)
+        for route in (poisson_total_variation, poisson_tail_crossover):
+            for bad in (-1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match="mu must be finite and >= 0"):
+                    route(bad, 0.1)
+                with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+                    route(1.0, bad)
 
     def test_log_tail_check(self):
         prob, ok = poisson_log_tail_check(1e6, 2)
