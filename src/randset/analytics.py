@@ -18,7 +18,7 @@ from .geomcore import (
     validate_dimension,
     validate_intensity,
 )
-from .models import ShapeKind, count_scale, point_misses_shape
+from .models import ShapeKind, count_scale, exit_distance
 from .ppp import RadialMeasure, RngStream, axis_cosines, invert_increasing
 
 
@@ -150,17 +150,14 @@ def miss_weight_mc(shape: ShapeKind, mu: RadialMeasure, d: int, r: float, n: int
     forms and covers shapes without one.
     """
     d = validate_dimension(d)
-    if shape.kind == "cone" and d != 2:
-        raise ValueError("the cone model is only defined for d = 2")
+    scale = count_scale(shape, mu, d)
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must lie in [0, 1]")
     if n < 2:
         raise ValueError("need n >= 2 samples")
     p = np.asarray(mu.inverse_cdf(rng.gen.random(n)), dtype=float)
     u = axis_cosines(d, n, rng)
-    miss = point_misses_shape(shape, r, p, u)
-    scale = count_scale(shape, mu, d)
-    m = float(np.mean(miss))
+    m = float(np.mean(exit_distance(shape, p, u) < r))
     se = float(np.sqrt(m * (1.0 - m) / n))
     return scale * m, scale * se
 

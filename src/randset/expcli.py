@@ -315,7 +315,7 @@ def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[t
     for i in range(n):
         r = rng.spawn(i)
         tess = ppp.sample_shell(2, lam / 2.0, eps, "both", r.spawn("tess"))
-        outp = models.coupling_transform(tess, eps, r.spawn("bulk"), grid)
+        outp = models.coupling_transform(tess, r.spawn("bulk"), grid)
         haus[i] = outp.hausdorff_scaled
         flags[i] = outp.tess_cell.flagged_fraction
         pts = tess.points

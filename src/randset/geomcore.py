@@ -113,7 +113,6 @@ class DirectionGrid:
 
     dim: int
     points: np.ndarray  # shape (n, dim), unit rows
-    kind: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -142,10 +141,10 @@ def direction_grid(d: int, n: int, seed: int = 0) -> DirectionGrid:
         raise ValueError(f"grid size must be an integer >= 1, got {n!r}")
     if d == 1:
         pts = np.where(np.arange(n)[:, None] % 2 == 0, 1.0, -1.0)
-        return DirectionGrid(1, pts, "alternating-1d")
+        return DirectionGrid(1, pts)
     if d == 2:
         ang = 2.0 * np.pi * np.arange(n) / n
-        return DirectionGrid(2, np.column_stack([np.cos(ang), np.sin(ang)]), "regular-2d")
+        return DirectionGrid(2, np.column_stack([np.cos(ang), np.sin(ang)]))
     if d == 3:
         i = np.arange(n)
         z = 1.0 - (2.0 * i + 1.0) / n
@@ -153,7 +152,7 @@ def direction_grid(d: int, n: int, seed: int = 0) -> DirectionGrid:
         golden = np.pi * (3.0 - np.sqrt(5.0))
         phi = golden * i
         pts = np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
-        return DirectionGrid(3, pts, "fibonacci-3d")
+        return DirectionGrid(3, pts)
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, d))
     norms = np.linalg.norm(pts, axis=1)
@@ -162,7 +161,7 @@ def direction_grid(d: int, n: int, seed: int = 0) -> DirectionGrid:
         bad = norms < UNIT_NORM_TOL
         pts[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(pts, axis=1)
-    return DirectionGrid(d, pts / norms[:, None], "gaussian")
+    return DirectionGrid(d, pts / norms[:, None])
 
 
 @dataclass(frozen=True)

@@ -89,13 +89,12 @@ def count_scale(shape: ShapeKind, mu: RadialMeasure, d: int) -> float:
     uniform radial law carry the extra omega_d weight; that convention is
     what makes the planar uniform half-space model satisfy
     P(Q > r) = exp(-lam * omega_2 * (pi r^2 / 4)) and gives the 4/pi
-    volume limit.  See the acceptance tests for the pinned values.
+    volume limit.  See the acceptance tests for the pinned values.  The
+    cone exists only in the plane, so any other d is rejected here.
     """
-    if shape.kind == "ball":
-        return 1.0
-    if mu.name == "uniform":
-        return unit_ball_volume(d)
-    return 1.0
+    if shape.kind == "cone" and d != 2:
+        raise ValueError("the cone model is only defined for d = 2")
+    return unit_ball_volume(d) if shape.kind != "ball" and mu.name == "uniform" else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +105,9 @@ def count_scale(shape: ShapeKind, mu: RadialMeasure, d: int) -> float:
 
 def _ball_exit(dot, s2):
     """Positive root of t^2 - 2 t dot + s2 = 1, the exit from the unit ball
-    centered at c, with dot = <dir, c> and s2 = |c|^2.  Needs s2 <= 1 and
-    array input; works in place on one temporary of the broadcast shape."""
-    t = dot * dot
+    centered at c, with dot = <dir, c> and s2 = |c|^2.  Needs s2 <= 1;
+    works in place on one temporary of the broadcast shape."""
+    t = np.asarray(dot * dot)
     t += 1.0
     t -= s2
     np.maximum(t, 0.0, out=t)
@@ -149,7 +148,7 @@ def _cone_exit(p, cos, beta):
         return np.where(den > _TINY, p * sinb / den, np.inf)
 
 
-def _exit_distance(shape: ShapeKind, p, cos):
+def exit_distance(shape: ShapeKind, p, cos):
     """Exit distance of the copy of `shape` pinned at p * Theta along a unit
     direction with cos = <dir, Theta>."""
     if shape.kind == "ball":
@@ -159,8 +158,30 @@ def _exit_distance(shape: ShapeKind, p, cos):
     return _cone_exit(p, cos, shape.beta)
 
 
+def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.ndarray,
+                        dirs: np.ndarray, rmax: float = 1.0) -> np.ndarray:
+    """Radial exit distance along each unit direction of the ball of radius
+    rmax intersected with the copies of `shape` pinned at p_i * Theta_i.
+
+    Ball pins must lie in the closed unit ball, half-space offsets must be
+    positive.  Directions no copy closes off, and every direction when
+    there are no pins, stay at rmax.
+    """
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    p = np.asarray(pin_radii, dtype=float)
+    if shape.kind == "ball" and np.any(p * p > 1.0 + 1e-9):
+        raise ValueError("ball model centers must lie in the unit ball")
+    if shape.kind == "half-space" and np.any(p <= 0.0):
+        raise ValueError("offsets must be positive (origin strictly inside)")
+    if p.size == 0:
+        return np.full(dirs.shape[0], float(rmax))
+    t = exit_distance(shape, p, dirs @ np.atleast_2d(np.asarray(pin_dirs, dtype=float)).T)
+    return np.clip(np.min(t, axis=1), 0.0, float(rmax))
+
+
 def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Radial exit distance of the set (unit ball) ∩ ⋂_i (c_i + unit ball).
+    """intersection_radius(BALL, ...) from the centers c_i = p_i * Theta_i
+    rather than their (p_i, Theta_i) pairs, for callers that hold centers.
 
     centers must lie in the closed unit ball.  No centers means the unit
     ball itself, radius 1.
@@ -177,51 +198,6 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
     return np.clip(np.min(t, axis=1), 0.0, 1.0)
 
 
-def halfspace_intersection_radius(normals: np.ndarray, offsets: np.ndarray,
-                                  dirs: np.ndarray, rmax: float = 1.0) -> np.ndarray:
-    """Radial exit distance of ⋂_i {x : <x, n_i> <= p_i} capped at rmax.
-
-    Directions with no positive-facing constraint stay at rmax.
-    """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    normals = np.asarray(normals, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    if np.any(offsets <= 0.0):
-        raise ValueError("offsets must be positive (origin strictly inside)")
-    if normals.size == 0:
-        return np.full(dirs.shape[0], float(rmax))
-    normals = np.atleast_2d(normals)
-    t = _halfspace_exit(offsets, dirs @ normals.T)
-    return np.clip(np.min(t, axis=1), 0.0, float(rmax))
-
-
-def cone_exit_radius(pin_radii: np.ndarray, pin_dirs: np.ndarray, beta: float,
-                     dirs: np.ndarray) -> np.ndarray:
-    """First exit along each direction from ⋂_i of pinned planar cones with
-    apexes p_i * Theta_i, axes -Theta_i and half-angle beta."""
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    pin_radii = np.asarray(pin_radii, dtype=float)
-    if pin_radii.size == 0:
-        return np.ones(dirs.shape[0])
-    pin_dirs = np.atleast_2d(np.asarray(pin_dirs, dtype=float))
-    t = _cone_exit(pin_radii, dirs @ pin_dirs.T, beta)
-    return np.clip(np.min(t, axis=1), 0.0, 1.0)
-
-
-def point_misses_shape(shape: ShapeKind, r: float, pin_radii: np.ndarray,
-                       pin_cosines: np.ndarray) -> np.ndarray:
-    """Indicator that the probe point r*e1 escapes each pinned shape copy,
-    that is, that the copy's exit distance along e1 falls below r.
-
-    pin_cosines are the cosines <e1, Theta_i>.  For cones this needs the
-    full angle, so it is restricted to d = 2 elsewhere; here the cosine
-    is enough because the probe sits on the axis e1.
-    """
-    p = np.asarray(pin_radii, dtype=float)
-    u = np.asarray(pin_cosines, dtype=float)
-    return _exit_distance(shape, p, u) < r
-
-
 # ---------------------------------------------------------------------------
 # intersection model sampling
 
@@ -230,10 +206,6 @@ def point_misses_shape(shape: ShapeKind, r: float, pin_radii: np.ndarray,
 class ModelRealization:
     """One sampled intersection model: the pins and the resulting star set."""
 
-    dim: int
-    lam: float
-    shape: ShapeKind
-    mu_name: str
     pin_radii: np.ndarray
     pin_dirs: np.ndarray
     star: StarSet
@@ -248,8 +220,6 @@ def _mean_pin_count(d: int, lam: float, mu: RadialMeasure,
     """Check a model's arguments; return d and the mean pin count."""
     d = validate_dimension(d)
     lam = validate_intensity(lam)
-    if shape.kind == "cone" and d != 2:
-        raise ValueError("the cone model is only defined for d = 2")
     return d, lam * unit_ball_volume(d) * count_scale(shape, mu, d)
 
 
@@ -259,14 +229,7 @@ def sample_intersection_model(d: int, lam: float, mu: RadialMeasure, shape: Shap
     n = sample_poisson_count(mean, rng)
     p = np.asarray(mu.inverse_cdf(rng.gen.random(n)), dtype=float)
     th = uniform_directions(d, n, rng)
-
-    if shape.kind == "ball":
-        fn = partial(ball_intersection_radius, p[:, None] * th)
-    elif shape.kind == "half-space":
-        fn = partial(halfspace_intersection_radius, th, p)
-    else:
-        fn = partial(cone_exit_radius, p, th, shape.beta)
-    return ModelRealization(d, float(lam), shape, mu.name, p, th, StarSet(d, fn))
+    return ModelRealization(p, th, StarSet(d, partial(intersection_radius, shape, p, th)))
 
 
 _CHUNK_PINS = 2_000_000
@@ -295,7 +258,7 @@ def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
         tot = int(counts.sum())
         p = np.asarray(mu.inverse_cdf(g.random(tot)), dtype=float)
         u = axis_cosines(d, tot, rng)
-        t = _exit_distance(shape, p, u)
+        t = exit_distance(shape, p, u)
         out[done:done + m] = np.clip(segmented_min(t, counts, np.inf), 0.0, 1.0)
         done += m
     return out
@@ -330,7 +293,7 @@ class CroftonCell:
 
     @property
     def star(self) -> StarSet:
-        fn = partial(halfspace_intersection_radius, self.normals, self.offsets,
+        fn = partial(intersection_radius, HALF_SPACE, self.offsets, self.normals,
                      rmax=self.window)
         return StarSet(self.dim, fn, rmax=self.window)
 
@@ -431,15 +394,13 @@ class TessellationCell:
 
     The first crossing along each ray is always a point of the true cell
     boundary, but the cell can continue past it around an arc, in which
-    case the star-shaped representation truncates it.  flagged_fraction
-    reports the rays whose radius jumps by more than 20% relative to a
-    cyclic neighbor, a cheap proxy for such wrap-arounds (and for grazing
-    incidence); it is logged by the coupling experiment.
+    case the radii on the grid truncate it.  flagged_fraction reports the
+    rays whose radius jumps by more than 20% relative to a cyclic neighbor,
+    a cheap proxy for such wrap-arounds (and for grazing incidence); it is
+    logged by the coupling experiment.
     """
 
-    star: StarSet
     radii: np.ndarray
-    grid: DirectionGrid
     flagged_fraction: float
 
 
@@ -485,11 +446,7 @@ def sphere_tessellation_cell_2d(points, grid: DirectionGrid) -> TessellationCell
     scale = np.minimum(radii, nxt)
     flagged = np.abs(radii - nxt) > _JUMP_THRESHOLD * scale
     frac = float(np.count_nonzero(flagged)) / grid.size
-
-    def fn(dirs):
-        return np.minimum(first_circle_crossing(pts, dirs), 1.0)
-
-    return TessellationCell(StarSet(2, fn), radii, grid, frac)
+    return TessellationCell(radii, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -500,29 +457,26 @@ def sphere_tessellation_cell_2d(points, grid: DirectionGrid) -> TessellationCell
 class CouplingOutput:
     """What the shell coupling produces from one annulus sample.
 
-    shifted_points is the raw fold (outer points sent antipodally, inner
-    points untouched); corrected_points additionally push every depth
-    through the folded-to-inner transport, an O(eps^2) nudge, and are the
-    centers the intersection side is built from (together with the
-    independent bulk sample).  tess_cell is the origin cell of the
-    untouched sample, and hausdorff_scaled is lam times the radius-sup
-    distance between the two sides on grid.
+    corrected_points are the folded sample (outer points sent antipodally,
+    inner points kept) with every depth pushed through the folded-to-inner
+    transport, an O(eps^2) nudge; they are the centers the intersection
+    side is built from (together with the independent bulk sample).
+    tess_cell is the origin cell of the untouched sample, and
+    hausdorff_scaled is lam times the radius-sup distance between the two
+    sides on the grid.
     """
 
-    lam: float
-    shifted_points: np.ndarray
     corrected_points: np.ndarray
     tess_cell: TessellationCell
     hausdorff_scaled: float
-    grid: DirectionGrid
 
 
-def coupling_transform(tess_sample: ProcessSample, eps: float, rng: RngStream,
-                       grid: DirectionGrid | None = None) -> CouplingOutput:
+def coupling_transform(tess_sample: ProcessSample, rng: RngStream,
+                       grid: DirectionGrid) -> CouplingOutput:
     """Couple a sphere tessellation sample to a boolean intersection model.
 
-    The input is a uniform Poisson sample of intensity lam/2 on the width-eps
-    annulus around the unit sphere.  Points outside the sphere are reflected
+    The input is a uniform Poisson sample of intensity lam/2 on the annulus
+    of width eps = tess_sample.eps around the unit sphere.  Points outside the sphere are reflected
     antipodally (radius s -> s - 2, i.e. 2 - s with the direction flipped: a
     circle centered at (1+w)*theta walls the cell off near +theta, exactly
     where the circle centered at (w-1)*theta does, and their first-crossing
@@ -531,36 +485,23 @@ def coupling_transform(tess_sample: ProcessSample, eps: float, rng: RngStream,
     pushed through the exact transport onto the inner shell law, an O(eps^2)
     correction per point.  An independent uniform Poisson(lam) sample on the
     ball of radius 1 - eps fills in the bulk, whose copies almost never
-    bind.  Returned are the folded and the corrected points, the
-    tessellation origin cell of the untouched sample, and lam times the
+    bind.  Returned are the corrected points, the tessellation origin cell of the untouched sample, and lam times the
     radius-sup distance on the grid between that cell and the ball
     intersection of the corrected points plus bulk.
     """
     if tess_sample.dim != 2:
         raise ValueError("the coupling is implemented for d = 2")
-    if tess_sample.region != "annulus":
+    if tess_sample.region != "annulus" or tess_sample.eps is None:
         raise ValueError("tess_sample must be drawn on the annulus around the unit sphere")
-    if tess_sample.eps is None or abs(tess_sample.eps - eps) > 1e-12:
-        raise ValueError("eps does not match the sample's shell width")
+    eps = tess_sample.eps
     lam = 2.0 * tess_sample.intensity
-    if grid is None:
-        from .geomcore import direction_grid
-
-        grid = direction_grid(2, 1024)
-
     pts = tess_sample.points
-    cdfs = shell_depth_cdfs(eps, 2)
-    if pts.shape[0]:
-        s = np.linalg.norm(pts, axis=1)
-        th = pts / s[:, None]
-        depth = np.clip(np.abs(s - 1.0), 0.0, eps)
-        sign = np.where(s > 1.0, -1.0, 1.0)
-        shifted = (sign * (1.0 - depth))[:, None] * th
-        w = np.asarray(cdfs.transport(depth), dtype=float)
-        corrected = (sign * (1.0 - w))[:, None] * th
-    else:
-        shifted = np.empty((0, 2))
-        corrected = np.empty((0, 2))
+    s = np.linalg.norm(pts, axis=1)
+    th = pts / s[:, None]
+    depth = np.clip(np.abs(s - 1.0), 0.0, eps)
+    sign = np.where(s > 1.0, -1.0, 1.0)
+    w = np.asarray(shell_depth_cdfs(eps, 2).transport(depth), dtype=float)
+    corrected = (sign * (1.0 - w))[:, None] * th
 
     bulk = sample_ball_uniform(2, lam, rng, rmax=1.0 - eps)
 
@@ -572,7 +513,7 @@ def coupling_transform(tess_sample: ProcessSample, eps: float, rng: RngStream,
     kept = bulk.points[slack <= np.max(shell_radii)]
     inter_radii = np.minimum(shell_radii, ball_intersection_radius(kept, grid.points))
     h = float(np.max(np.abs(inter_radii - cell.radii)))
-    return CouplingOutput(lam, shifted, corrected, cell, lam * h, grid)
+    return CouplingOutput(corrected, cell, lam * h)
 
 
 def shell_containment_indicator(d: int, lam: float, rng: RngStream,

@@ -193,7 +193,7 @@ def test_criterion_08_coupling_rate(arng):
         for i in range(200):
             r = root.spawn(lam, i)
             tess = sample_shell(2, lam / 2.0, eps, "both", r.spawn("t"))
-            out = coupling_transform(tess, eps, r.spawn("b"), grid)
+            out = coupling_transform(tess, r.spawn("b"), grid)
             h[i] = out.hausdorff_scaled
             flags[i] = out.tess_cell.flagged_fraction
             contained += shell_containment_indicator(2, lam, r.spawn("c"), grid)

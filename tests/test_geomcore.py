@@ -212,7 +212,7 @@ class TestDirectionGrid:
                 direction_grid(2, n)
         assert direction_grid(2, np.int64(4)).size == 4
         with pytest.raises(ValueError):
-            DirectionGrid(2, np.array([[1.0, 1.0]]), "bad")
+            DirectionGrid(2, np.array([[1.0, 1.0]]))
 
 
 class TestStarVolume:

@@ -29,20 +29,18 @@ from randset.models import (
     HalfSpace,
     ShapeKind,
     UnboundedCellError,
-    _exit_distance,
     _zero_cell_polytope,
     ball_intersection_radius,
     cone,
-    cone_exit_radius,
     count_scale,
     coupling_transform,
     crofton_cell,
+    exit_distance,
     first_circle_crossing,
-    halfspace_intersection_radius,
     interval_intersection_1d,
     interval_intersection_stats,
+    intersection_radius,
     meeting_count_mc,
-    point_misses_shape,
     sample_axis_radii,
     sample_intersection_model,
     segment_crossing_count,
@@ -140,22 +138,22 @@ class TestHalfspaceRadius:
         normals = np.eye(2)
         offsets = np.array([0.3, 0.4])
         diag = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
-        r = halfspace_intersection_radius(normals, offsets, diag)
+        r = intersection_radius(HALF_SPACE, offsets, normals, diag)
         assert r[0] == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-12)
         # no constraint faces -e1, so the unit ball caps the radius
-        r = halfspace_intersection_radius(normals, offsets, np.array([[-1.0, 0.0]]))
+        r = intersection_radius(HALF_SPACE, offsets, normals, np.array([[-1.0, 0.0]]))
         assert r[0] == 1.0
 
     def test_empty_and_rmax(self):
         dirs = direction_grid(2, 4).points
-        r = halfspace_intersection_radius(np.empty((0, 2)), np.empty(0), dirs,
-                                          rmax=2.5)
+        r = intersection_radius(HALF_SPACE, np.empty(0), np.empty((0, 2)), dirs,
+                                rmax=2.5)
         assert np.array_equal(r, np.full(4, 2.5))
 
     def test_nonpositive_offsets(self):
         with pytest.raises(ValueError):
-            halfspace_intersection_radius(np.eye(2), np.array([0.3, 0.0]),
-                                          np.array([[1.0, 0.0]]))
+            intersection_radius(HALF_SPACE, np.array([0.3, 0.0]), np.eye(2),
+                                np.array([[1.0, 0.0]]))
 
     def test_contains_consistency(self, rng):
         g = rng.spawn("hs-scan").gen
@@ -164,7 +162,7 @@ class TestHalfspaceRadius:
         p = g.uniform(0.2, 0.8, 4)
         planes = [HalfSpace(th[i], p[i]) for i in range(4)]
         dirs = direction_grid(2, 16).points
-        r = halfspace_intersection_radius(th, p, dirs)
+        r = intersection_radius(HALF_SPACE, p, th, dirs)
         for k in range(16):
             x_in = (r[k] - 1e-9) * dirs[k]
             assert all(h.contains(x_in) for h in planes)
@@ -176,8 +174,8 @@ class TestHalfspaceRadius:
 class TestConeExit:
     def test_empty(self):
         dirs = direction_grid(2, 4).points
-        assert np.array_equal(cone_exit_radius(np.empty(0), np.empty((0, 2)),
-                                               1.0, dirs), np.ones(4))
+        assert np.array_equal(intersection_radius(cone(1.0), np.empty(0), np.empty((0, 2)),
+                                                  dirs), np.ones(4))
 
     def test_right_angle_is_halfspace(self, rng):
         g = rng.spawn("cone-hs").gen
@@ -185,8 +183,8 @@ class TestConeExit:
         th /= np.linalg.norm(th, axis=1)[:, None]
         p = g.uniform(0.3, 0.7, 5)
         dirs = direction_grid(2, 64).points
-        rc = cone_exit_radius(p, th, np.pi / 2.0, dirs)
-        rh = halfspace_intersection_radius(th, p, dirs)
+        rc = intersection_radius(cone(np.pi / 2.0), p, th, dirs)
+        rh = intersection_radius(HALF_SPACE, p, th, dirs)
         assert np.allclose(rc, rh, atol=1e-10)
 
     def test_membership_scan(self, rng):
@@ -199,7 +197,7 @@ class TestConeExit:
         p = g.uniform(0.3, 0.7, 3)
         apex = p[:, None] * th
         dirs = direction_grid(2, 12).points
-        r = cone_exit_radius(p, th, beta, dirs)
+        r = intersection_radius(cone(beta), p, th, dirs)
         t = np.linspace(0.0, 1.0, 10_001)
         for k in range(12):
             pts = t[:, None] * dirs[k]
@@ -238,8 +236,8 @@ class TestPointMiss:
                     inside = margin >= 0.0
                 if abs(margin) < 1e-9:
                     continue
-                miss = point_misses_shape(shape, r, p[i:i + 1], th[i:i + 1, 0])
-                assert bool(miss[0]) == (not inside)
+                miss = exit_distance(shape, p[i], th[i, 0]) < r
+                assert bool(miss) == (not inside)
                 seen.add(inside)
         assert seen == {True, False}
 
@@ -383,15 +381,16 @@ PINS = st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 2.0 * np.pi)),
 KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
 
-def model_radius(shape, pins, dirs):
-    """The public radius function of `shape` for the given pins."""
+def pin_arrays(pins):
+    """The (radius, angle) pairs as pin radii and unit pin directions."""
     p = np.array([q for q, _ in pins])
     th = np.array([[np.cos(a), np.sin(a)] for _, a in pins])
-    if shape.kind == "ball":
-        return ball_intersection_radius(p[:, None] * th, dirs)
-    if shape.kind == "half-space":
-        return halfspace_intersection_radius(th, p, dirs)
-    return cone_exit_radius(p, th, shape.beta, dirs)
+    return p, th
+
+
+def model_radius(shape, pins, dirs):
+    """The public radius function of `shape` for the given pins."""
+    return intersection_radius(shape, *pin_arrays(pins), dirs)
 
 
 class TestExitKernelProperties:
@@ -415,12 +414,24 @@ class TestExitKernelProperties:
     @KERNEL_SETTINGS
     @given(shape=SHAPES, pins=PINS)
     def test_axis_route_matches_vector_route(self, shape, pins):
-        # along e1 the dispatch only needs cos = Theta_1
-        p = np.array([q for q, _ in pins])
-        cos = np.cos(np.array([a for _, a in pins]))
-        axis = np.clip(np.min(_exit_distance(shape, p, cos)), 0.0, 1.0)
-        vector = model_radius(shape, pins, np.array([[1.0, 0.0]]))[0]
+        # along e1 the kernel only needs cos = Theta_1; the ball's vector
+        # route goes through the centers instead
+        p, th = pin_arrays(pins)
+        axis = np.clip(np.min(exit_distance(shape, p, th[:, 0])), 0.0, 1.0)
+        e1 = np.array([[1.0, 0.0]])
+        if shape.kind == "ball":
+            vector = ball_intersection_radius(p[:, None] * th, e1)[0]
+        else:
+            vector = model_radius(shape, pins, e1)[0]
         assert abs(axis - vector) <= 1e-12
+
+    @KERNEL_SETTINGS
+    @given(pins=PINS)
+    def test_ball_pin_route_matches_center_route(self, pins):
+        p, th = pin_arrays(pins)
+        by_pins = intersection_radius(BALL, p, th, self.DIRS)
+        by_centers = ball_intersection_radius(p[:, None] * th, self.DIRS)
+        assert np.max(np.abs(by_pins - by_centers)) <= 1e-12
 
 
 class TestExactRadiusLaws:
@@ -487,7 +498,7 @@ class TestRotationInvariance:
 
 class TestConvexity:
     def _midpoints_inside(self, star, dirs, rng):
-        r = star.radii(DirectionGrid(star.dim, dirs, "custom")) * (1.0 - 1e-6)
+        r = star.radii(DirectionGrid(star.dim, dirs)) * (1.0 - 1e-6)
         pts = r[:, None] * dirs
         g = rng.gen
         i = g.integers(0, len(pts), 200)
@@ -605,7 +616,7 @@ class TestSphereTessellation:
         assert cell.flagged_fraction == 0.0
 
     def test_single_center_pins(self):
-        grid = DirectionGrid(2, np.array([[1.0, 0.0], [-1.0, 0.0]]), "custom")
+        grid = DirectionGrid(2, np.array([[1.0, 0.0], [-1.0, 0.0]]))
         cell = sphere_tessellation_cell_2d(np.array([[1.5, 0.0]]), grid)
         assert cell.radii[0] == pytest.approx(0.5, abs=1e-12)
         assert cell.radii[1] == 1.0
@@ -644,6 +655,8 @@ class TestSphereTessellation:
 
 
 class TestCouplingTransform:
+    GRID = direction_grid(2, 64)
+
     def _annulus_sample(self, points, eps, intensity=10.0):
         return ProcessSample(dim=2, points=np.asarray(points, dtype=float),
                              intensity=intensity, region="annulus", eps=eps)
@@ -652,19 +665,17 @@ class TestCouplingTransform:
         bad = ProcessSample(dim=2, points=np.empty((0, 2)), intensity=1.0,
                             region="ball", eps=None)
         with pytest.raises(ValueError):
-            coupling_transform(bad, 0.1, rng)
+            coupling_transform(bad, rng, self.GRID)
         with pytest.raises(ValueError):
-            coupling_transform(self._annulus_sample(np.empty((0, 2)), 0.1),
-                               0.2, rng)
+            coupling_transform(self._annulus_sample(np.empty((0, 2)), None), rng,
+                               self.GRID)
 
     def test_outer_point_reflects(self, rng):
         eps = 0.6
         out = coupling_transform(self._annulus_sample([[1.5, 0.0]], eps, 0.0),
-                                 eps, rng.spawn("fold"),
-                                 grid=direction_grid(2, 64))
-        assert np.allclose(out.shifted_points, [[-0.5, 0.0]], atol=1e-12)
-        # the corrected point keeps the flipped direction, depth moves by
-        # at most the transport bound
+                                 rng.spawn("fold"), self.GRID)
+        # the fold sends the point antipodally to depth 0.5, and the
+        # transport moves that depth by at most its bound
         assert out.corrected_points[0, 0] < 0.0
         assert abs(out.corrected_points[0, 1]) < 1e-12
         w = 1.0 - abs(out.corrected_points[0, 0])
@@ -672,35 +683,28 @@ class TestCouplingTransform:
 
     def test_inner_points_kept(self, rng):
         eps = 0.25
-        pts = [[0.8, 0.0], [0.0, 0.95]]
-        out = coupling_transform(self._annulus_sample(pts, eps, 0.0), eps,
-                                 rng.spawn("keep"), grid=direction_grid(2, 64))
-        assert np.allclose(out.shifted_points, pts, atol=1e-14)
-        nudge = np.linalg.norm(out.corrected_points - out.shifted_points, axis=1)
+        pts = np.array([[0.8, 0.0], [0.0, 0.95]])
+        out = coupling_transform(self._annulus_sample(pts, eps, 0.0),
+                                 rng.spawn("keep"), self.GRID)
+        nudge = np.linalg.norm(out.corrected_points - pts, axis=1)
         assert np.max(nudge) <= 2.0 * eps * eps
 
     def test_sampled_geometry(self, rng):
-        from randset.ppp import sample_shell
-
         eps = 0.05
         s = sample_shell(2, 400.0, eps, "both", rng.spawn("cpl-s"))
-        out = coupling_transform(s, eps, rng.spawn("cpl-r"),
-                                 grid=direction_grid(2, 256))
-        assert out.shifted_points.shape == s.points.shape
-        sn = np.linalg.norm(out.shifted_points, axis=1)
+        out = coupling_transform(s, rng.spawn("cpl-r"), direction_grid(2, 256))
+        assert out.corrected_points.shape == s.points.shape
+        sn = np.linalg.norm(s.points, axis=1)
         cn = np.linalg.norm(out.corrected_points, axis=1)
-        assert np.all(sn <= 1.0 + 1e-12)
+        # outer points flip direction, inner ones keep it
+        sign = np.where(sn > 1.0, -1.0, 1.0)
+        assert np.allclose(out.corrected_points / cn[:, None],
+                           sign[:, None] * s.points / sn[:, None], atol=1e-12)
         assert np.all(cn <= 1.0 + 1e-12)
         assert np.all(cn >= 1.0 - eps - 1e-12)
-        assert np.max(np.abs(cn - sn)) <= 2.0 * eps * eps
+        folded = 1.0 - np.clip(np.abs(sn - 1.0), 0.0, eps)
+        assert np.max(np.abs(cn - folded)) <= 2.0 * eps * eps
         assert out.hausdorff_scaled >= 0.0
-        assert out.lam == pytest.approx(800.0)
-
-    def test_default_grid(self, rng):
-        eps = 0.1
-        out = coupling_transform(self._annulus_sample([[1.05, 0.0]], eps, 0.0),
-                                 eps, rng.spawn("dgrid"))
-        assert out.grid.size == 1024
 
 
 class TestShellContainment:

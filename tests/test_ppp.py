@@ -348,6 +348,18 @@ class TestPoissonBounds:
             for delta in (0.01, 0.1, 1.0):
                 assert poisson_total_variation(mu, delta) == pytest.approx(
                     poisson_tail_crossover(mu, delta), abs=1e-12)
+        # the summed pmfs lose a little accuracy as mu grows
+        for mu in (1e4, 1e5, 1e6, 1e7):
+            for delta in (0.01, 1.0, 100.0):
+                assert poisson_total_variation(mu, delta) == pytest.approx(
+                    poisson_tail_crossover(mu, delta), abs=1e-9)
+
+    @pytest.mark.parametrize("mu", [1e12, 1e15])
+    def test_crossover_large_mean(self, mu):
+        # a unit shift of a large mean: TV -> delta / sqrt(2 pi mu); the
+        # ratio (mu + delta) / mu rounded the crossover to 0 at 1e12
+        assert poisson_tail_crossover(mu, 1.0) == pytest.approx(
+            1.0 / np.sqrt(2.0 * np.pi * mu), rel=1e-6)
 
     def test_pinned_example(self):
         tv = poisson_total_variation(5.0, 0.1)
@@ -361,6 +373,12 @@ class TestPoissonBounds:
                     route(bad, 0.1)
                 with pytest.raises(ValueError, match="delta must be finite and >= 0"):
                     route(1.0, bad)
+            # mu + delta rounds to mu
+            with pytest.raises(ValueError, match="below the float resolution of mu"):
+                route(1e16, 1.0)
+            assert route(1e16, 0.0) == 0.0
+        with pytest.raises(ValueError, match="needs mu <= 1e"):
+            poisson_total_variation(1.1e7, 1.0)
 
     def test_log_tail_check(self):
         prob, ok = poisson_log_tail_check(1e6, 2)
