@@ -41,7 +41,8 @@ class ConfigError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """Non-finite metric or an uncertifiable cell; reported with exit code 3."""
+    """Non-finite metric or degenerate cell; reported with exit code 3, as is
+    a zero cell still uncertified after the window-doubling cap."""
 
 
 @dataclass
@@ -347,30 +348,19 @@ def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[t
 def _block_crofton(cfg: ExperimentConfig, rate: float, rng: RngStream) -> list[tuple]:
     d = cfg.d
     n = cfg.replicates
+    mom = analytics.crofton_moments(d)
     vols = np.empty(n)
     enlargements = 0
-    unbounded = 0
-    done, attempt = 0, 0
-    while done < n:
-        try:
-            cell = models.crofton_cell(d, rng.spawn("cell", attempt), radial_rate=rate)
-        except models.UnboundedCellError:
-            unbounded += 1
-            attempt += 1
-            if unbounded > max(100, n // 10):
-                raise NumericalFailure("too many uncertifiable zero cells") from None
-            continue
-        vols[done] = cell.volume
+    for i in range(n):
+        cell = models.crofton_cell(d, rng.spawn("cell", i), radial_rate=rate)
+        vols[i] = cell.volume
         enlargements += cell.enlargements > 0
-        done += 1
-        attempt += 1
     if np.any(vols <= 0):
         raise NumericalFailure("degenerate zero cell with nonpositive volume")
     inv = 1.0 / vols
     scale = (2.0 / rate) ** d
     mean, mean_se = vols.mean(), vols.std(ddof=1) / np.sqrt(n)
     imean, imean_se = inv.mean(), inv.std(ddof=1) / np.sqrt(n)
-    mom = analytics.crofton_moments(d)
     out: list[tuple] = []
     _rec(out, "zero_cell_volume_mean", mean, mean_se)
     _rec(out, "zero_cell_volume_exact", mom.zero_cell_mean * scale)
@@ -393,7 +383,6 @@ def _block_crofton(cfg: ExperimentConfig, rate: float, rng: RngStream) -> list[t
     _rec(out, "moment_ratio_est", ratio, ratio_se)
     _rec(out, "moment_ratio_exact", mom.moment_ratio)
     _rec(out, "enlargement_fraction", enlargements / n)
-    _rec(out, "unbounded_count", unbounded)
     if d == 2:
         cl = np.array([models.segment_crossing_count(2, length, rng.spawn("seg", i),
                                                      radial_rate=2.0 * np.pi)
@@ -582,14 +571,17 @@ def main(argv: list[str] | None = None) -> int:
                        for key in _OPTIONS if getattr(args, key) is not None}
         cfg = build_config(args.experiment, file_options, cli_options)
         records = run_experiment(cfg)
-    except ConfigError as e:
+        try:
+            write_records(records, cfg.output_path, cfg.format)
+        except OSError as e:
+            raise ConfigError(f"cannot write {cfg.output_path}: {e}") from None
+    except ValueError as e:  # ConfigError and input checks of the library
         print(f"randset: config error: {e}", file=sys.stderr)
         return 2
     except (NumericalFailure, models.UnboundedCellError) as e:
         print(f"randset: numerical failure: {e}", file=sys.stderr)
         return 3
 
-    write_records(records, cfg.output_path, cfg.format)
     print(f"wrote {len(records)} records to {cfg.output_path}")
     return 0
 

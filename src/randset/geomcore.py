@@ -128,13 +128,13 @@ class DirectionGrid:
         return self.points.shape[0]
 
 
-def direction_grid(d: int, n: int, seed: int = 0) -> DirectionGrid:
+def direction_grid(d: int, n: int) -> DirectionGrid:
     """Deterministic direction grid.
 
     d = 1 alternates the two endpoints, d = 2 uses equally spaced angles,
     d = 3 uses the golden-angle (Fibonacci) spiral, and d >= 4 falls back
-    to seeded normalized Gaussians.  Same (d, n, seed) always yields the
-    same array.
+    to normalized Gaussians drawn with seed 0.  Same (d, n) always yields
+    the same array.
     """
     d = validate_dimension(d)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
@@ -153,7 +153,7 @@ def direction_grid(d: int, n: int, seed: int = 0) -> DirectionGrid:
         phi = golden * i
         pts = np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
         return DirectionGrid(3, pts)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = rng.standard_normal((n, d))
     norms = np.linalg.norm(pts, axis=1)
     # resample any degenerate rows; astronomically unlikely but cheap to guard

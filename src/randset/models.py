@@ -269,8 +269,9 @@ def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
 
 
 class UnboundedCellError(RuntimeError):
-    """Raised when the zero cell cannot be certified bounded within the
-    largest allowed sampling window."""
+    """Raised when the zero cell is still not certified bounded within the
+    largest allowed sampling window; a fault, since the rate-scaled first
+    window certifies almost every cell."""
 
 
 @dataclass(frozen=True)
@@ -301,7 +302,7 @@ class CroftonCell:
 def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
                         window: float) -> tuple[np.ndarray, float] | None:
     """Exact vertices and volume of {x : <x,n_i> <= p_i}, or None when the
-    cell is not certified to fit inside the window."""
+    cell is not certified bounded and inside the window."""
     if normals.shape[0] == 0:
         return None
     from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
@@ -310,6 +311,10 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
     try:
         hs = HalfspaceIntersection(halfspaces, np.zeros(d))
     except QhullError:
+        return None
+    # the origin lies strictly inside the dual hull iff the normals
+    # positively span R^d, that is iff the cell is bounded
+    if not np.all(hs.dual_equations[:, -1] < 0):
         return None
     verts = hs.intersections
     if not np.all(np.isfinite(verts)) or np.max(np.linalg.norm(verts, axis=1)) >= window:
@@ -333,11 +338,14 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCel
     given rate per unit distance (rate 2 normalizes the measure of
     hyperplanes meeting the unit ball to 2); normals are uniform on the
     sphere.  Sampling is windowed: the first window has radius
-    _WINDOW_RADIUS, and if the exact cell is not certified to fit in the
-    current window (some vertex reaches it) the window doubles and new
-    hyperplanes are superposed on the old ones, which preserves the law.
-    After _MAX_ENLARGEMENTS doublings an uncertified cell raises
-    UnboundedCellError.
+    _WINDOW_RADIUS in units of the cell scale 1/rate (radius 10 at rate 2),
+    so the cell at rate r is the rate-2 cell of the same stream scaled by
+    2/r.  If the exact cell is not certified bounded and inside the current
+    window (the normals fail to span, or some vertex reaches the window),
+    the window doubles and new hyperplanes are superposed on the old ones,
+    which preserves the law.  A cell still uncertified after
+    _MAX_ENLARGEMENTS doublings raises UnboundedCellError; that signals a
+    fault, not a rare draw.
     """
     d = validate_dimension(d)
     if d < 2:
@@ -345,7 +353,7 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCel
     _check_positive("radial_rate", radial_rate)
     normals = np.empty((0, d))
     offsets = np.empty(0)
-    lo, hi = 0.0, _WINDOW_RADIUS
+    lo, hi = 0.0, _WINDOW_RADIUS * 2.0 / radial_rate
     for attempt in range(_MAX_ENLARGEMENTS + 1):
         n_new = sample_poisson_count(radial_rate * (hi - lo), rng)
         if n_new:
@@ -517,9 +525,9 @@ def coupling_transform(tess_sample: ProcessSample, rng: RngStream,
 
 
 def shell_containment_indicator(d: int, lam: float, rng: RngStream,
-                                grid: DirectionGrid, margin: float | None = None) -> bool:
+                                grid: DirectionGrid) -> bool:
     """Whether a fresh ball-model intersection at intensity lam fits inside
-    the ball of radius 2 * log(lam)^2 / lam (or the supplied margin).
+    the ball of radius margin = 2 * log(lam)^2 / lam.
 
     Only sample points with slack 1 - |c| below the margin can certify or
     refute containment, so the process is sampled on that shell alone; the
@@ -528,10 +536,7 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
     d = validate_dimension(d)
     if not 1.0 < lam < np.inf:
         raise ValueError(f"lam must be finite and exceed 1, got {lam}")
-    if margin is None:
-        margin = 2.0 * np.log(lam) ** 2 / lam
-    if not margin > 0.0:
-        raise ValueError(f"margin must be > 0, got {margin}")
+    margin = 2.0 * np.log(lam) ** 2 / lam
     if margin >= 1.0:
         return True
     shell = sample_shell(d, lam, margin, "inner", rng)

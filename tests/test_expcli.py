@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import randset
-from randset import expcli
+from randset import expcli, models
 from randset.expcli import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -274,12 +274,47 @@ class TestEndToEnd:
                      "--replicates", "2"]) == 2
         assert "d = 2" in capsys.readouterr().err
 
-    def test_numerical_failure_exit(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("args", [
+        ["coupling", "--lambda", "0.5", "--replicates", "2"],
+        ["coupling", "--lambda", "1", "--replicates", "2"],
+        ["volume-sweep", "--d", "38", "--lambda", "50", "--samples", "20"],
+        ["radius-convergence", "--d", "400", "--lambda", "10", "--samples", "20"],
+        ["crofton", "--d", "129", "--replicates", "2"],
+    ], ids=["coupling-lam", "coupling-eps", "sweep-d", "radius-d", "crofton-d"])
+    def test_library_input_errors_exit_2(self, args, capsys, monkeypatch):
+        # the library's own input checks raise ValueError: a config error
         monkeypatch.setenv("RANDSET_THREADS", "1")
-        code = main(["crofton", "--lambda", "0.001", "--replicates", "3",
-                     "--out", str(tmp_path / "x.csv")])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["warmup-1d", "--d", "1", "--lambda", "50", "--replicates", "20",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {out}" in err
+        assert "Traceback" not in err
+
+    def test_numerical_failure_exit(self, tmp_path, capsys, monkeypatch):
+        # the patch does not reach pool workers, so run serially
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        monkeypatch.setattr(models, "_zero_cell_polytope", lambda *args: None)
+        code = main(["crofton", "--replicates", "3", "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_crofton_low_rate(self, tmp_path, monkeypatch):
+        # the window scales with 1/rate, so every cell is certified
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        out = tmp_path / "c.csv"
+        assert main(["crofton", "--lambda", "0.05", "--replicates", "200",
+                     "--out", str(out)]) == 0
+        metrics = {r[5] for r in read_rows(out)[1:]}
+        assert "zero_cell_volume_mean" in metrics
+        assert "unbounded_count" not in metrics
 
     def test_thread_env_error_exit(self, monkeypatch, capsys):
         monkeypatch.setenv("RANDSET_THREADS", "lots")

@@ -188,11 +188,9 @@ class TestDirectionGrid:
         assert np.sqrt(d2.min(axis=1)).max() < 0.2
 
     def test_high_dim_deterministic(self):
-        a = direction_grid(5, 100, seed=7)
-        b = direction_grid(5, 100, seed=7)
+        a = direction_grid(5, 100)
+        b = direction_grid(5, 100)
         assert a.points.tobytes() == b.points.tobytes()
-        c = direction_grid(5, 100, seed=8)
-        assert not np.array_equal(a.points, c.points)
 
     def test_unit_rows(self):
         for d, n in ((1, 9), (2, 17), (3, 33), (6, 50)):

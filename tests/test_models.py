@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from randset import models
 from randset.analytics import (
     RadiusLaw,
     expected_volume_quadrature,
@@ -543,6 +544,22 @@ class TestCroftonCell:
         normals = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert _zero_cell_polytope(2, normals, np.ones(2), 10.0) is None
 
+    def test_unbounded_cells_uncertified(self):
+        # normals inside a closed half-space leave an unbounded cell, though
+        # qhull still returns finite vertices inside the window
+        def fan(degrees):
+            ang = np.radians(degrees)
+            return np.column_stack([np.cos(ang), np.sin(ang)])
+
+        for degrees in ((0, 60, 120), (0, 45, 90, 135), (10, 100, 170)):
+            assert _zero_cell_polytope(2, fan(degrees), np.ones(len(degrees)), 10.0) is None
+        s = np.sqrt(0.5)
+        cone_normals = np.array([[s, 0, s], [-s, 0, s], [0, s, s], [0, -s, s], [0, 0, 1.0]])
+        assert _zero_cell_polytope(3, cone_normals, np.ones(5), 10.0) is None
+        verts, vol = _zero_cell_polytope(2, fan((0, 120, 240)), np.ones(3), 10.0)
+        assert vol == pytest.approx(3.0 * np.sqrt(3.0), rel=1e-12)
+        assert verts.shape[0] == 3
+
     def test_area_dual_route(self, rng):
         # qhull returns the vertices unordered; the origin is interior, so
         # sorting them by angle gives the boundary for the shoelace formula
@@ -553,11 +570,26 @@ class TestCroftonCell:
             shoelace = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
             assert cell.volume == pytest.approx(shoelace, rel=1e-9)
 
-    def test_vertices_satisfy_constraints(self, rng):
-        cell = crofton_cell(2, rng.spawn("feas"))
-        slack = cell.vertices @ cell.normals.T - cell.offsets[None, :]
-        assert np.max(slack) <= 1e-9
-        assert np.linalg.norm(cell.vertices, axis=1).max() < cell.window
+    @pytest.mark.parametrize("rate", [0.5, 2.0])
+    def test_vertices_satisfy_constraints(self, rate, rng):
+        root = rng.spawn("feas", rate)
+        for i in range(200):
+            cell = crofton_cell(2, root.spawn(i), radial_rate=rate)
+            slack = cell.vertices @ cell.normals.T - cell.offsets[None, :]
+            assert np.max(slack) <= 1e-9
+            assert np.linalg.norm(cell.vertices, axis=1).max() < cell.window
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("rate", [1e-3, 0.2, 7.3])
+    def test_rate_scaling(self, d, rate, rng):
+        # the window is set in units of 1/rate, so a cell at rate r is the
+        # rate-2 cell of the same stream scaled by 2/r
+        for i in range(4):
+            base = crofton_cell(d, rng.spawn("scale", d, i))
+            cell = crofton_cell(d, rng.spawn("scale", d, i), radial_rate=rate)
+            assert cell.enlargements == base.enlargements
+            assert np.array_equal(cell.normals, base.normals)
+            assert cell.volume == pytest.approx(base.volume * (2.0 / rate) ** d, rel=1e-12)
 
     def test_zero_cell_mean_area(self, rng):
         # E[area] = pi^3/2 at radial rate 2 in the plane
@@ -568,10 +600,11 @@ class TestCroftonCell:
         assert_close_sigma(vols.mean(), np.pi**3 / 2.0, se, k=4.0,
                            label="zero cell mean area")
 
-    def test_unbounded_raises(self, rng):
-        # windows up to 80 draw a mean of 0.08 hyperplanes at this rate
-        with pytest.raises(UnboundedCellError):
-            crofton_cell(2, rng.spawn("starved"), radial_rate=1e-3)
+    def test_unbounded_raises(self, rng, monkeypatch):
+        # a cell never certified raises after the enlargement cap
+        monkeypatch.setattr(models, "_zero_cell_polytope", lambda *args: None)
+        with pytest.raises(UnboundedCellError, match="3 enlargements"):
+            crofton_cell(2, rng.spawn("starved"))
 
     def test_domain(self, rng):
         with pytest.raises(ValueError):
@@ -709,17 +742,14 @@ class TestCouplingTransform:
 
 class TestShellContainment:
     def test_wide_margin_trivial(self, rng):
+        # at lam = e^2 the margin 2 log(lam)^2 / lam = 8 / e^2 exceeds 1
         grid = direction_grid(2, 16)
-        assert shell_containment_indicator(2, 50.0, rng.spawn("wide"), grid,
-                                           margin=1.0) is True
+        assert shell_containment_indicator(2, np.e ** 2, rng.spawn("wide"), grid) is True
 
     def test_domain(self, rng):
         grid = direction_grid(2, 16)
         with pytest.raises(ValueError):
             shell_containment_indicator(2, 1.0, rng, grid)
-        for margin in (np.nan, -1.0, 0.0):
-            with pytest.raises(ValueError, match="margin must be > 0"):
-                shell_containment_indicator(2, 50.0, rng, grid, margin=margin)
 
     def test_high_intensity_frequency(self, rng):
         grid = direction_grid(2, 512)
