@@ -15,6 +15,7 @@ from scipy import integrate, special
 from .geomcore import (
     lune_fraction,
     unit_ball_volume,
+    validate_count,
     validate_dimension,
     validate_intensity,
 )
@@ -153,8 +154,7 @@ def miss_weight_mc(shape: ShapeKind, mu: RadialMeasure, d: int, r: float, n: int
     scale = count_scale(shape, mu, d)
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must lie in [0, 1]")
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
+    n = validate_count(n, "n", 2)
     p = np.asarray(mu.inverse_cdf(rng.gen.random(n)), dtype=float)
     u = axis_cosines(d, n, rng)
     m = float(np.mean(exit_distance(shape, p, u) < r))
@@ -178,8 +178,7 @@ def sample_radius_exact(d: int, lam: float, n: int, rng: RngStream,
     """
     d = validate_dimension(d)
     lam = validate_intensity(lam)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = validate_count(n, "n")
     if miss_fn is None:
         miss_fn = _lune_weight(d)
     out = np.ones(n)

@@ -369,9 +369,7 @@ def _block_crofton(cfg: ExperimentConfig, rate: float, rng: RngStream) -> list[t
     _rec(out, "inverse_volume_mean", imean, imean_se)
     length = 3.0
     reps = max(2, min(8 * n, 64_000))
-    cnt = np.array([models.segment_crossing_count(d, length, rng.spawn("chord", i),
-                                                  radial_rate=rate)
-                    for i in range(reps)], dtype=float)
+    cnt = models.segment_crossing_count(d, length, reps, rng.spawn("chord"), radial_rate=rate)
     chat = cnt.mean() / length
     chat_se = cnt.std(ddof=1) / (length * np.sqrt(reps))
     typical = (2.0 / chat) ** d / unit_ball_volume(d)
@@ -384,9 +382,8 @@ def _block_crofton(cfg: ExperimentConfig, rate: float, rng: RngStream) -> list[t
     _rec(out, "moment_ratio_exact", mom.moment_ratio)
     _rec(out, "enlargement_fraction", enlargements / n)
     if d == 2:
-        cl = np.array([models.segment_crossing_count(2, length, rng.spawn("seg", i),
-                                                     radial_rate=2.0 * np.pi)
-                       for i in range(min(reps, 4000))], dtype=float)
+        cl = models.segment_crossing_count(2, length, min(reps, 4000), rng.spawn("seg"),
+                                           radial_rate=2.0 * np.pi)
         _rec(out, "crossing_rate_classical", cl.mean() / length,
              cl.std(ddof=1) / (length * np.sqrt(cl.size)))
     return out
@@ -553,6 +550,19 @@ def write_records(records: list[ExperimentRecord], path: str, fmt: str) -> None:
             fh.write("\n")
 
 
+def _check_writable(path: str) -> None:
+    """Raise ConfigError unless path can be opened for writing.  The probe
+    appends nothing, so an existing file keeps its bytes, and a file it
+    created is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
+    if not existed:
+        os.remove(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="randset",
@@ -570,6 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         cli_options = {key: _OPTIONS[key].parse(getattr(args, key))
                        for key in _OPTIONS if getattr(args, key) is not None}
         cfg = build_config(args.experiment, file_options, cli_options)
+        _check_writable(cfg.output_path)
         records = run_experiment(cfg)
         try:
             write_records(records, cfg.output_path, cfg.format)

@@ -32,6 +32,14 @@ def validate_intensity(lam) -> float:
     return float(lam)
 
 
+def validate_count(n, name: str, minimum: int = 0) -> int:
+    """Check that a count is an integer >= minimum and return it as a plain
+    int; bools are not counts."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return int(n)
+
+
 _MAX_BALL_DIM = 341
 
 
@@ -137,8 +145,7 @@ def direction_grid(d: int, n: int) -> DirectionGrid:
     the same array.
     """
     d = validate_dimension(d)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"grid size must be an integer >= 1, got {n!r}")
+    n = validate_count(n, "grid size", 1)
     if d == 1:
         pts = np.where(np.arange(n)[:, None] % 2 == 0, 1.0, -1.0)
         return DirectionGrid(1, pts)

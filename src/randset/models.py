@@ -17,6 +17,7 @@ from .geomcore import (
     DirectionGrid,
     StarSet,
     unit_ball_volume,
+    validate_count,
     validate_dimension,
     validate_intensity,
 )
@@ -246,8 +247,7 @@ def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
     points (a replicate is never split).
     """
     d, mean = _mean_pin_count(d, lam, mu, shape)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = validate_count(n, "n")
     g = rng.gen
     out = np.empty(n, dtype=float)
     done = 0
@@ -310,16 +310,16 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
     halfspaces = np.column_stack([normals, -offsets])
     try:
         hs = HalfspaceIntersection(halfspaces, np.zeros(d))
+        # the origin lies strictly inside the dual hull iff the normals
+        # positively span R^d, that is iff the cell is bounded
+        if not np.all(hs.dual_equations[:, -1] < 0):
+            return None
+        verts = hs.intersections
+        if not np.all(np.isfinite(verts)) or np.max(np.linalg.norm(verts, axis=1)) >= window:
+            return None
+        return verts, float(ConvexHull(verts).volume)
     except QhullError:
         return None
-    # the origin lies strictly inside the dual hull iff the normals
-    # positively span R^d, that is iff the cell is bounded
-    if not np.all(hs.dual_equations[:, -1] < 0):
-        return None
-    verts = hs.intersections
-    if not np.all(np.isfinite(verts)) or np.max(np.linalg.norm(verts, axis=1)) >= window:
-        return None
-    return verts, float(ConvexHull(verts).volume)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -329,33 +329,43 @@ def _check_positive(name: str, value: float) -> None:
 
 _WINDOW_RADIUS = 10.0
 _MAX_ENLARGEMENTS = 3
+# qhull fails on about one cell in 2000 at d = 5, and more often above
+_MAX_CELL_DIM = 4
 
 
 def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCell:
-    """Sample the zero cell of an isotropic Poisson hyperplane process.
+    """Sample the zero cell of an isotropic Poisson hyperplane process,
+    for 2 <= d <= _MAX_CELL_DIM.
 
     Hyperplane distances from the origin form a Poisson process of the
     given rate per unit distance (rate 2 normalizes the measure of
     hyperplanes meeting the unit ball to 2); normals are uniform on the
-    sphere.  Sampling is windowed: the first window has radius
-    _WINDOW_RADIUS in units of the cell scale 1/rate (radius 10 at rate 2),
-    so the cell at rate r is the rate-2 cell of the same stream scaled by
-    2/r.  If the exact cell is not certified bounded and inside the current
-    window (the normals fail to span, or some vertex reaches the window),
-    the window doubles and new hyperplanes are superposed on the old ones,
-    which preserves the law.  A cell still uncertified after
-    _MAX_ENLARGEMENTS doublings raises UnboundedCellError; that signals a
-    fault, not a rare draw.
+    sphere.  The cell is drawn at rate 2 and scaled by s = 2/rate
+    (offsets, vertices and window by s, the volume by s^d), so qhull only
+    ever sees cells of unit scale and the rate enters nowhere else.  The
+    rate must keep s^d a normal float64.  Sampling is windowed: the first
+    window has radius _WINDOW_RADIUS.  If the exact cell is not certified
+    bounded and inside the current window (the normals fail to span, or
+    some vertex reaches the window), the window doubles and new
+    hyperplanes are superposed on the old ones, which preserves the law.
+    A cell still uncertified after _MAX_ENLARGEMENTS doublings raises
+    UnboundedCellError; that signals a fault, not a rare draw.
     """
     d = validate_dimension(d)
-    if d < 2:
-        raise ValueError("tessellation cells need d >= 2")
+    if not 2 <= d <= _MAX_CELL_DIM:
+        raise ValueError(f"zero cells need 2 <= d <= {_MAX_CELL_DIM}, got d = {d}")
     _check_positive("radial_rate", radial_rate)
+    scale = 2.0 / radial_rate
+    with np.errstate(over="ignore", under="ignore"):
+        volume_scale = float(np.float64(scale) ** d)
+    if not np.finfo(float).tiny <= volume_scale < np.inf:
+        raise ValueError(f"radial_rate = {radial_rate} puts the volume scale "
+                         f"(2/radial_rate)^{d} outside the normal float64 range")
     normals = np.empty((0, d))
     offsets = np.empty(0)
-    lo, hi = 0.0, _WINDOW_RADIUS * 2.0 / radial_rate
+    lo, hi = 0.0, _WINDOW_RADIUS
     for attempt in range(_MAX_ENLARGEMENTS + 1):
-        n_new = sample_poisson_count(radial_rate * (hi - lo), rng)
+        n_new = sample_poisson_count(2.0 * (hi - lo), rng)
         if n_new:
             offs = rng.gen.uniform(lo, hi, n_new)
             normals = np.vstack([normals, uniform_directions(d, n_new, rng)])
@@ -363,32 +373,34 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCel
         result = _zero_cell_polytope(d, normals, offsets, hi)
         if result is not None:
             verts, vol = result
-            return CroftonCell(d, normals, offsets, verts, vol, hi, attempt)
+            return CroftonCell(d, normals, scale * offsets, scale * verts,
+                               vol * volume_scale, scale * hi, attempt)
         lo, hi = hi, 2.0 * hi
     raise UnboundedCellError(
-        f"zero cell not certified bounded within window {lo:g} after "
+        f"zero cell not certified bounded within window {scale * lo:g} after "
         f"{_MAX_ENLARGEMENTS} enlargements")
 
 
-def segment_crossing_count(d: int, length: float, rng: RngStream,
-                           radial_rate: float = 2.0) -> int:
-    """Number of tessellation hyperplanes crossing a segment of the given
-    length.  A hyperplane at signed distance rho with unit normal theta
-    crosses the segment [0, length * e1] iff rho <= length * <e1, theta>^+,
-    so only distances below `length` matter.  The count is Poisson with
-    mean radial_rate * length * E[<e1, theta>^+]; in the plane the
-    classical normalization radial_rate = 2*pi gives mean 2 * length."""
+def segment_crossing_count(d: int, length: float, n: int, rng: RngStream,
+                           radial_rate: float = 2.0) -> np.ndarray:
+    """Numbers of tessellation hyperplanes crossing the segment
+    [0, length * e1] in n independent tessellations, drawn on one stream.
+    A hyperplane at signed distance rho with unit normal theta crosses it
+    iff rho <= length * <e1, theta>^+, so only distances below `length`
+    matter.  Each count is Poisson with mean
+    radial_rate * length * E[<e1, theta>^+]; in the plane the classical
+    normalization radial_rate = 2*pi gives mean 2 * length."""
     validate_dimension(d)
     if d < 2:
         raise ValueError("crossing counts need d >= 2")
+    n = validate_count(n, "n")
     _check_positive("length", length)
     _check_positive("radial_rate", radial_rate)
-    n = sample_poisson_count(radial_rate * length, rng)
-    if n == 0:
-        return 0
-    rho = rng.gen.uniform(0.0, length, n)
-    u = axis_cosines(d, n, rng)
-    return int(np.count_nonzero(rho <= length * np.maximum(u, 0.0)))
+    g = rng.gen
+    totals = g.poisson(radial_rate * length, n)
+    rho = g.uniform(0.0, length, totals.sum())
+    hit = rho <= length * np.maximum(axis_cosines(d, rho.size, rng), 0.0)
+    return np.bincount(np.repeat(np.arange(n), totals)[hit], minlength=n)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +574,7 @@ def interval_intersection_stats(lam: float, replicates: int, rng: RngStream) -> 
     """Batched endpoints of the 1-d model; returns scaled length moments and
     the endpoint correlation."""
     lam = validate_intensity(lam)
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates")
+    replicates = validate_count(replicates, "replicates", 2)
     g = rng.gen
     counts = g.poisson(2.0 * lam, replicates)
     tot = int(counts.sum())
@@ -605,8 +616,7 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
         raise ValueError(f"unknown meeting-count model {model!r}")
     if not 0 < eps < 0.25:
         raise ValueError("eps must lie in (0, 0.25)")
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates")
+    replicates = validate_count(replicates, "replicates", 2)
     g = rng.gen
     sd = d * unit_ball_volume(d)
     if model == "hyperplane-tess":

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from .geomcore import unit_ball_volume, validate_dimension, validate_intensity
+from .geomcore import unit_ball_volume, validate_count, validate_dimension, validate_intensity
 
 _MASK64 = (1 << 64) - 1
 
@@ -140,8 +140,7 @@ def sample_poisson_count(mean: float, rng: RngStream) -> int:
 def uniform_directions(d: int, n: int, rng: RngStream) -> np.ndarray:
     """n iid uniform unit vectors, shape (n, d)."""
     d = validate_dimension(d)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = validate_count(n, "n")
     if n == 0:
         return np.empty((0, d))
     g = rng.gen
@@ -310,8 +309,8 @@ def coupon_empirical(k: int, probs, t: int, replicates: int, rng: RngStream) -> 
     p = np.asarray(probs, dtype=float)
     if p.shape != (k,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("probs must be a length-k probability vector")
-    if t < 1 or replicates < 1:
-        raise ValueError("t and replicates must be >= 1")
+    t = validate_count(t, "t", 1)
+    replicates = validate_count(replicates, "replicates", 1)
     draws = rng.gen.choice(k, size=(replicates, t), p=p)
     seen = np.zeros((replicates, k), dtype=bool)
     seen[np.arange(replicates)[:, None], draws] = True

@@ -159,16 +159,14 @@ def test_criterion_07_crofton_tessellation(arng):
     assert abs(zero_hat / m.zero_cell_mean - 1.0) < 0.05, zero_hat
 
     length = 3.0
-    crossings = np.array([segment_crossing_count(2, length, root.spawn("seg", i))
-                          for i in range(64_000)])
+    crossings = segment_crossing_count(2, length, 64_000, root.spawn("seg"))
     chord_hat = crossings.mean() / length
     typical_hat = (2.0 / chord_hat) ** 2 / np.pi
     ratio_hat = zero_hat / typical_hat
     assert abs(ratio_hat / m.moment_ratio - 1.0) < 0.05, ratio_hat
 
-    classical = np.array([segment_crossing_count(2, length, root.spawn("cl", i),
-                                                 radial_rate=2.0 * np.pi)
-                          for i in range(3000)])
+    classical = segment_crossing_count(2, length, 3000, root.spawn("cl"),
+                                       radial_rate=2.0 * np.pi)
     se = classical.std(ddof=1) / np.sqrt(classical.size)
     gap = classical.mean() - 2.0 * length
     assert abs(gap) <= 3.0 * se, (classical.mean(), 2.0 * length, se)

@@ -280,23 +280,44 @@ class TestEndToEnd:
         ["volume-sweep", "--d", "38", "--lambda", "50", "--samples", "20"],
         ["radius-convergence", "--d", "400", "--lambda", "10", "--samples", "20"],
         ["crofton", "--d", "129", "--replicates", "2"],
-    ], ids=["coupling-lam", "coupling-eps", "sweep-d", "radius-d", "crofton-d"])
-    def test_library_input_errors_exit_2(self, args, capsys, monkeypatch):
+        ["crofton", "--d", "5", "--replicates", "2"],
+    ], ids=["coupling-lam", "coupling-eps", "sweep-d", "radius-d", "crofton-d",
+            "crofton-cell-d"])
+    def test_library_input_errors_exit_2(self, args, tmp_path, capsys, monkeypatch):
         # the library's own input checks raise ValueError: a config error
         monkeypatch.setenv("RANDSET_THREADS", "1")
+        monkeypatch.chdir(tmp_path)  # the default output path is probed
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "config error" in err
         assert "Traceback" not in err
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the path is checked before any block runs
         monkeypatch.setenv("RANDSET_THREADS", "1")
+
+        def never(cfg):
+            raise AssertionError("run_experiment called for an unwritable --out")
+
+        monkeypatch.setattr(expcli, "run_experiment", never)
         out = tmp_path / "missing" / "x.csv"
         assert main(["warmup-1d", "--d", "1", "--lambda", "50", "--replicates", "20",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: cannot write {out}" in err
         assert "Traceback" not in err
+
+    def test_output_check_leaves_files(self, tmp_path, monkeypatch):
+        # the write check keeps an existing file's bytes and leaves no new file
+        # behind when the run then fails
+        monkeypatch.setenv("RANDSET_THREADS", "lots")
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_bytes(b"keep")
+        for out in (old, new):
+            assert main(["warmup-1d", "--d", "1", "--lambda", "50", "--replicates", "20",
+                         "--out", str(out)]) == 2
+        assert old.read_bytes() == b"keep"
+        assert not new.exists()
 
     def test_numerical_failure_exit(self, tmp_path, capsys, monkeypatch):
         # the patch does not reach pool workers, so run serially
@@ -316,8 +337,9 @@ class TestEndToEnd:
         assert "zero_cell_volume_mean" in metrics
         assert "unbounded_count" not in metrics
 
-    def test_thread_env_error_exit(self, monkeypatch, capsys):
+    def test_thread_env_error_exit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RANDSET_THREADS", "lots")
+        monkeypatch.chdir(tmp_path)  # the default output path is probed
         assert main(["warmup-1d", "--d", "1", "--lambda", "50",
                      "--replicates", "2000"]) == 2
         capsys.readouterr()

@@ -14,6 +14,7 @@ from randset.geomcore import (
     star_volume,
     unit_ball_volume,
     unit_sphere_area,
+    validate_count,
     validate_dimension,
     wedge_volume,
 )
@@ -65,6 +66,11 @@ class TestBallVolume:
         with pytest.raises(ValueError):
             validate_dimension(True)
         assert validate_dimension(np.int64(3)) == 3
+        for bad in (True, 2.0, 1):
+            with pytest.raises(ValueError, match="k must be an integer >= 2"):
+                validate_count(bad, "k", 2)
+        assert validate_count(np.int64(3), "k", 2) == 3
+        assert type(validate_count(np.int64(0), "k")) is int
 
     def test_large_dimension(self):
         # d = 341 is the last d whose gamma(d/2 + 1) is finite; past it the
@@ -203,7 +209,7 @@ class TestDirectionGrid:
         assert np.array_equal(g.points[:, 0], [1.0, -1.0, 1.0, -1.0, 1.0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid size must be an integer >= 1, got 0"):
             direction_grid(2, 0)
         for n in (2.5, 8.0, True):
             with pytest.raises(ValueError, match="grid size must be an integer"):

@@ -15,6 +15,7 @@ from randset.analytics import (
     halfspace_uniform_weight,
     cone_uniform_weight,
     invert_increasing,
+    miss_weight_mc,
     sample_radius_exact,
 )
 from randset.geomcore import (
@@ -52,11 +53,13 @@ from randset.ppp import (
     ProcessSample,
     RngStream,
     coupon_bound,
+    coupon_empirical,
     depth_radial_law,
     poisson_log_tail_check,
     radial_law_from_cdf,
     sample_ball_uniform,
     sample_shell,
+    uniform_directions,
     uniform_radial_law,
 )
 
@@ -265,9 +268,30 @@ _LAM_ABOVE_ONE_ENTRY_POINTS = (
 # the tessellation entry points' positive rates and lengths, by argument name
 _RATE_ENTRY_POINTS = (
     ("radial_rate", lambda v, rng: crofton_cell(2, rng, radial_rate=v)),
-    ("radial_rate", lambda v, rng: segment_crossing_count(2, 1.0, rng, radial_rate=v)),
-    ("length", lambda v, rng: segment_crossing_count(2, v, rng)),
+    ("radial_rate", lambda v, rng: segment_crossing_count(2, 1.0, 4, rng, radial_rate=v)),
+    ("length", lambda v, rng: segment_crossing_count(2, v, 4, rng)),
 )
+
+# every entry point that takes a count, by the count's name and least value
+_COUNT_ENTRY_POINTS = (
+    ("n", 0, lambda n, rng: sample_axis_radii(2, 10.0, uniform_radial_law(2), BALL, n, rng)),
+    ("n", 0, lambda n, rng: uniform_directions(2, n, rng)),
+    ("n", 0, lambda n, rng: sample_radius_exact(2, 10.0, n, rng)),
+    ("n", 2, lambda n, rng: miss_weight_mc(BALL, uniform_radial_law(2), 2, 0.3, n, rng)),
+    ("replicates", 2, lambda n, rng: interval_intersection_stats(10.0, n, rng)),
+    ("replicates", 2, lambda n, rng: meeting_count_mc("boolean", 2, 10.0, 0.01, n, rng)),
+    ("t", 1, lambda n, rng: coupon_empirical(2, [0.5, 0.5], n, 4, rng)),
+    ("replicates", 1, lambda n, rng: coupon_empirical(2, [0.5, 0.5], 4, n, rng)),
+    ("grid size", 1, lambda n, rng: direction_grid(2, n)),
+    ("n", 0, lambda n, rng: segment_crossing_count(2, 1.0, n, rng)),
+)
+
+
+@pytest.mark.parametrize("bad", [2.5, -1])
+@pytest.mark.parametrize("name, minimum, call", _COUNT_ENTRY_POINTS)
+def test_bad_count(name, minimum, call, bad, rng):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= {minimum}, got {bad}"):
+        call(bad, rng)
 
 
 class TestSampleModel:
@@ -580,9 +604,9 @@ class TestCroftonCell:
             assert np.linalg.norm(cell.vertices, axis=1).max() < cell.window
 
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("rate", [1e-3, 0.2, 7.3])
+    @pytest.mark.parametrize("rate", [1e-100, 1e-3, 0.2, 7.3, 1e100])
     def test_rate_scaling(self, d, rate, rng):
-        # the window is set in units of 1/rate, so a cell at rate r is the
+        # every cell is drawn at unit scale, so a cell at rate r is the
         # rate-2 cell of the same stream scaled by 2/r
         for i in range(4):
             base = crofton_cell(d, rng.spawn("scale", d, i))
@@ -603,12 +627,22 @@ class TestCroftonCell:
     def test_unbounded_raises(self, rng, monkeypatch):
         # a cell never certified raises after the enlargement cap
         monkeypatch.setattr(models, "_zero_cell_polytope", lambda *args: None)
-        with pytest.raises(UnboundedCellError, match="3 enlargements"):
+        with pytest.raises(UnboundedCellError, match="window 80 after 3 enlargements"):
             crofton_cell(2, rng.spawn("starved"))
+        # the window is reported in the units of the requested rate
+        with pytest.raises(UnboundedCellError, match="window 800 after"):
+            crofton_cell(2, rng.spawn("starved"), radial_rate=0.2)
+
+    @pytest.mark.parametrize("d, rate", [(3, 1e-150), (3, 1e150), (2, 1e-200), (2, 1e200)])
+    def test_volume_scale_out_of_range(self, d, rate, rng):
+        # (2/rate)^d overflows or underflows a normal float64
+        with pytest.raises(ValueError, match="radial_rate"):
+            crofton_cell(d, rng, radial_rate=rate)
 
     def test_domain(self, rng):
-        with pytest.raises(ValueError):
-            crofton_cell(1, rng)
+        for d in (1, 5):
+            with pytest.raises(ValueError, match="2 <= d <= 4"):
+                crofton_cell(d, rng)
         with pytest.raises(ValueError):
             crofton_cell(2, rng, radial_rate=0.0)
 
@@ -616,29 +650,43 @@ class TestCroftonCell:
 class TestSegmentCrossings:
     def test_classical_rate(self, rng):
         # radial rate 2*pi in the plane gives mean 2 * length
-        root = rng.spawn("cross")
         length = 1.5
-        counts = np.array([segment_crossing_count(2, length, root.spawn(i),
-                                                  radial_rate=2.0 * np.pi)
-                           for i in range(3000)])
+        counts = segment_crossing_count(2, length, 3000, rng.spawn("cross"),
+                                        radial_rate=2.0 * np.pi)
         assert_close_sigma(counts.mean(), 2.0 * length,
                            counts.std(ddof=1) / np.sqrt(counts.size),
                            label="classical crossing rate")
 
     def test_unit_normalization(self, rng):
         # rate 2 gives mean 2 * length / pi in the plane
-        root = rng.spawn("cross2")
-        counts = np.array([segment_crossing_count(2, 2.0, root.spawn(i))
-                           for i in range(3000)])
+        counts = segment_crossing_count(2, 2.0, 3000, rng.spawn("cross2"))
         assert_close_sigma(counts.mean(), 4.0 / np.pi,
                            counts.std(ddof=1) / np.sqrt(counts.size),
                            label="unit crossing rate")
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_batched_law(self, d, rng):
+        # every count is Poisson with mean rate * length * E[<e1, theta>^+],
+        # and E[<e1, theta>^+] = omega_{d-1} / (d omega_d): check the mean
+        # and, through the sample variance, the Poisson dispersion
+        n, rate, length = 20_000, 3.0, 2.0
+        counts = segment_crossing_count(d, length, n, rng.spawn("batch", d),
+                                        radial_rate=rate)
+        assert counts.shape == (n,)
+        mu = rate * length * unit_ball_volume(d - 1) / (d * unit_ball_volume(d))
+        assert_close_sigma(counts.mean(), mu, np.sqrt(mu / n), k=4.0,
+                           label="crossing count mean")
+        # Var(s^2) = (mu4 - sigma^4) / n to leading order, mu4 = mu + 3 mu^2
+        assert_close_sigma(counts.var(ddof=1), mu, np.sqrt((mu + 2.0 * mu * mu) / n),
+                           k=4.0, label="crossing count variance")
+        empty = segment_crossing_count(d, length, 0, rng.spawn("none", d))
+        assert empty.shape == (0,) and np.issubdtype(empty.dtype, np.integer)
+
     def test_domain(self, rng):
         with pytest.raises(ValueError):
-            segment_crossing_count(1, 1.0, rng)
+            segment_crossing_count(1, 1.0, 4, rng)
         with pytest.raises(ValueError):
-            segment_crossing_count(2, 0.0, rng)
+            segment_crossing_count(2, 0.0, 4, rng)
 
 
 class TestSphereTessellation:
