@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import os
 import sys
 import time
@@ -83,9 +82,11 @@ class ExperimentConfig:
         if self.format not in _FORMATS:
             raise ConfigError("format must be csv or json")
         spec = _EXPERIMENT_TABLE[self.experiment]
-        op, _, bound = spec.d_rule.partition(" ")
-        if op and not _D_RULES[op](self.d, int(bound)):
-            raise ConfigError(f"the {self.experiment} experiment requires d {spec.d_rule}")
+        if spec.d_range:
+            lo, hi = spec.d_range
+            if not lo <= self.d <= hi:
+                rule = f"d = {lo}" if lo == hi else f"{lo} <= d <= {hi}"
+                raise ConfigError(f"the {self.experiment} experiment requires {rule}")
         if getattr(self, spec.count) < 2:
             raise ConfigError(f"{self.experiment} needs {spec.count} >= 2")
         self.lambda_grid = tuple(map(float, self.lambda_grid))
@@ -466,26 +467,24 @@ def _block_cone(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple
 class _Experiment(NamedTuple):
     block: Callable[[ExperimentConfig, float, RngStream], list[tuple]]
     count: str      # "samples" or "replicates", whichever must be >= 2
-    d_rule: str     # "OP N" with OP one of _D_RULES, or "" for any d
+    d_range: tuple[int, int] | None  # inclusive bounds on d, or None for any d
     defaults: dict  # overrides of the ExperimentConfig defaults
 
 
-_D_RULES = {"=": operator.eq, ">=": operator.ge}
-
 _EXPERIMENT_TABLE = {
-    "radius-convergence": _Experiment(_block_radius_convergence, "samples", "", dict(
+    "radius-convergence": _Experiment(_block_radius_convergence, "samples", None, dict(
         d=2, lambda_grid=(10.0, 50.0, 200.0), samples=100_000)),
-    "volume-sweep": _Experiment(_block_volume_sweep, "samples", "", dict(
+    "volume-sweep": _Experiment(_block_volume_sweep, "samples", None, dict(
         d=2, lambda_grid=(50.0, 200.0, 1000.0, 10000.0), samples=20_000)),
-    "coupling": _Experiment(_block_coupling, "replicates", "= 2", dict(
+    "coupling": _Experiment(_block_coupling, "replicates", (2, 2), dict(
         d=2, lambda_grid=(1000.0, 3000.0, 10000.0), replicates=200, grid_size=1024)),
-    "crofton": _Experiment(_block_crofton, "replicates", ">= 2", dict(
+    "crofton": _Experiment(_block_crofton, "replicates", (2, models._MAX_CELL_DIM), dict(
         d=2, lambda_grid=(2.0,), replicates=8000)),
-    "warmup-1d": _Experiment(_block_warmup, "replicates", "= 1", dict(
+    "warmup-1d": _Experiment(_block_warmup, "replicates", (1, 1), dict(
         d=1, lambda_grid=(100.0,), replicates=100_000)),
-    "meeting-counts": _Experiment(_block_meeting, "replicates", "", dict(
+    "meeting-counts": _Experiment(_block_meeting, "replicates", None, dict(
         d=2, lambda_grid=(10000.0,), replicates=2000, eps=1e-3)),
-    "cone": _Experiment(_block_cone, "samples", "= 2", dict(
+    "cone": _Experiment(_block_cone, "samples", (2, 2), dict(
         d=2, lambda_grid=(5.0,), samples=20_000)),
 }
 
@@ -553,14 +552,17 @@ def write_records(records: list[ExperimentRecord], path: str, fmt: str) -> None:
 def _check_writable(path: str) -> None:
     """Raise ConfigError unless path can be opened for writing.  The probe
     appends nothing, so an existing file keeps its bytes, and a file it
-    created is removed again."""
-    existed = os.path.lexists(path)
+    created (through a dangling symlink too) is removed again.  FIFOs and
+    devices are not probed, since opening them has effects of its own."""
+    existed = os.path.exists(path)
+    if existed and not (os.path.isfile(path) or os.path.isdir(path)):
+        return
     try:
         open(path, "a").close()
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from None
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))
 
 
 def main(argv: list[str] | None = None) -> int:

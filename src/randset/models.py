@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -236,6 +237,14 @@ def sample_intersection_model(d: int, lam: float, mu: RadialMeasure, shape: Shap
 _CHUNK_PINS = 2_000_000
 
 
+def _pooled_chunks(n: int, mean: float, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """draw(m) over consecutive chunks of m of the n replicates, each chunk
+    holding about _CHUNK_PINS pins at `mean` pins per replicate, joined in
+    order; memory stays bounded at any mean and a replicate is never split."""
+    per = max(1, int(_CHUNK_PINS / max(mean, 1.0)))
+    return np.concatenate([draw(min(per, n - i)) for i in range(0, n, per)] or [draw(0)])
+
+
 def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
                       n: int, rng: RngStream) -> np.ndarray:
     """n independent model radii along a fixed axis, fully vectorized.
@@ -243,25 +252,19 @@ def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
     Rotation invariance makes the radius along e1 equal in law to the
     radius in any direction, so each replicate only needs the pin radius
     and the axis cosine of each of its points.  Replicates are pooled and
-    reduced with a segmented minimum; memory is bounded by _CHUNK_PINS
-    points (a replicate is never split).
+    reduced with a segmented minimum, in chunks (_pooled_chunks).
     """
     d, mean = _mean_pin_count(d, lam, mu, shape)
     n = validate_count(n, "n")
     g = rng.gen
-    out = np.empty(n, dtype=float)
-    done = 0
-    per = max(1, int(_CHUNK_PINS / max(mean, 1.0)))
-    while done < n:
-        m = min(per, n - done)
+
+    def chunk(m: int) -> np.ndarray:
         counts = g.poisson(mean, m)
         tot = int(counts.sum())
         p = np.asarray(mu.inverse_cdf(g.random(tot)), dtype=float)
-        u = axis_cosines(d, tot, rng)
-        t = exit_distance(shape, p, u)
-        out[done:done + m] = np.clip(segmented_min(t, counts, np.inf), 0.0, 1.0)
-        done += m
-    return out
+        t = exit_distance(shape, p, axis_cosines(d, tot, rng))
+        return np.clip(segmented_min(t, counts, np.inf), 0.0, 1.0)
+    return _pooled_chunks(n, mean, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +325,10 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
         return None
 
 
+def _is_normal(x: float) -> bool:
+    return np.finfo(float).tiny <= x < np.inf
+
+
 def _check_positive(name: str, value: float) -> None:
     if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -343,7 +350,8 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCel
     sphere.  The cell is drawn at rate 2 and scaled by s = 2/rate
     (offsets, vertices and window by s, the volume by s^d), so qhull only
     ever sees cells of unit scale and the rate enters nowhere else.  The
-    rate must keep s^d a normal float64.  Sampling is windowed: the first
+    rate must keep s^d and the cell's volume normal float64s, or a
+    ValueError names it.  Sampling is windowed: the first
     window has radius _WINDOW_RADIUS.  If the exact cell is not certified
     bounded and inside the current window (the normals fail to span, or
     some vertex reaches the window), the window doubles and new
@@ -358,7 +366,7 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCel
     scale = 2.0 / radial_rate
     with np.errstate(over="ignore", under="ignore"):
         volume_scale = float(np.float64(scale) ** d)
-    if not np.finfo(float).tiny <= volume_scale < np.inf:
+    if not _is_normal(volume_scale):
         raise ValueError(f"radial_rate = {radial_rate} puts the volume scale "
                          f"(2/radial_rate)^{d} outside the normal float64 range")
     normals = np.empty((0, d))
@@ -373,8 +381,13 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCel
         result = _zero_cell_polytope(d, normals, offsets, hi)
         if result is not None:
             verts, vol = result
+            volume = vol * volume_scale
+            if not _is_normal(volume):
+                raise ValueError(f"radial_rate = {radial_rate} puts the cell volume "
+                                 f"{vol:g} * (2/radial_rate)^{d} outside the normal "
+                                 "float64 range")
             return CroftonCell(d, normals, scale * offsets, scale * verts,
-                               vol * volume_scale, scale * hi, attempt)
+                               volume, scale * hi, attempt)
         lo, hi = hi, 2.0 * hi
     raise UnboundedCellError(
         f"zero cell not certified bounded within window {scale * lo:g} after "
@@ -384,23 +397,24 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCel
 def segment_crossing_count(d: int, length: float, n: int, rng: RngStream,
                            radial_rate: float = 2.0) -> np.ndarray:
     """Numbers of tessellation hyperplanes crossing the segment
-    [0, length * e1] in n independent tessellations, drawn on one stream.
-    A hyperplane at signed distance rho with unit normal theta crosses it
-    iff rho <= length * <e1, theta>^+, so only distances below `length`
-    matter.  Each count is Poisson with mean
-    radial_rate * length * E[<e1, theta>^+]; in the plane the classical
-    normalization radial_rate = 2*pi gives mean 2 * length."""
-    validate_dimension(d)
-    if d < 2:
+    [0, length * e1] in n independent tessellations, drawn on one stream
+    in chunks.  A hyperplane at signed distance rho with unit normal theta
+    crosses it iff rho <= length * <e1, theta>^+.  Each count is Poisson
+    with mean radial_rate * length * E[<e1, theta>^+]; in the plane the
+    classical normalization radial_rate = 2*pi gives mean 2 * length."""
+    if validate_dimension(d) < 2:
         raise ValueError("crossing counts need d >= 2")
     n = validate_count(n, "n")
     _check_positive("length", length)
     _check_positive("radial_rate", radial_rate)
-    g = rng.gen
-    totals = g.poisson(radial_rate * length, n)
-    rho = g.uniform(0.0, length, totals.sum())
-    hit = rho <= length * np.maximum(axis_cosines(d, rho.size, rng), 0.0)
-    return np.bincount(np.repeat(np.arange(n), totals)[hit], minlength=n)
+    g, mean = rng.gen, radial_rate * length
+
+    def chunk(m: int) -> np.ndarray:
+        totals = g.poisson(mean, m)
+        rho = g.uniform(0.0, length, totals.sum())
+        hit = rho <= length * np.maximum(axis_cosines(d, rho.size, rng), 0.0)
+        return np.bincount(np.repeat(np.arange(m), totals)[hit], minlength=m)
+    return _pooled_chunks(n, mean, chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,23 @@ class TestCroftonCell:
         with pytest.raises(ValueError, match="radial_rate"):
             crofton_cell(d, rng, radial_rate=rate)
 
+    @pytest.mark.parametrize("volume_scale", [1e307, 2.5e-308])
+    def test_cell_volume_out_of_range(self, volume_scale, rng):
+        # (2/rate)^2 is a normal float64, but some cell volumes times it are not
+        rate = 2.0 / np.sqrt(volume_scale)
+        seen = set()
+        for i in range(12):
+            base = crofton_cell(2, rng.spawn("range", i)).volume
+            in_range = np.finfo(float).tiny <= base * volume_scale < np.inf
+            seen.add(in_range)
+            if in_range:
+                cell = crofton_cell(2, rng.spawn("range", i), radial_rate=rate)
+                assert cell.volume == pytest.approx(base * volume_scale, rel=1e-12)
+            else:
+                with pytest.raises(ValueError, match="radial_rate"):
+                    crofton_cell(2, rng.spawn("range", i), radial_rate=rate)
+        assert seen == {True, False}
+
     def test_domain(self, rng):
         for d in (1, 5):
             with pytest.raises(ValueError, match="2 <= d <= 4"):
@@ -664,11 +681,15 @@ class TestSegmentCrossings:
                            counts.std(ddof=1) / np.sqrt(counts.size),
                            label="unit crossing rate")
 
+    @pytest.mark.parametrize("chunk_pins", [None, 70], ids=["pooled", "chunked"])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_batched_law(self, d, rng):
+    def test_batched_law(self, d, chunk_pins, rng, monkeypatch):
         # every count is Poisson with mean rate * length * E[<e1, theta>^+],
         # and E[<e1, theta>^+] = omega_{d-1} / (d omega_d): check the mean
-        # and, through the sample variance, the Poisson dispersion
+        # and, through the sample variance, the Poisson dispersion; 70 pins
+        # per chunk give 11 segments per chunk and a short last one
+        if chunk_pins:
+            monkeypatch.setattr(models, "_CHUNK_PINS", chunk_pins)
         n, rate, length = 20_000, 3.0, 2.0
         counts = segment_crossing_count(d, length, n, rng.spawn("batch", d),
                                         radial_rate=rate)
