@@ -195,6 +195,12 @@ def _rec(out: list, metric: str, value: float, se: float | None = None):
     out.append((metric, float(value), None if se is None else float(se)))
 
 
+def _sigma_gap(est: float, ref: float, se: float) -> float:
+    """(est - ref) / se, or NaN when se is not positive, so a run whose
+    estimate has no spread reports a numerical failure."""
+    return (est - ref) / se if se > 0 else np.nan
+
+
 def _transformed_ks(out: list, tag: str, sample: np.ndarray, law) -> None:
     """KS of lam*omega_d*w(R) against Exp(1) truncated at the atom image,
     plus the gap between the empirical and exact atom mass."""
@@ -205,7 +211,8 @@ def _transformed_ks(out: list, tag: str, sample: np.ndarray, law) -> None:
     def trunc_cdf(t):
         return (1.0 - np.exp(-np.minimum(t, zmax))) / -np.expm1(-zmax)
 
-    _rec(out, f"ks_{tag}", analytics.ks_statistic(z, trunc_cdf))
+    # no radius below 1 leaves no sample: a NaN KS reports the failure
+    _rec(out, f"ks_{tag}", analytics.ks_statistic(z, trunc_cdf) if z.size else np.nan)
     atom = float(np.mean(sample == 1.0))
     n = sample.size
     _rec(out, f"atom_gap_{tag}", atom - law.atom_mass(),
@@ -236,7 +243,7 @@ def _block_radius_convergence(cfg: ExperimentConfig, lam: float, rng: RngStream)
     vmc, se = analytics.radius_moment_volume(d, radii)
     _rec(out, "volume_mc", vmc, se)
     _rec(out, "volume_quadrature", vq)
-    _rec(out, "volume_sigma_gap", (vmc - vq) / se)
+    _rec(out, "volume_sigma_gap", _sigma_gap(vmc, vq, se))
     return out
 
 
@@ -286,7 +293,7 @@ def _block_volume_sweep(cfg: ExperimentConfig, lam: float, rng: RngStream) -> li
                                          rng.spawn("ball-mc"))
         vmc, se = analytics.radius_moment_volume(d, radii)
         _rec(out, "volume_mc", vmc, se)
-        _rec(out, "volume_sigma_gap", (vmc - vq) / se)
+        _rec(out, "volume_sigma_gap", _sigma_gap(vmc, vq, se))
     if lam <= 200.0:
         vhm, hm_se = _hit_or_miss_ball_volume(d, lam, cfg.samples,
                                               rng.spawn("hit-or-miss"))
@@ -302,7 +309,7 @@ def _block_volume_sweep(cfg: ExperimentConfig, lam: float, rng: RngStream) -> li
                                          rng.spawn("halfspace-mc"))
             hmc, hse = analytics.radius_moment_volume(2, q)
             _rec(out, "hs_scaled_volume_mc", lam * hmc, lam * hse)
-            _rec(out, "hs_sigma_gap", (hmc - hq) / hse)
+            _rec(out, "hs_sigma_gap", _sigma_gap(hmc, hq, hse))
     return out
 
 
@@ -346,45 +353,51 @@ def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[t
     return out
 
 
-def _block_crofton(cfg: ExperimentConfig, rate: float, rng: RngStream) -> list[tuple]:
+def _block_crofton(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
+    """Zero-cell and chord statistics at hyperplane rate 2, then scaled to
+    rate lam: lengths by s = 2/lam, volumes by s^d.  A lam that scales a
+    statistic out of float64's range gives an inf row, which run_experiment
+    reports as a numerical failure."""
     d = cfg.d
     n = cfg.replicates
     mom = analytics.crofton_moments(d)
     vols = np.empty(n)
     enlargements = 0
     for i in range(n):
-        cell = models.crofton_cell(d, rng.spawn("cell", i), radial_rate=rate)
+        cell = models.crofton_cell(d, rng.spawn("cell", i))
         vols[i] = cell.volume
         enlargements += cell.enlargements > 0
     if np.any(vols <= 0):
         raise NumericalFailure("degenerate zero cell with nonpositive volume")
     inv = 1.0 / vols
-    scale = (2.0 / rate) ** d
     mean, mean_se = vols.mean(), vols.std(ddof=1) / np.sqrt(n)
     imean, imean_se = inv.mean(), inv.std(ddof=1) / np.sqrt(n)
-    out: list[tuple] = []
-    _rec(out, "zero_cell_volume_mean", mean, mean_se)
-    _rec(out, "zero_cell_volume_exact", mom.zero_cell_mean * scale)
-    # heavy upper tail: 1/volume of the zero cell has infinite variance, so
-    # this estimator creeps up toward 1/E[V_typ] from below; diagnostic only
-    _rec(out, "inverse_volume_mean", imean, imean_se)
     length = 3.0
     reps = max(2, min(8 * n, 64_000))
-    cnt = models.segment_crossing_count(d, length, reps, rng.spawn("chord"), radial_rate=rate)
+    cnt = models.segment_crossing_count(d, length, reps, rng.spawn("chord"))
     chat = cnt.mean() / length
     chat_se = cnt.std(ddof=1) / (length * np.sqrt(reps))
     typical = (2.0 / chat) ** d / unit_ball_volume(d)
     ratio = mean / typical
     ratio_se = ratio * np.sqrt((mean_se / mean) ** 2 + (d * chat_se / chat) ** 2)
-    _rec(out, "chord_rate_mc", chat, chat_se)
-    _rec(out, "chord_rate_exact", mom.chord_rate * rate / 2.0)
-    _rec(out, "typical_mean_exact", mom.typical_mean * scale)
+    out: list[tuple] = []
+    with np.errstate(over="ignore"):
+        vol_scale, inv_scale = np.float64(2.0 / lam) ** d, np.float64(lam / 2.0) ** d
+        _rec(out, "zero_cell_volume_mean", mean * vol_scale, mean_se * vol_scale)
+        _rec(out, "zero_cell_volume_exact", mom.zero_cell_mean * vol_scale)
+        # heavy upper tail: 1/volume of the zero cell has infinite variance, so
+        # this estimator creeps up toward 1/E[V_typ] from below; diagnostic only
+        _rec(out, "inverse_volume_mean", imean * inv_scale, imean_se * inv_scale)
+        _rec(out, "chord_rate_mc", chat * lam / 2.0, chat_se * lam / 2.0)
+        _rec(out, "chord_rate_exact", mom.chord_rate * lam / 2.0)
+        _rec(out, "typical_mean_exact", mom.typical_mean * vol_scale)
     _rec(out, "moment_ratio_est", ratio, ratio_se)
     _rec(out, "moment_ratio_exact", mom.moment_ratio)
     _rec(out, "enlargement_fraction", enlargements / n)
     if d == 2:
-        cl = models.segment_crossing_count(2, length, min(reps, 4000), rng.spawn("seg"),
-                                           radial_rate=2.0 * np.pi)
+        # the classical rate 2*pi on the segment is rate 2 on pi times it
+        cl = models.segment_crossing_count(2, np.pi * length, min(reps, 4000),
+                                           rng.spawn("seg"))
         _rec(out, "crossing_rate_classical", cl.mean() / length,
              cl.std(ddof=1) / (length * np.sqrt(cl.size)))
     return out
@@ -413,7 +426,7 @@ def _block_meeting(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tu
                                                  cfg.replicates, rng.spawn(model))
         _rec(out, f"{model}_mean", mean, se)
         _rec(out, f"{model}_asymptotic", asym)
-        _rec(out, f"{model}_sigma_gap", (mean - asym) / se)
+        _rec(out, f"{model}_sigma_gap", _sigma_gap(mean, asym, se))
     return out
 
 
@@ -460,7 +473,7 @@ def _block_cone(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple
         _rec(out, f"{tag}_scaled_volume_l2", lam**2 * vmc, lam**2 * vse)
         _rec(out, f"{tag}_scaled_volume_l1", lam * vmc, lam * vse)
         _rec(out, f"{tag}_volume_closed_l1", lam * vcl)
-        _rec(out, f"{tag}_volume_sigma_gap", (vmc - vcl) / vse)
+        _rec(out, f"{tag}_volume_sigma_gap", _sigma_gap(vmc, vcl, vse))
     return out
 
 

@@ -272,14 +272,14 @@ def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
 
 
 class UnboundedCellError(RuntimeError):
-    """Raised when the zero cell is still not certified bounded within the
-    largest allowed sampling window; a fault, since the rate-scaled first
-    window certifies almost every cell."""
+    """Raised when the rate-2 zero cell is still not certified bounded within
+    the largest allowed sampling window; a fault, since the first window
+    certifies almost every cell."""
 
 
 @dataclass(frozen=True)
 class CroftonCell:
-    """Zero cell of an isotropic Poisson hyperplane process.
+    """Zero cell of an isotropic Poisson hyperplane process at rate 2.
 
     normals/offsets describe the halfspaces {<x, n_i> <= p_i} that were
     sampled inside the final window; vertices are the exact cell corners.
@@ -325,50 +325,31 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
         return None
 
 
-def _is_normal(x: float) -> bool:
-    return np.finfo(float).tiny <= x < np.inf
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
 _WINDOW_RADIUS = 10.0
 _MAX_ENLARGEMENTS = 3
 # qhull fails on about one cell in 2000 at d = 5, and more often above
 _MAX_CELL_DIM = 4
 
 
-def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCell:
-    """Sample the zero cell of an isotropic Poisson hyperplane process,
-    for 2 <= d <= _MAX_CELL_DIM.
+def crofton_cell(d: int, rng: RngStream) -> CroftonCell:
+    """Sample the zero cell of an isotropic Poisson hyperplane process at
+    rate 2, for 2 <= d <= _MAX_CELL_DIM.
 
-    Hyperplane distances from the origin form a Poisson process of the
-    given rate per unit distance (rate 2 normalizes the measure of
-    hyperplanes meeting the unit ball to 2); normals are uniform on the
-    sphere.  The cell is drawn at rate 2 and scaled by s = 2/rate
-    (offsets, vertices and window by s, the volume by s^d), so qhull only
-    ever sees cells of unit scale and the rate enters nowhere else.  The
-    rate must keep s^d and the cell's volume normal float64s, or a
-    ValueError names it.  Sampling is windowed: the first
-    window has radius _WINDOW_RADIUS.  If the exact cell is not certified
-    bounded and inside the current window (the normals fail to span, or
-    some vertex reaches the window), the window doubles and new
-    hyperplanes are superposed on the old ones, which preserves the law.
-    A cell still uncertified after _MAX_ENLARGEMENTS doublings raises
-    UnboundedCellError; that signals a fault, not a rare draw.
+    Hyperplane distances from the origin form a Poisson process of rate 2
+    per unit distance (the measure of hyperplanes meeting the unit ball is
+    2); normals are uniform on the sphere.  Any other rate r is a length
+    scale: the cell at rate r is this cell scaled by 2/r.  Sampling is
+    windowed: the first window has radius _WINDOW_RADIUS.  If the exact
+    cell is not certified bounded and inside the current window (the
+    normals fail to span, or some vertex reaches the window), the window
+    doubles and new hyperplanes are superposed on the old ones, which
+    preserves the law.  A cell still uncertified after _MAX_ENLARGEMENTS
+    doublings raises UnboundedCellError; that signals a fault, not a rare
+    draw.
     """
     d = validate_dimension(d)
     if not 2 <= d <= _MAX_CELL_DIM:
         raise ValueError(f"zero cells need 2 <= d <= {_MAX_CELL_DIM}, got d = {d}")
-    _check_positive("radial_rate", radial_rate)
-    scale = 2.0 / radial_rate
-    with np.errstate(over="ignore", under="ignore"):
-        volume_scale = float(np.float64(scale) ** d)
-    if not _is_normal(volume_scale):
-        raise ValueError(f"radial_rate = {radial_rate} puts the volume scale "
-                         f"(2/radial_rate)^{d} outside the normal float64 range")
     normals = np.empty((0, d))
     offsets = np.empty(0)
     lo, hi = 0.0, _WINDOW_RADIUS
@@ -381,33 +362,28 @@ def crofton_cell(d: int, rng: RngStream, radial_rate: float = 2.0) -> CroftonCel
         result = _zero_cell_polytope(d, normals, offsets, hi)
         if result is not None:
             verts, vol = result
-            volume = vol * volume_scale
-            if not _is_normal(volume):
-                raise ValueError(f"radial_rate = {radial_rate} puts the cell volume "
-                                 f"{vol:g} * (2/radial_rate)^{d} outside the normal "
-                                 "float64 range")
-            return CroftonCell(d, normals, scale * offsets, scale * verts,
-                               volume, scale * hi, attempt)
+            return CroftonCell(d, normals, offsets, verts, vol, hi, attempt)
         lo, hi = hi, 2.0 * hi
     raise UnboundedCellError(
-        f"zero cell not certified bounded within window {scale * lo:g} after "
+        f"zero cell not certified bounded within window {lo:g} after "
         f"{_MAX_ENLARGEMENTS} enlargements")
 
 
-def segment_crossing_count(d: int, length: float, n: int, rng: RngStream,
-                           radial_rate: float = 2.0) -> np.ndarray:
-    """Numbers of tessellation hyperplanes crossing the segment
+def segment_crossing_count(d: int, length: float, n: int, rng: RngStream) -> np.ndarray:
+    """Numbers of rate-2 tessellation hyperplanes crossing the segment
     [0, length * e1] in n independent tessellations, drawn on one stream
     in chunks.  A hyperplane at signed distance rho with unit normal theta
     crosses it iff rho <= length * <e1, theta>^+.  Each count is Poisson
-    with mean radial_rate * length * E[<e1, theta>^+]; in the plane the
-    classical normalization radial_rate = 2*pi gives mean 2 * length."""
+    with mean 2 * length * E[<e1, theta>^+]; the law depends on rate and
+    length only through their product, so rate r on length L is rate 2 on
+    length r * L / 2 (in the plane, the classical rate 2*pi on L is rate 2
+    on pi * L, with mean 2 * L)."""
     if validate_dimension(d) < 2:
         raise ValueError("crossing counts need d >= 2")
     n = validate_count(n, "n")
-    _check_positive("length", length)
-    _check_positive("radial_rate", radial_rate)
-    g, mean = rng.gen, radial_rate * length
+    if not 0.0 < length < np.inf:
+        raise ValueError(f"length must be finite and > 0, got {length}")
+    g, mean = rng.gen, 2.0 * length
 
     def chunk(m: int) -> np.ndarray:
         totals = g.poisson(mean, m)

@@ -165,8 +165,8 @@ def test_criterion_07_crofton_tessellation(arng):
     ratio_hat = zero_hat / typical_hat
     assert abs(ratio_hat / m.moment_ratio - 1.0) < 0.05, ratio_hat
 
-    classical = segment_crossing_count(2, length, 3000, root.spawn("cl"),
-                                       radial_rate=2.0 * np.pi)
+    # the classical rate 2*pi on the segment is rate 2 on pi times it
+    classical = segment_crossing_count(2, np.pi * length, 3000, root.spawn("cl"))
     se = classical.std(ddof=1) / np.sqrt(classical.size)
     gap = classical.mean() - 2.0 * length
     assert abs(gap) <= 3.0 * se, (classical.mean(), 2.0 * length, se)

@@ -346,8 +346,26 @@ class TestEndToEnd:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["crofton", "--d", "3", "--lambda", "1e-150", "--replicates", "20"],
+        ["volume-sweep", "--lambda", "1e-6", "--samples", "200"],
+        ["meeting-counts", "--lambda", "1e-3", "--replicates", "50"],
+        ["cone", "--lambda", "1e-6"],
+        ["radius-convergence", "--lambda", "1e-6", "--samples", "2000"],
+    ], ids=["crofton-scale", "sweep-gap", "meeting-gap", "cone-gap", "radius-ks"])
+    def test_degenerate_statistics_exit_3(self, args, tmp_path, capsys, monkeypatch):
+        # a volume scale beyond float64, a sigma gap over a zero standard
+        # error and a KS over no sample are numerical failures; numpy
+        # warnings are errors under pytest, so none may be raised either
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        assert main([*args, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
     def test_crofton_low_rate(self, tmp_path, monkeypatch):
-        # the window scales with 1/rate, so every cell is certified
+        # cells are drawn at rate 2 and scaled by 2/rate, so a low rate
+        # certifies every cell as the unit one does
         monkeypatch.setenv("RANDSET_THREADS", "1")
         out = tmp_path / "c.csv"
         assert main(["crofton", "--lambda", "0.05", "--replicates", "200",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from randset import models
+from randset import expcli, models
 from randset.analytics import (
     RadiusLaw,
     expected_volume_quadrature,
@@ -18,6 +18,7 @@ from randset.analytics import (
     miss_weight_mc,
     sample_radius_exact,
 )
+from randset.expcli import ExperimentConfig
 from randset.geomcore import (
     DirectionGrid,
     direction_grid,
@@ -265,12 +266,6 @@ _LAM_ABOVE_ONE_ENTRY_POINTS = (
     lambda lam, rng: poisson_log_tail_check(lam),
     lambda lam, rng: shell_containment_indicator(2, lam, rng, direction_grid(2, 8)),
 )
-# the tessellation entry points' positive rates and lengths, by argument name
-_RATE_ENTRY_POINTS = (
-    ("radial_rate", lambda v, rng: crofton_cell(2, rng, radial_rate=v)),
-    ("radial_rate", lambda v, rng: segment_crossing_count(2, 1.0, 4, rng, radial_rate=v)),
-    ("length", lambda v, rng: segment_crossing_count(2, v, 4, rng)),
-)
 
 # every entry point that takes a count, by the count's name and least value
 _COUNT_ENTRY_POINTS = (
@@ -322,9 +317,8 @@ class TestSampleModel:
         for call in _LAM_ABOVE_ONE_ENTRY_POINTS:
             with pytest.raises(ValueError, match="lam must be finite and exceed 1"):
                 call(lam, rng)
-        for name, call in _RATE_ENTRY_POINTS:
-            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
-                call(lam, rng)
+        with pytest.raises(ValueError, match="length must be finite and > 0"):
+            segment_crossing_count(2, lam, 4, rng)
 
     def test_zero_intensity_accepted(self, rng):
         with warnings.catch_warnings():
@@ -594,26 +588,43 @@ class TestCroftonCell:
             shoelace = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
             assert cell.volume == pytest.approx(shoelace, rel=1e-9)
 
-    @pytest.mark.parametrize("rate", [0.5, 2.0])
-    def test_vertices_satisfy_constraints(self, rate, rng):
-        root = rng.spawn("feas", rate)
+    def test_vertices_satisfy_constraints(self, rng):
+        root = rng.spawn("feas", 2.0)
         for i in range(200):
-            cell = crofton_cell(2, root.spawn(i), radial_rate=rate)
+            cell = crofton_cell(2, root.spawn(i))
             slack = cell.vertices @ cell.normals.T - cell.offsets[None, :]
             assert np.max(slack) <= 1e-9
             assert np.linalg.norm(cell.vertices, axis=1).max() < cell.window
 
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("rate", [1e-100, 1e-3, 0.2, 7.3, 1e100])
+    @pytest.mark.parametrize("rate", [1e-100, 1e-8, 1e-3, 0.05, 0.2, 7.3, 1e100])
     def test_rate_scaling(self, d, rate, rng):
-        # every cell is drawn at unit scale, so a cell at rate r is the
-        # rate-2 cell of the same stream scaled by 2/r
-        for i in range(4):
-            base = crofton_cell(d, rng.spawn("scale", d, i))
-            cell = crofton_cell(d, rng.spawn("scale", d, i), radial_rate=rate)
-            assert cell.enlargements == base.enlargements
-            assert np.array_equal(cell.normals, base.normals)
-            assert cell.volume == pytest.approx(base.volume * (2.0 / rate) ** d, rel=1e-12)
+        # cells and crossing counts are drawn at rate 2, and the crofton
+        # block scales its statistics once: the block at rate r on a stream
+        # is the rate-2 block on that stream with lengths scaled by 2/r
+        cfg = ExperimentConfig(experiment="crofton", d=d, lambda_grid=(rate,), replicates=24)
+        stream = rng.spawn("block", d)
+        got = expcli._block_crofton(cfg, rate, stream)
+        base = expcli._block_crofton(cfg, 2.0, stream)
+        power = {"zero_cell_volume_mean": d, "zero_cell_volume_exact": d,
+                 "typical_mean_exact": d, "inverse_volume_mean": -d,
+                 "chord_rate_mc": -1, "chord_rate_exact": -1}
+        assert [m for m, _, _ in got] == [m for m, _, _ in base]
+        assert np.all(np.isfinite([v for _, v, _ in got]))
+        for (metric, value, se), (_, value2, se2) in zip(got, base):
+            scale = (2.0 / rate) ** power.get(metric, 0)
+            assert value == pytest.approx(value2 * scale, rel=1e-12, abs=0.0), metric
+            if se is not None:
+                assert se == pytest.approx(se2 * scale, rel=1e-12, abs=0.0), metric
+
+    @pytest.mark.parametrize("d, rate", [(3, 1e-150), (3, 1e150), (2, 1e-200), (2, 1e200)])
+    def test_volume_scale_out_of_range(self, d, rate, monkeypatch):
+        # (2/rate)^d overflows or underflows float64: some crofton row is
+        # not finite, so the run reports a numerical failure (exit 3)
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        cfg = ExperimentConfig(experiment="crofton", d=d, lambda_grid=(rate,), replicates=4)
+        with pytest.raises(expcli.NumericalFailure, match="non-finite"):
+            expcli.run_experiment(cfg)
 
     def test_zero_cell_mean_area(self, rng):
         # E[area] = pi^3/2 at radial rate 2 in the plane
@@ -629,47 +640,19 @@ class TestCroftonCell:
         monkeypatch.setattr(models, "_zero_cell_polytope", lambda *args: None)
         with pytest.raises(UnboundedCellError, match="window 80 after 3 enlargements"):
             crofton_cell(2, rng.spawn("starved"))
-        # the window is reported in the units of the requested rate
-        with pytest.raises(UnboundedCellError, match="window 800 after"):
-            crofton_cell(2, rng.spawn("starved"), radial_rate=0.2)
-
-    @pytest.mark.parametrize("d, rate", [(3, 1e-150), (3, 1e150), (2, 1e-200), (2, 1e200)])
-    def test_volume_scale_out_of_range(self, d, rate, rng):
-        # (2/rate)^d overflows or underflows a normal float64
-        with pytest.raises(ValueError, match="radial_rate"):
-            crofton_cell(d, rng, radial_rate=rate)
-
-    @pytest.mark.parametrize("volume_scale", [1e307, 2.5e-308])
-    def test_cell_volume_out_of_range(self, volume_scale, rng):
-        # (2/rate)^2 is a normal float64, but some cell volumes times it are not
-        rate = 2.0 / np.sqrt(volume_scale)
-        seen = set()
-        for i in range(12):
-            base = crofton_cell(2, rng.spawn("range", i)).volume
-            in_range = np.finfo(float).tiny <= base * volume_scale < np.inf
-            seen.add(in_range)
-            if in_range:
-                cell = crofton_cell(2, rng.spawn("range", i), radial_rate=rate)
-                assert cell.volume == pytest.approx(base * volume_scale, rel=1e-12)
-            else:
-                with pytest.raises(ValueError, match="radial_rate"):
-                    crofton_cell(2, rng.spawn("range", i), radial_rate=rate)
-        assert seen == {True, False}
 
     def test_domain(self, rng):
         for d in (1, 5):
             with pytest.raises(ValueError, match="2 <= d <= 4"):
                 crofton_cell(d, rng)
-        with pytest.raises(ValueError):
-            crofton_cell(2, rng, radial_rate=0.0)
 
 
 class TestSegmentCrossings:
     def test_classical_rate(self, rng):
-        # radial rate 2*pi in the plane gives mean 2 * length
+        # radial rate 2*pi in the plane, that is rate 2 on pi times the
+        # length, gives mean 2 * length
         length = 1.5
-        counts = segment_crossing_count(2, length, 3000, rng.spawn("cross"),
-                                        radial_rate=2.0 * np.pi)
+        counts = segment_crossing_count(2, np.pi * length, 3000, rng.spawn("cross"))
         assert_close_sigma(counts.mean(), 2.0 * length,
                            counts.std(ddof=1) / np.sqrt(counts.size),
                            label="classical crossing rate")
@@ -684,17 +667,16 @@ class TestSegmentCrossings:
     @pytest.mark.parametrize("chunk_pins", [None, 70], ids=["pooled", "chunked"])
     @pytest.mark.parametrize("d", [2, 3])
     def test_batched_law(self, d, chunk_pins, rng, monkeypatch):
-        # every count is Poisson with mean rate * length * E[<e1, theta>^+],
+        # every count is Poisson with mean 2 * length * E[<e1, theta>^+],
         # and E[<e1, theta>^+] = omega_{d-1} / (d omega_d): check the mean
         # and, through the sample variance, the Poisson dispersion; 70 pins
         # per chunk give 11 segments per chunk and a short last one
         if chunk_pins:
             monkeypatch.setattr(models, "_CHUNK_PINS", chunk_pins)
-        n, rate, length = 20_000, 3.0, 2.0
-        counts = segment_crossing_count(d, length, n, rng.spawn("batch", d),
-                                        radial_rate=rate)
+        n, length = 20_000, 3.0
+        counts = segment_crossing_count(d, length, n, rng.spawn("batch", d))
         assert counts.shape == (n,)
-        mu = rate * length * unit_ball_volume(d - 1) / (d * unit_ball_volume(d))
+        mu = 2.0 * length * unit_ball_volume(d - 1) / (d * unit_ball_volume(d))
         assert_close_sigma(counts.mean(), mu, np.sqrt(mu / n), k=4.0,
                            label="crossing count mean")
         # Var(s^2) = (mu4 - sigma^4) / n to leading order, mu4 = mu + 3 mu^2
