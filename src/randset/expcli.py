@@ -249,33 +249,28 @@ def _block_radius_convergence(cfg: ExperimentConfig, lam: float, rng: RngStream)
 
 def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
                              rng: RngStream) -> tuple[float, float]:
-    """Brute-force volume of the ball-model intersection: uniform points in
-    the unit ball tested against every pinned copy by squared distance.
-    Independent of the star-radius route, so it closes the consistency
-    triangle with the quadrature and radius-moment estimates."""
-    mu = ppp.uniform_radial_law(d)
+    """Brute-force volume of the ball-model intersection I: uniform points
+    in a ball B(0, rho) known to contain I, tested by squared distance
+    against every center that can shape I (models.windowed_ball_pins).
+    Each replicate records omega_d * rho^d times its hit fraction, which is
+    unbiased given its centers.  Independent of the star-radius route, so
+    it closes the consistency triangle with the quadrature and
+    radius-moment estimates."""
     reps = max(2, samples // 10)
     pts_per = 2000
     wd = unit_ball_volume(d)
-    fracs = np.empty(reps)
+    vols = np.empty(reps)
     for i in range(reps):
         r = rng.spawn("real", i)
-        real = models.sample_intersection_model(d, lam, mu, models.BALL, r)
+        centers, rho = models.windowed_ball_pins(d, lam, r)
         g = r.spawn("probe").gen
         x = g.standard_normal((pts_per, d))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        x *= g.random(pts_per)[:, None] ** (1.0 / d)
-        if real.count == 0:
-            fracs[i] = 1.0
-            continue
-        centers = real.pin_radii[:, None] * real.pin_dirs
+        x *= rho * g.random(pts_per)[:, None] ** (1.0 / d)
         d2 = (np.sum(x * x, axis=1)[:, None] - 2.0 * x @ centers.T
               + np.sum(centers * centers, axis=1)[None, :])
-        fracs[i] = np.mean(np.all(d2 <= 1.0 + 1e-12, axis=1))
-    se = wd * float(fracs.std(ddof=1) / np.sqrt(reps))
-    # fractions with no spread at all (no probe hit, say) get the one-hit
-    # resolution as their error, so the sigma gap stays finite
-    return wd * float(fracs.mean()), se or wd / (reps * pts_per)
+        vols[i] = wd * rho**d * np.mean(np.all(d2 <= 1.0 + 1e-12, axis=1))
+    return float(vols.mean()), float(vols.std(ddof=1) / np.sqrt(reps))
 
 
 def _block_volume_sweep(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple]:
@@ -284,9 +279,12 @@ def _block_volume_sweep(cfg: ExperimentConfig, lam: float, rng: RngStream) -> li
     vq = analytics.expected_volume_quadrature(d, lam)
     const = analytics.asymptotic_volume_constant(d)
     _rec(out, "volume_quadrature", vq)
-    _rec(out, "scaled_volume", lam**d * vq)
+    # a lam whose d-th power leaves float64 gives an inf or NaN row
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.float64(lam) ** d * vq
+    _rec(out, "scaled_volume", scaled)
     _rec(out, "asymptotic_constant", const)
-    _rec(out, "rel_gap_to_limit", lam**d * vq / const - 1.0)
+    _rec(out, "rel_gap_to_limit", scaled / const - 1.0)
     if lam <= 1000.0:
         mu = ppp.uniform_radial_law(d)
         radii = models.sample_axis_radii(d, lam, mu, models.BALL, cfg.samples,
@@ -298,7 +296,7 @@ def _block_volume_sweep(cfg: ExperimentConfig, lam: float, rng: RngStream) -> li
         vhm, hm_se = _hit_or_miss_ball_volume(d, lam, cfg.samples,
                                               rng.spawn("hit-or-miss"))
         _rec(out, "volume_hit_or_miss", vhm, hm_se)
-        _rec(out, "hit_or_miss_sigma_gap", (vhm - vq) / hm_se)
+        _rec(out, "hit_or_miss_sigma_gap", _sigma_gap(vhm, vq, hm_se))
     if d == 2:
         # uniform pinned half-space model: E|I| = (4/(lam pi))(1 - e^{-lam pi^2/4})
         hq = 4.0 / (lam * np.pi) * -np.expm1(-lam * np.pi**2 / 4.0)
@@ -470,7 +468,9 @@ def _block_cone(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tuple
         rr = 0.5 * np.sin(beta)
         coef = analytics.cone_uniform_weight(beta, rr) / rr**2
         vcl = -np.expm1(-lam * np.pi * coef) / (lam * coef)
-        _rec(out, f"{tag}_scaled_volume_l2", lam**2 * vmc, lam**2 * vse)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam2 = np.float64(lam) ** 2
+            _rec(out, f"{tag}_scaled_volume_l2", lam2 * vmc, lam2 * vse)
         _rec(out, f"{tag}_scaled_volume_l1", lam * vmc, lam * vse)
         _rec(out, f"{tag}_volume_closed_l1", lam * vcl)
         _rec(out, f"{tag}_volume_sigma_gap", _sigma_gap(vmc, vcl, vse))

@@ -26,6 +26,7 @@ from .ppp import (
     ProcessSample,
     RadialMeasure,
     RngStream,
+    _sample_band,
     axis_cosines,
     sample_ball_uniform,
     sample_poisson_count,
@@ -222,7 +223,10 @@ def _mean_pin_count(d: int, lam: float, mu: RadialMeasure,
     """Check a model's arguments; return d and the mean pin count."""
     d = validate_dimension(d)
     lam = validate_intensity(lam)
-    return d, lam * unit_ball_volume(d) * count_scale(shape, mu, d)
+    mean = lam * unit_ball_volume(d) * count_scale(shape, mu, d)
+    if mean == np.inf:
+        raise ValueError(f"the mean pin count lam * omega_d overflows at lam = {lam}")
+    return d, mean
 
 
 def sample_intersection_model(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
@@ -245,26 +249,104 @@ def _pooled_chunks(n: int, mean: float, draw: Callable[[int], np.ndarray]) -> np
     return np.concatenate([draw(min(per, n - i)) for i in range(0, n, per)] or [draw(0)])
 
 
+def _first_window(d: int, lam: float, rho_max: float) -> float:
+    """4 / (lam * omega_d), the scale of the model radii, capped at rho_max."""
+    scale = lam * unit_ball_volume(d)
+    return 4.0 / scale if scale * rho_max > 4.0 else rho_max
+
+
+def _pin_bound(shape: ShapeKind) -> tuple[float, Callable[[float], float]]:
+    """The largest exit-distance lower bound b(p) of a pin, and the pin
+    radius p at which b(p) takes a given value.
+
+    The ball B(c, 1) holds B(0, 1 - p), the half-space lies at distance p,
+    and the cone's sides pass at p sin(beta) from the point p along its
+    axis (the sine rule of _cone_exit with sin(gamma - beta) <= 1).
+    """
+    if shape.kind == "ball":
+        return 1.0, lambda b: 1.0 - b
+    if shape.kind == "half-space":
+        return 1.0, lambda b: b
+    sinb = float(np.sin(shape.beta))
+    return sinb, lambda b: b / sinb
+
+
 def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
                       n: int, rng: RngStream) -> np.ndarray:
-    """n independent model radii along a fixed axis, fully vectorized.
+    """n independent model radii along a fixed axis, drawing only the pins
+    that can bind.
 
     Rotation invariance makes the radius along e1 equal in law to the
     radius in any direction, so each replicate only needs the pin radius
-    and the axis cosine of each of its points.  Replicates are pooled and
-    reduced with a segmented minimum, in chunks (_pooled_chunks).
+    and the axis cosine of each of its points.  A pin's exit distance is at
+    least b(p) (_pin_bound), so pins with b(p) above a window rho cannot
+    change a radius at most rho.  The first window is rho = 4 / (lam *
+    omega_d): each replicate draws the pins with b(p) <= rho, one interval
+    of pin radii.  A replicate whose minimum is at most rho is done; for
+    the others rho doubles and only the new band of pins is drawn, until
+    rho covers every pin (1 for the ball and the half-space, sin(beta) for
+    the cone).  The Poisson process on disjoint bands is independent across
+    bands, so the radii are exact in law, and a replicate draws a handful
+    of pins at any lam.  Each round pools the open replicates and reduces
+    them with a segmented minimum, in chunks (_pooled_chunks).
     """
     d, mean = _mean_pin_count(d, lam, mu, shape)
     n = validate_count(n, "n")
+    rho_max, pin_at = _pin_bound(shape)
+    first = _first_window(d, lam, rho_max)
     g = rng.gen
 
     def chunk(m: int) -> np.ndarray:
-        counts = g.poisson(mean, m)
-        tot = int(counts.sum())
-        p = np.asarray(mu.inverse_cdf(g.random(tot)), dtype=float)
-        t = exit_distance(shape, p, axis_cosines(d, tot, rng))
-        return np.clip(segmented_min(t, counts, np.inf), 0.0, 1.0)
-    return _pooled_chunks(n, mean, chunk)
+        radii = np.full(m, np.inf)
+        open_ = np.arange(m)
+        lo, hi = 0.0, first
+        while open_.size:
+            a, b = sorted((pin_at(lo), pin_at(hi)))
+            fa = float(mu.cdf(a))
+            mass = float(mu.cdf(b)) - fa
+            counts = g.poisson(mean * mass, open_.size)
+            tot = int(counts.sum())
+            p = np.asarray(mu.inverse_cdf(fa + g.random(tot) * mass), dtype=float)
+            t = exit_distance(shape, p, axis_cosines(d, tot, rng))
+            radii[open_] = np.minimum(radii[open_], segmented_min(t, counts, np.inf))
+            if hi >= rho_max:
+                break
+            open_ = open_[radii[open_] > hi]
+            lo, hi = hi, min(2.0 * hi, rho_max)
+        return np.clip(radii, 0.0, 1.0)
+    # a ball replicate draws about 4 d pins in all, most in its first window
+    return _pooled_chunks(n, min(mean, 4.0 * d), chunk)
+
+
+def windowed_ball_pins(d: int, lam: float, rng: RngStream) -> tuple[np.ndarray, float]:
+    """The ball-model centers that can shape I, and a radius rho with I
+    inside B(0, rho).
+
+    Each ball B(c, 1) lies in the half-space {x : <x, -c/|c|> <= 1 - |c|},
+    so I lies in the polytope P those half-spaces cut out, and a ball whose
+    slack 1 - |c| exceeds rho holds B(0, rho).  The centers are drawn in
+    bands of slack, (0, rho], then (rho, 2 rho] and so on, starting at
+    rho = 4 / (lam * omega_d).  Once _zero_cell_polytope certifies that the
+    P of the centers drawn so far lies in B(0, rho), every undrawn ball
+    holds P, so the drawn centers alone give I and the rest are never
+    drawn.  Otherwise rho ends at 1 with every center drawn.  Exact in law,
+    since the process on disjoint bands is independent across bands.  The
+    certificate is tried for 2 <= d <= _MAX_CELL_DIM only, as for the zero
+    cells; other d draw every center at once.
+    """
+    d = validate_dimension(d)
+    lam = validate_intensity(lam)
+    hi = _first_window(d, lam, 1.0) if 2 <= d <= _MAX_CELL_DIM else 1.0
+    lo, bands = 0.0, []
+    while True:
+        bands.append(_sample_band(d, lam, 1.0 - hi, 1.0 - lo, rng))
+        centers = np.concatenate(bands)
+        if hi >= 1.0:
+            return centers, 1.0
+        s = np.linalg.norm(centers, axis=1)
+        if _zero_cell_polytope(d, -centers / s[:, None], 1.0 - s, hi) is not None:
+            return centers, hi
+        lo, hi = hi, min(2.0 * hi, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +643,19 @@ def interval_intersection_1d(lam: float, rng: RngStream) -> tuple[float, float]:
 
 
 def interval_intersection_stats(lam: float, replicates: int, rng: RngStream) -> dict:
-    """Batched endpoints of the 1-d model; returns scaled length moments and
-    the endpoint correlation."""
+    """Batched endpoints of the 1-d model, in chunks (_pooled_chunks);
+    returns scaled length moments and the endpoint correlation."""
     lam = validate_intensity(lam)
     replicates = validate_count(replicates, "replicates", 2)
     g = rng.gen
-    counts = g.poisson(2.0 * lam, replicates)
-    tot = int(counts.sum())
-    c = g.uniform(-1.0, 1.0, tot)
-    # empty replicates fall back to the full interval via the fills
-    lo = np.maximum(-1.0, -segmented_min(-c, counts, 2.0) - 1.0)
-    hi = np.minimum(1.0, segmented_min(c, counts, 2.0) + 1.0)
+
+    def chunk(m: int) -> np.ndarray:
+        counts = g.poisson(2.0 * lam, m)
+        c = g.uniform(-1.0, 1.0, int(counts.sum()))
+        # empty replicates fall back to the full interval via the fills
+        return np.column_stack([np.maximum(-1.0, -segmented_min(-c, counts, 2.0) - 1.0),
+                                np.minimum(1.0, segmented_min(c, counts, 2.0) + 1.0)])
+    lo, hi = _pooled_chunks(replicates, 2.0 * lam, chunk).T
     length = lam * (hi - lo)
     # an endpoint with no spread (every replicate empty at lam = 0) is a
     # constant, uncorrelated with everything
@@ -598,7 +682,8 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
     count; expected about d*omega_d*lam*eps.  hyperplane-tess: offsets form
     a Poisson(lam) process on the line, count |offset| < eps, about
     2*lam*eps.  sphere-tess: unconditioned spheres, both sides of the unit
-    sphere, about 2*d*omega_d*lam*eps.
+    sphere, about 2*d*omega_d*lam*eps.  The shell points are drawn in
+    chunks (_pooled_chunks).
     """
     d = validate_dimension(d)
     lam = validate_intensity(lam)
@@ -621,11 +706,12 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
         lo_d, hi_d = (1.0 - 2.0 * eps) ** d, (1.0 + 2.0 * eps) ** d
         asym = 2.0 * sd * lam * eps
         target_hi = 1.0 + eps
-    mass = unit_ball_volume(d) * (hi_d - lo_d)
-    counts = g.poisson(lam * mass, replicates)
-    tot = int(counts.sum())
-    radii = (lo_d + g.random(tot) * (hi_d - lo_d)) ** (1.0 / d)
-    hit = np.abs(radii - 1.0) < eps if model == "sphere-tess" else radii < target_hi
-    idx = np.repeat(np.arange(replicates), counts)
-    per = np.bincount(idx[hit], minlength=replicates).astype(float)
+    mean = lam * (unit_ball_volume(d) * (hi_d - lo_d))
+
+    def chunk(m: int) -> np.ndarray:
+        counts = g.poisson(mean, m)
+        radii = (lo_d + g.random(int(counts.sum())) * (hi_d - lo_d)) ** (1.0 / d)
+        hit = np.abs(radii - 1.0) < eps if model == "sphere-tess" else radii < target_hi
+        return np.bincount(np.repeat(np.arange(m), counts)[hit], minlength=m)
+    per = _pooled_chunks(replicates, mean, chunk).astype(float)
     return float(per.mean()), float(per.std(ddof=1) / np.sqrt(replicates)), asym

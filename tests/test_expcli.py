@@ -363,6 +363,18 @@ class TestEndToEnd:
         assert "numerical failure" in err
         assert "Traceback" not in err
 
+    def test_huge_intensity_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        # the windowed samplers run a bounded number of rounds, and scaled
+        # rows are float64: lam = 1e300 ends in a config error or a
+        # numerical failure, not a traceback or a hang
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        for experiment in ("radius-convergence", "cone", "volume-sweep"):
+            code = main([experiment, "--lambda", "1e300", "--samples", "200",
+                         "--out", str(tmp_path / "x.csv")])
+            err = capsys.readouterr().err
+            assert code in (2, 3), (experiment, code, err)
+            assert "Traceback" not in err
+
     def test_crofton_low_rate(self, tmp_path, monkeypatch):
         # cells are drawn at rate 2 and scaled by 2/rate, so a low rate
         # certifies every cell as the unit one does
@@ -404,19 +416,17 @@ class TestRecordSemantics:
                     for r in run_experiment(big) if r.lam == 50.0}
         assert recs_small == recs_big
 
-    def test_hit_or_miss_without_hits(self, monkeypatch):
-        # at this seed no hit-or-miss probe lands in the intersection, so the
-        # replicate fractions have no spread; the standard error floors at
-        # the one-hit resolution instead of dividing the sigma gap by zero
+    def test_hit_or_miss_probes_in_certified_window(self, monkeypatch):
+        # the probes fill a ball certified to contain the intersection, so
+        # even 2 replicates at lam = 200 hit it, and the sigma gap is over a
+        # positive standard error
         monkeypatch.setenv("RANDSET_THREADS", "1")
         cfg = build_config("volume-sweep", {},
                            {"lambda_grid": (200.0,), "samples": 20, "seed": 12345})
         recs = {r.metric: r for r in run_experiment(cfg)}
         hm = recs["volume_hit_or_miss"]
-        assert hm.value == 0.0
-        assert hm.std_error == np.pi / (2 * 2000)
-        gap = recs["hit_or_miss_sigma_gap"].value
-        assert gap == -recs["volume_quadrature"].value / hm.std_error
+        assert hm.value > 0.0 and hm.std_error > 0.0
+        assert np.isfinite(recs["hit_or_miss_sigma_gap"].value)
 
 
 CLI_ARGS = ["warmup-1d", "--d", "1", "--lambda", "60", "--replicates", "2000",

@@ -49,10 +49,12 @@ from randset.models import (
     segment_crossing_count,
     shell_containment_indicator,
     sphere_tessellation_cell_2d,
+    windowed_ball_pins,
 )
 from randset.ppp import (
     ProcessSample,
     RngStream,
+    _sample_band,
     coupon_bound,
     coupon_empirical,
     depth_radial_law,
@@ -453,6 +455,92 @@ class TestExitKernelProperties:
         assert np.max(np.abs(by_pins - by_centers)) <= 1e-12
 
 
+class TestWindowedPins:
+    """sample_axis_radii and windowed_ball_pins draw only the pins that can
+    shape the set; the law must stay that of the full model."""
+
+    LAWS = {"uniform": uniform_radial_law(2), "depth": depth_radial_law(2)}
+
+    @pytest.mark.parametrize("lam", [2.0, 10.0, 200.0])
+    @pytest.mark.parametrize("shape, law", [
+        (BALL, "uniform"), (HALF_SPACE, "uniform"), (HALF_SPACE, "depth"),
+        (cone(np.pi / 3.0), "uniform"),
+    ], ids=["ball", "half-space", "half-space-depth", "cone"])
+    def test_law_against_full_model(self, shape, law, lam, rng):
+        # the full model draws every pin; its radius along e1, the first
+        # direction of the grid, is the windowed sampler's target
+        mu = self.LAWS[law]
+        root = rng.spawn("window-law", shape.kind, law, lam)
+        windowed = sample_axis_radii(2, lam, mu, shape, 20_000, root.spawn("windowed"))
+        e1 = direction_grid(2, 4)
+        full = [sample_intersection_model(2, lam, mu, shape, root.spawn("full", i))
+                .star.radii(e1)[0] for i in range(2000)]
+        assert stats.ks_2samp(windowed, full).pvalue > 1e-3
+
+    def test_law_in_small_chunks(self, rng, monkeypatch):
+        # 70 pins per chunk is 8 replicates per chunk at about 9 pins each
+        monkeypatch.setattr(models, "_CHUNK_PINS", 70)
+        n, lam = 5000, 200.0
+        radii = sample_axis_radii(2, lam, uniform_radial_law(2), BALL, n,
+                                  rng.spawn("window-chunks"))
+        exact = RadiusLaw(2, lam).sample(n, rng.spawn("window-exact"))
+        assert stats.ks_2samp(radii, exact).pvalue > 1e-3
+
+    @pytest.mark.parametrize("shape", [BALL, HALF_SPACE], ids=["ball", "half-space"])
+    def test_pins_per_replicate(self, shape, rng, monkeypatch):
+        # at lam = 1e4 a replicate of the full model holds about 31416 ball
+        # or 98696 half-space pins; the count stops the run as soon as it
+        # passes 20 per replicate
+        n, drawn = 20_000, []
+        cosines = models.axis_cosines
+
+        def counted(d, m, stream):
+            drawn.append(m)
+            assert sum(drawn) < 20 * n, "more than 20 pins per replicate"
+            return cosines(d, m, stream)
+
+        monkeypatch.setattr(models, "axis_cosines", counted)
+        radii = sample_axis_radii(2, 1e4, uniform_radial_law(2), shape, n,
+                                  rng.spawn("window-work", shape.kind))
+        assert radii.shape == (n,) and sum(drawn) > 0
+
+    @pytest.mark.parametrize("d, lam", [(2, 10.0), (2, 200.0), (3, 10.0), (3, 200.0)])
+    def test_certificate_holds_the_undrawn_centers(self, d, lam, rng):
+        # the centers left undrawn (slack above rho) change no radius, and
+        # every radius is within the certified window
+        dirs = direction_grid(d, 256).points
+
+        def radii(centers):
+            s = np.linalg.norm(centers, axis=1)
+            return intersection_radius(BALL, s, centers / s[:, None], dirs)
+
+        certified = undrawn = 0
+        for i in range(40):
+            r = rng.spawn("certificate", d, lam, i)
+            centers, rho = windowed_ball_pins(d, lam, r)
+            assert np.all(1.0 - np.linalg.norm(centers, axis=1) <= rho)
+            if rho == 1.0:
+                continue
+            certified += 1
+            drawn = radii(centers)
+            assert np.all(drawn <= rho)
+            rest = _sample_band(d, lam, 0.0, 1.0 - rho, r.spawn("undrawn"))
+            undrawn += rest.shape[0]
+            assert np.array_equal(radii(np.vstack([centers, rest])), drawn)
+        assert certified >= 30 and undrawn >= 100
+
+    def test_pin_count_overflow(self, rng):
+        # an overflowing mean is named, not left to numpy's "lam is NaN"
+        with pytest.raises(ValueError, match="mean pin count"):
+            sample_axis_radii(2, 1e308, uniform_radial_law(2), BALL, 4, rng)
+
+    def test_uncertified_dimensions_draw_every_center(self, rng):
+        centers, rho = windowed_ball_pins(1, 50.0, rng.spawn("window-1d"))
+        assert rho == 1.0 and centers.shape[1] == 1
+        empty, rho0 = windowed_ball_pins(2, 0.0, rng.spawn("window-empty"))
+        assert rho0 == 1.0 and empty.shape == (0, 2)
+
+
 class TestExactRadiusLaws:
     CASES = [
         ("ball", 2, 50.0, None),
@@ -815,6 +903,15 @@ class TestIntervalModel:
         assert interval_intersection_1d(0.0, rng.spawn("i0")) == (-1.0, 1.0)
 
     def test_endpoint_laws(self, rng):
+        self.check_endpoint_laws(rng)
+
+    def test_endpoint_laws_chunked(self, rng, monkeypatch):
+        # 70 pins per chunk is one replicate of about 200 centers per chunk
+        monkeypatch.setattr(models, "_CHUNK_PINS", 70)
+        self.check_endpoint_laws(rng)
+
+    @staticmethod
+    def check_endpoint_laws(rng):
         stats_ = interval_intersection_stats(100.0, 30_000, rng.spawn("i1"))
         n = 30_000
         # lam * |U| converges to a sum of two independent Exp(1)
@@ -832,12 +929,24 @@ class TestIntervalModel:
 
 
 class TestMeetingCounts:
-    @pytest.mark.parametrize("model,expected", [
+    COUNTS = [
         ("boolean", 2.0 * np.pi * 10.0),
         ("hyperplane-tess", 20.0),
         ("sphere-tess", 40.0 * np.pi),
-    ])
+    ]
+
+    @pytest.mark.parametrize("model,expected", COUNTS)
     def test_first_order_counts(self, model, expected, rng):
+        self.check_first_order_counts(model, expected, rng)
+
+    @pytest.mark.parametrize("model,expected", COUNTS)
+    def test_first_order_counts_chunked(self, model, expected, rng, monkeypatch):
+        # 70 pins per chunk is one replicate per chunk in the shell models
+        monkeypatch.setattr(models, "_CHUNK_PINS", 70)
+        self.check_first_order_counts(model, expected, rng)
+
+    @staticmethod
+    def check_first_order_counts(model, expected, rng):
         mean, se, asym = meeting_count_mc(model, 2, 1e4, 1e-3, 1500,
                                           rng.spawn("meet", model))
         assert asym == pytest.approx(expected, rel=1e-12)
