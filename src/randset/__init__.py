@@ -3,12 +3,9 @@ tessellation cells."""
 
 from .geomcore import (
     DirectionGrid,
-    StarSet,
     cap_hyp_distance,
     direction_grid,
-    hausdorff_star,
     lune_fraction,
-    star_volume,
     unit_ball_volume,
     unit_sphere_area,
     wedge_volume,

@@ -30,7 +30,7 @@ def lune_fraction_closed_2d(r) -> np.ndarray | float:
     goes through the incomplete beta function instead.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or np.any(r > 2):
+    if not np.all((r >= 0.0) & (r <= 2.0)):
         raise ValueError("lune weight is defined for r in [0, 2]")
     h = np.clip(r / 2.0, -1.0, 1.0)
     out = 1.0 - (2.0 * np.arccos(h) - r * np.sqrt(np.maximum(1.0 - h * h, 0.0))) / np.pi
@@ -110,7 +110,7 @@ def halfspace_uniform_weight(d: int, r: float) -> np.ndarray | float:
     moment = special.beta((d + 1) / 2.0, (d - 1) / 2.0) / (
         2.0 * special.beta(0.5, (d - 1) / 2.0))
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
+    if not np.all(r >= 0.0):
         raise ValueError("r must be >= 0")
     out = unit_ball_volume(d) * moment * r**d
     return float(out) if out.ndim == 0 else out
@@ -134,7 +134,7 @@ def cone_uniform_weight(beta: float, r) -> np.ndarray | float:
     if not 0.0 < beta < np.pi:
         raise ValueError("beta must lie in (0, pi)")
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > np.sin(beta) + 1e-12):
+    if not np.all((r >= 0.0) & (r <= np.sin(beta) + 1e-12)):
         raise ValueError("closed form needs 0 <= r <= sin(beta)")
     coef = ((np.pi - beta) / 2.0 + np.sin(2.0 * beta) / 4.0) / np.sin(beta) ** 2
     out = coef * r * r

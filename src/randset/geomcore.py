@@ -1,13 +1,13 @@
-"""Exact geometry of balls, caps, lunes, and star-shaped sets.
+"""Exact geometry of balls, caps and lunes, and direction grids.
 
-Closed-form constants plus the radius-function machinery shared by the
-samplers and the statistics layer. Everything here is deterministic and
-pure; random sampling lives in :mod:`randset.ppp`.
+Closed-form constants, the argument checks every layer shares, and the
+direction grids on which a set is held as its radii (the radius functions
+live in :mod:`randset.models`). Everything here is deterministic and pure;
+random sampling lives in :mod:`randset.ppp`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -87,7 +87,7 @@ def lune_fraction(d: int, r) -> float | np.ndarray:
     """
     d = validate_dimension(d)
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 2.0):
+    if not np.all((arr >= 0.0) & (arr <= 2.0)):
         raise ValueError("separation r must lie in [0, 2]")
     out = special.betainc(0.5, (d + 1) / 2.0, arr * arr / 4.0)
     if np.isscalar(r) or np.ndim(r) == 0:
@@ -102,8 +102,8 @@ def wedge_volume(d: int, r: float) -> float:
     difference is cubic in r (see tests for the explicit bound).
     """
     d = validate_dimension(d)
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not 0.0 <= r < np.inf:
+        raise ValueError(f"r must be finite and >= 0, got {r}")
     return unit_ball_volume(d - 1) * float(r)
 
 
@@ -127,7 +127,7 @@ class DirectionGrid:
         if pts.ndim != 2 or pts.shape[1] != self.dim or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, dim) array")
         norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("grid rows must be unit vectors")
         object.__setattr__(self, "points", pts)
 
@@ -169,65 +169,3 @@ def direction_grid(d: int, n: int) -> DirectionGrid:
         pts[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(pts, axis=1)
     return DirectionGrid(d, pts / norms[:, None])
-
-
-@dataclass(frozen=True)
-class StarSet:
-    """A star-shaped set about the origin, described by its radius function.
-
-    ``radius_fn`` maps an (m, dim) array of unit directions to the (m,)
-    array of boundary distances.  Values must stay within [0, rmax];
-    rmax is 1 for the intersection models and equals the sampling window
-    for tessellation cells.
-    """
-
-    dim: int
-    radius_fn: Callable[[np.ndarray], np.ndarray]
-    rmax: float = 1.0
-
-    def radii(self, grid: DirectionGrid) -> np.ndarray:
-        if grid.dim != self.dim:
-            raise ValueError(f"grid dimension {grid.dim} != set dimension {self.dim}")
-        out = np.asarray(self.radius_fn(grid.points), dtype=float)
-        if out.shape != (grid.size,):
-            raise ValueError("radius_fn returned wrong shape")
-        return out
-
-    def contains(self, x) -> bool:
-        """True iff |x| <= radius_fn(x/|x|); the origin is always inside."""
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.dim,):
-            raise ValueError(f"point must have shape ({self.dim},)")
-        nx = float(np.linalg.norm(arr))
-        if nx == 0.0:
-            return True
-        if nx > self.rmax + 1e-12:
-            return False
-        r = float(np.asarray(self.radius_fn((arr / nx)[None, :]), dtype=float)[0])
-        return nx <= r
-
-
-def star_volume(star: StarSet, grid: DirectionGrid) -> float:
-    """Volume of a star set by the surface quadrature (1/d) * int f^d dsigma.
-
-    Equal weights on the grid, so the estimate is omega_d * mean(f^d).
-    Exact for the ball on any grid; for kinked radius functions the
-    error decays with grid size (regular 2-d grids are second order).
-    """
-    if grid.dim != star.dim:
-        raise ValueError("grid/set dimension mismatch")
-    f = star.radii(grid)
-    return unit_ball_volume(star.dim) * float(np.mean(f ** star.dim))
-
-
-def hausdorff_star(a: StarSet, b: StarSet, grid: DirectionGrid) -> float:
-    """Sup over the grid of |radius_a - radius_b|.
-
-    For star sets sharing the origin this dominates the true Hausdorff
-    distance (each boundary point sees the other set within the radial
-    gap along its own ray), so it is the upper-bound proxy used by the
-    coupling experiments.
-    """
-    if a.dim != b.dim:
-        raise ValueError("sets have different dimensions")
-    return float(np.max(np.abs(a.radii(grid) - b.radii(grid))))

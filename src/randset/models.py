@@ -9,15 +9,14 @@ and the one-dimensional warm-up model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .geomcore import (
     DirectionGrid,
-    StarSet,
     unit_ball_volume,
+    unit_sphere_area,
     validate_count,
     validate_dimension,
     validate_intensity,
@@ -70,17 +69,6 @@ HALF_SPACE = ShapeKind("half-space")
 
 def cone(beta: float) -> ShapeKind:
     return ShapeKind("cone", beta=float(beta))
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """The half-space {x : <x, normal> <= offset} with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def contains(self, x) -> bool:
-        return float(np.dot(np.asarray(x, dtype=float), self.normal)) <= self.offset + 1e-12
 
 
 def count_scale(shape: ShapeKind, mu: RadialMeasure, d: int) -> float:
@@ -172,9 +160,9 @@ def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.nd
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     p = np.asarray(pin_radii, dtype=float)
-    if shape.kind == "ball" and np.any(p * p > 1.0 + 1e-9):
+    if shape.kind == "ball" and not np.all(p * p <= 1.0 + 1e-9):
         raise ValueError("ball model centers must lie in the unit ball")
-    if shape.kind == "half-space" and np.any(p <= 0.0):
+    if shape.kind == "half-space" and not np.all(p > 0.0):
         raise ValueError("offsets must be positive (origin strictly inside)")
     if p.size == 0:
         return np.full(dirs.shape[0], float(rmax))
@@ -195,7 +183,7 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
         return np.ones(dirs.shape[0])
     centers = np.atleast_2d(centers)
     s2 = np.sum(centers * centers, axis=1)
-    if np.any(s2 > 1.0 + 1e-9):
+    if not np.all(s2 <= 1.0 + 1e-9):
         raise ValueError("ball model centers must lie in the unit ball")
     t = _ball_exit(dirs @ centers.T, s2)
     return np.clip(np.min(t, axis=1), 0.0, 1.0)
@@ -207,11 +195,11 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class ModelRealization:
-    """One sampled intersection model: the pins and the resulting star set."""
+    """One sampled intersection model: its pins p_i * Theta_i.  The set's
+    radii are intersection_radius(shape, pin_radii, pin_dirs, dirs)."""
 
     pin_radii: np.ndarray
     pin_dirs: np.ndarray
-    star: StarSet
 
     @property
     def count(self) -> int:
@@ -231,11 +219,13 @@ def _mean_pin_count(d: int, lam: float, mu: RadialMeasure,
 
 def sample_intersection_model(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
                               rng: RngStream) -> ModelRealization:
+    """Every pin of one intersection model: the full-pin reference that
+    sample_axis_radii and windowed_ball_pins are tested against."""
     d, mean = _mean_pin_count(d, lam, mu, shape)
     n = sample_poisson_count(mean, rng)
     p = np.asarray(mu.inverse_cdf(rng.gen.random(n)), dtype=float)
     th = uniform_directions(d, n, rng)
-    return ModelRealization(p, th, StarSet(d, partial(intersection_radius, shape, p, th)))
+    return ModelRealization(p, th)
 
 
 _CHUNK_PINS = 2_000_000
@@ -366,7 +356,8 @@ class CroftonCell:
     normals/offsets describe the halfspaces {<x, n_i> <= p_i} that were
     sampled inside the final window; vertices are the exact cell corners.
     The cell is certified to lie inside the sampling window, so deeper
-    hyperplanes cannot change it.
+    hyperplanes cannot change it; its radii are
+    intersection_radius(HALF_SPACE, offsets, normals, dirs, rmax=window).
     """
 
     dim: int
@@ -376,12 +367,6 @@ class CroftonCell:
     volume: float
     window: float
     enlargements: int
-
-    @property
-    def star(self) -> StarSet:
-        fn = partial(intersection_radius, HALF_SPACE, self.offsets, self.normals,
-                     rmax=self.window)
-        return StarSet(self.dim, fn, rmax=self.window)
 
 
 def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
@@ -568,18 +553,20 @@ def coupling_transform(tess_sample: ProcessSample, rng: RngStream,
     """Couple a sphere tessellation sample to a boolean intersection model.
 
     The input is a uniform Poisson sample of intensity lam/2 on the annulus
-    of width eps = tess_sample.eps around the unit sphere.  Points outside the sphere are reflected
-    antipodally (radius s -> s - 2, i.e. 2 - s with the direction flipped: a
-    circle centered at (1+w)*theta walls the cell off near +theta, exactly
-    where the circle centered at (w-1)*theta does, and their first-crossing
-    distances agree to first order in w); inner points are kept in place.
-    The folded depths follow the two-sided shell law, so every depth is then
-    pushed through the exact transport onto the inner shell law, an O(eps^2)
-    correction per point.  An independent uniform Poisson(lam) sample on the
-    ball of radius 1 - eps fills in the bulk, whose copies almost never
-    bind.  Returned are the corrected points, the tessellation origin cell of the untouched sample, and lam times the
-    radius-sup distance on the grid between that cell and the ball
-    intersection of the corrected points plus bulk.
+    of width eps = tess_sample.eps around the unit sphere.  Points outside
+    the sphere are reflected antipodally (radius s -> s - 2, i.e. 2 - s with
+    the direction flipped: a circle centered at (1+w)*theta walls the cell
+    off near +theta, exactly where the circle centered at (w-1)*theta does,
+    and their first-crossing distances agree to first order in w); inner
+    points are kept in place.  The folded depths follow the two-sided shell
+    law, so every depth is then pushed through the exact transport onto the
+    inner shell law, an O(eps^2) correction per point.  An independent
+    uniform Poisson(lam) sample on the ball of radius 1 - eps fills in the
+    bulk, whose copies almost never bind.  Returned are the corrected
+    points, the tessellation origin cell of the untouched sample, and lam
+    times max |r_a - r_b| over the grid between that cell and the ball
+    intersection of the corrected points plus bulk, which bounds their
+    Hausdorff distance (both sets are star-shaped about the origin).
     """
     if tess_sample.dim != 2:
         raise ValueError("the coupling is implemented for d = 2")
@@ -693,7 +680,7 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
         raise ValueError("eps must lie in (0, 0.25)")
     replicates = validate_count(replicates, "replicates", 2)
     g = rng.gen
-    sd = d * unit_ball_volume(d)
+    sd = unit_sphere_area(d)
     if model == "hyperplane-tess":
         counts = g.poisson(2.0 * eps * lam, replicates)
         asym = 2.0 * lam * eps
@@ -701,17 +688,15 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
     if model == "boolean":
         lo_d, hi_d = 1.0, (1.0 + 2.0 * eps) ** d
         asym = sd * lam * eps
-        target_hi = 1.0 + eps
     else:
         lo_d, hi_d = (1.0 - 2.0 * eps) ** d, (1.0 + 2.0 * eps) ** d
         asym = 2.0 * sd * lam * eps
-        target_hi = 1.0 + eps
     mean = lam * (unit_ball_volume(d) * (hi_d - lo_d))
 
     def chunk(m: int) -> np.ndarray:
         counts = g.poisson(mean, m)
         radii = (lo_d + g.random(int(counts.sum())) * (hi_d - lo_d)) ** (1.0 / d)
-        hit = np.abs(radii - 1.0) < eps if model == "sphere-tess" else radii < target_hi
+        hit = np.abs(radii - 1.0) < eps if model == "sphere-tess" else radii < 1.0 + eps
         return np.bincount(np.repeat(np.arange(m), counts)[hit], minlength=m)
     per = _pooled_chunks(replicates, mean, chunk).astype(float)
     return float(per.mean()), float(per.std(ddof=1) / np.sqrt(replicates)), asym

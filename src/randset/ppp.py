@@ -108,7 +108,7 @@ def invert_increasing(fn, y, lo: float, hi: float) -> np.ndarray | float:
         return np.empty(y.shape)
     flo = float(np.asarray(fn(lo), dtype=float))
     fhi = float(np.asarray(fn(hi), dtype=float))
-    if np.any(y < flo - 1e-12) or np.any(y > fhi + 1e-12):
+    if not np.all((y >= flo - 1e-12) & (y <= fhi + 1e-12)):
         raise ValueError("target outside the range of fn on [lo, hi]")
     a = np.full(y.shape, lo)
     b = np.full(y.shape, hi)
@@ -252,13 +252,13 @@ class ShellDepthCdfs:
 
     def _check_depth(self, w):
         arr = np.asarray(w, dtype=float)
-        if np.any(arr < -1e-15) or np.any(arr > self.eps + 1e-15):
+        if not np.all((arr >= -1e-15) & (arr <= self.eps + 1e-15)):
             raise ValueError(f"depth outside [0, eps={self.eps}]")
         return np.clip(arr, 0.0, self.eps)
 
     def _check_quantile(self, u):
         arr = np.asarray(u, dtype=float)
-        if np.any(arr < -1e-15) or np.any(arr > 1.0 + 1e-15):
+        if not np.all((arr >= -1e-15) & (arr <= 1.0 + 1e-15)):
             raise ValueError("quantile outside [0, 1]")
         return np.clip(arr, 0.0, 1.0)
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from randset.geomcore import StarSet
 from randset.ppp import RngStream
 
 MASTER_SEED = 20260814
@@ -44,8 +43,3 @@ def binomial_se(p, n):
     """Standard error of a frequency estimate, floored away from zero."""
     return np.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
 
-
-def ball_star(d, radius=1.0):
-    """The centered ball of the given radius as a StarSet."""
-    return StarSet(d, lambda dirs: np.full(dirs.shape[0], float(radius)),
-                   rmax=max(radius, 1.0))

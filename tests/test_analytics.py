@@ -22,11 +22,11 @@ from randset.analytics import (
     radius_moment_volume,
     sample_radius_exact,
 )
-from randset.geomcore import lune_fraction, star_volume, direction_grid, unit_ball_volume
+from randset.geomcore import lune_fraction, unit_ball_volume
 from randset.models import BALL, HALF_SPACE, cone, sample_axis_radii, segment_crossing_count
 from randset.ppp import RngStream, depth_radial_law, uniform_radial_law
 
-from conftest import assert_close_sigma, ball_star, binomial_se
+from conftest import assert_close_sigma, binomial_se
 
 
 class TestLuneClosed2d:
@@ -420,13 +420,6 @@ class TestRadiusMomentVolume:
         est, se = radius_moment_volume(2, np.ones(100))
         assert est == pytest.approx(np.pi, abs=1e-12)
         assert se == 0.0
-
-    def test_matches_star_volume(self):
-        grid = direction_grid(2, 512)
-        radii = ball_star(2, 0.7).radii(grid)
-        est, _ = radius_moment_volume(2, radii)
-        assert est == pytest.approx(star_volume(ball_star(2, 0.7), grid),
-                                    abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):

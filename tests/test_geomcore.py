@@ -1,42 +1,39 @@
-"""Geometry layer: exact constants, lune/wedge weights, star sets."""
+"""Geometry layer: exact constants, lune/wedge weights, direction grids,
+and the volume and radial distance of sets held as radii on a grid."""
 import numpy as np
 import pytest
 from scipy import special
 from scipy.spatial import cKDTree
 
+from randset.analytics import radius_moment_volume
 from randset.geomcore import (
     DirectionGrid,
-    StarSet,
     cap_hyp_distance,
     direction_grid,
-    hausdorff_star,
     lune_fraction,
-    star_volume,
     unit_ball_volume,
     unit_sphere_area,
     validate_count,
     validate_dimension,
     wedge_volume,
 )
+from randset.models import HALF_SPACE, intersection_radius
 
-from conftest import assert_close_sigma, ball_star, binomial_se
+from conftest import assert_close_sigma, binomial_se
 
 
-def polygon_star(angles_deg=None, normals=None, offsets=None, rmax=1.0):
-    """Convex polygon {<x, n_i> <= p_i} as a StarSet (origin inside)."""
+def polygon_radii(grid, angles_deg=None, normals=None, offsets=None):
+    """Radii on the grid of the convex polygon {<x, n_i> <= p_i} (origin
+    inside), capped at 1."""
     if normals is None:
         ang = np.deg2rad(np.asarray(angles_deg, dtype=float))
         normals = np.column_stack([np.cos(ang), np.sin(ang)])
-    normals = np.asarray(normals, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
+    return intersection_radius(HALF_SPACE, offsets, normals, grid.points)
 
-    def fn(dirs):
-        dot = dirs @ normals.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(dot > 1e-14, offsets[None, :] / dot, np.inf)
-        return np.minimum(np.min(t, axis=1), rmax)
 
-    return StarSet(2, fn, rmax=rmax)
+def radial_gap(ra, rb):
+    """max |r_a - r_b| over the grid, as coupling_transform records it."""
+    return float(np.max(np.abs(ra - rb)))
 
 
 class TestBallVolume:
@@ -220,108 +217,89 @@ class TestDirectionGrid:
 
 
 class TestStarVolume:
+    """omega_d * mean(f^d) over grid radii f (radius_moment_volume) is the
+    surface quadrature (1/d) * int f^d dsigma of a star set's volume: exact
+    for a centered ball on any grid, and for kinked radii its error falls
+    with the grid size."""
+
+    CUT = 0.3  # the unit disk clipped by the line x = CUT
+    CUT_AREA = np.pi - (np.arccos(CUT) - CUT * np.sqrt(1.0 - CUT * CUT))
+
+    def _cut_disk_volume(self, n):
+        grid = direction_grid(2, n)
+        radii = polygon_radii(grid, normals=np.array([[1.0, 0.0]]),
+                              offsets=np.array([self.CUT]))
+        return radius_moment_volume(2, radii)[0]
+
     def test_ball_planar(self):
-        g = direction_grid(2, 64)
-        assert star_volume(ball_star(2), g) == pytest.approx(np.pi, abs=1e-10)
+        est, _ = radius_moment_volume(2, np.ones(direction_grid(2, 64).size))
+        assert est == pytest.approx(np.pi, abs=1e-10)
 
     def test_half_radius_3d(self):
-        g = direction_grid(3, 500)
-        assert star_volume(ball_star(3, 0.5), g) == pytest.approx(
-            unit_ball_volume(3) / 8.0, abs=1e-12)
+        est, _ = radius_moment_volume(3, np.full(direction_grid(3, 500).size, 0.5))
+        assert est == pytest.approx(unit_ball_volume(3) / 8.0, abs=1e-12)
 
     def test_chord_cut_disk(self):
-        # unit disk clipped by the line x = 0.3
-        h = 0.3
-        star = polygon_star(normals=np.array([[1.0, 0.0]]), offsets=np.array([h]))
-        segment = np.arccos(h) - h * np.sqrt(1.0 - h * h)
-        target = np.pi - segment
-        got = star_volume(star, direction_grid(2, 4096))
-        assert got == pytest.approx(target, abs=1e-5)
+        assert self._cut_disk_volume(4096) == pytest.approx(self.CUT_AREA, abs=1e-5)
 
     def test_refinement(self):
-        h = 0.3
-        star = polygon_star(normals=np.array([[1.0, 0.0]]), offsets=np.array([h]))
-        target = np.pi - (np.arccos(h) - h * np.sqrt(1.0 - h * h))
-        coarse = abs(star_volume(star, direction_grid(2, 512)) - target)
-        fine = abs(star_volume(star, direction_grid(2, 8192)) - target)
+        coarse = abs(self._cut_disk_volume(512) - self.CUT_AREA)
+        fine = abs(self._cut_disk_volume(8192) - self.CUT_AREA)
         assert fine < coarse
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            star_volume(ball_star(3), direction_grid(2, 16))
 
 
 class TestHausdorffStar:
+    """The radial sup-distance max |r_a - r_b| on a grid, which bounds the
+    Hausdorff distance of sets star-shaped about the origin."""
+
     def test_identical(self):
+        # the radii do not depend on the order of the constraints
         g = direction_grid(2, 128)
-        assert hausdorff_star(ball_star(2), ball_star(2), g) == 0.0
+        offsets = np.array([0.5, 0.6, 0.7, 0.8])
+        a = polygon_radii(g, angles_deg=[0, 90, 180, 270], offsets=offsets)
+        b = polygon_radii(g, angles_deg=[270, 180, 90, 0], offsets=offsets[::-1])
+        assert radial_gap(a, b) == 0.0
 
     def test_nested_balls(self):
-        g = direction_grid(2, 128)
-        assert hausdorff_star(ball_star(2, 1.0), ball_star(2, 0.8), g) == (
-            pytest.approx(0.2, abs=1e-14))
+        n = direction_grid(2, 128).size
+        assert radial_gap(np.ones(n), np.full(n, 0.8)) == pytest.approx(0.2, abs=1e-14)
 
     def test_regular_forty_gon(self):
         # inscribed 40-gon vs the disk: gap 1 - cos(pi/40) at edge midpoints
         k = np.arange(40)
-        star = polygon_star(angles_deg=(2 * k + 1) * 4.5,
-                            offsets=np.full(40, np.cos(np.pi / 40.0)))
         g = direction_grid(2, 8000)
-        assert hausdorff_star(star, ball_star(2), g) == pytest.approx(
+        gon = polygon_radii(g, angles_deg=(2 * k + 1) * 4.5,
+                            offsets=np.full(40, np.cos(np.pi / 40.0)))
+        assert radial_gap(gon, np.ones(g.size)) == pytest.approx(
             1.0 - np.cos(np.pi / 40.0), abs=1e-12)
 
     def test_polygon_pairs_vs_point_sets(self):
         # radial sup-distance vs brute-force Hausdorff between dense
         # boundary samples, for pairs where the two provably coincide
-        square_5 = polygon_star(angles_deg=[0, 90, 180, 270],
-                                offsets=np.full(4, 0.5))
-        square_7 = polygon_star(angles_deg=[0, 90, 180, 270],
-                                offsets=np.full(4, 0.7))
-        cut = polygon_star(angles_deg=[0, 90, 180, 270, 45],
-                           offsets=np.array([0.6, 0.6, 0.6, 0.6, 0.75]))
-        square_6 = polygon_star(angles_deg=[0, 90, 180, 270],
-                                offsets=np.full(4, 0.6))
         grid = direction_grid(2, 20_000)
-        for a, b in ((square_5, square_7), (square_6, cut)):
-            ra, rb = a.radii(grid), b.radii(grid)
+        square = lambda h: polygon_radii(grid, angles_deg=[0, 90, 180, 270],
+                                         offsets=np.full(4, h))
+        cut = polygon_radii(grid, angles_deg=[0, 90, 180, 270, 45],
+                            offsets=np.array([0.6, 0.6, 0.6, 0.6, 0.75]))
+        for ra, rb in ((square(0.5), square(0.7)), (square(0.6), cut)):
             pa = ra[:, None] * grid.points
             pb = rb[:, None] * grid.points
             d_ab = cKDTree(pb).query(pa)[0].max()
             d_ba = cKDTree(pa).query(pb)[0].max()
             brute = max(d_ab, d_ba)
-            assert hausdorff_star(a, b, grid) == pytest.approx(brute, rel=0.02)
+            assert radial_gap(ra, rb) == pytest.approx(brute, rel=0.02)
 
     def test_metric_properties(self):
         g = direction_grid(2, 720)
-        sets = [ball_star(2, 0.9),
-                polygon_star(angles_deg=[0, 90, 180, 270], offsets=np.full(4, 0.6)),
-                polygon_star(angles_deg=[30, 90, 150, 210, 270, 330],
-                             offsets=np.full(6, 0.7))]
+        sets = [np.full(g.size, 0.9),
+                polygon_radii(g, angles_deg=[0, 90, 180, 270], offsets=np.full(4, 0.6)),
+                polygon_radii(g, angles_deg=[30, 90, 150, 210, 270, 330],
+                              offsets=np.full(6, 0.7))]
         for a in sets:
-            assert hausdorff_star(a, a, g) == 0.0
+            assert radial_gap(a, a) == 0.0
             for b in sets:
-                assert hausdorff_star(a, b, g) >= 0.0
-                assert hausdorff_star(a, b, g) == hausdorff_star(b, a, g)
+                assert radial_gap(a, b) >= 0.0
+                assert radial_gap(a, b) == radial_gap(b, a)
         a, b, c = sets
-        assert hausdorff_star(a, c, g) <= (
-            hausdorff_star(a, b, g) + hausdorff_star(b, c, g) + 1e-15)
-        assert hausdorff_star(ball_star(2, 1.0), ball_star(2, 0.9999), g) > 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hausdorff_star(ball_star(2), ball_star(3), direction_grid(2, 16))
-
-
-class TestStarSet:
-    def test_contains(self):
-        s = ball_star(2, 0.5)
-        assert s.contains([0.0, 0.0])
-        assert s.contains([0.3, 0.0])
-        assert not s.contains([0.6, 0.0])
-        with pytest.raises(ValueError):
-            s.contains([0.1, 0.1, 0.1])
-
-    def test_radii_shape_check(self):
-        bad = StarSet(2, lambda dirs: np.ones(3))
-        with pytest.raises(ValueError):
-            bad.radii(direction_grid(2, 8))
+        assert radial_gap(a, c) <= radial_gap(a, b) + radial_gap(b, c) + 1e-15
+        assert radial_gap(np.ones(g.size), np.full(g.size, 0.9999)) > 0.0

@@ -1,5 +1,6 @@
 """Intersection models, tessellation cells, coupling, meeting counts."""
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from randset.analytics import (
     halfspace_uniform_weight,
     cone_uniform_weight,
     invert_increasing,
+    lune_fraction_closed_2d,
     miss_weight_mc,
     sample_radius_exact,
 )
@@ -24,12 +26,12 @@ from randset.geomcore import (
     direction_grid,
     lune_fraction,
     unit_ball_volume,
+    wedge_volume,
 )
 from randset.models import (
     BALL,
     HALF_SPACE,
     CroftonCell,
-    HalfSpace,
     ShapeKind,
     UnboundedCellError,
     _zero_cell_polytope,
@@ -54,6 +56,7 @@ from randset.models import (
 from randset.ppp import (
     ProcessSample,
     RngStream,
+    ShellDepthCdfs,
     _sample_band,
     coupon_bound,
     coupon_empirical,
@@ -67,6 +70,15 @@ from randset.ppp import (
 )
 
 from conftest import assert_close_sigma, binomial_se
+
+
+def star_contains(radius, x):
+    """Whether each row of x lies in the set, star-shaped about the origin,
+    whose radii along unit directions are radius(dirs): |x| <= radius(x/|x|),
+    and the origin is inside."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    nx = np.linalg.norm(x, axis=1)
+    return (nx == 0.0) | (nx <= radius(x / np.where(nx > 0.0, nx, 1.0)[:, None]))
 
 
 class TestShapes:
@@ -86,12 +98,6 @@ class TestShapes:
             ShapeKind("ball", beta=0.5)
         with pytest.raises(ValueError):
             ShapeKind("cone")
-
-    def test_halfspace_contains(self):
-        h = HalfSpace(np.array([1.0, 0.0]), 0.3)
-        assert h.contains([0.3, 5.0])
-        assert h.contains([-2.0, 0.0])
-        assert not h.contains([0.31, 0.0])
 
 
 class TestCountScale:
@@ -167,15 +173,14 @@ class TestHalfspaceRadius:
         th = g.standard_normal((4, 2))
         th /= np.linalg.norm(th, axis=1)[:, None]
         p = g.uniform(0.2, 0.8, 4)
-        planes = [HalfSpace(th[i], p[i]) for i in range(4)]
         dirs = direction_grid(2, 16).points
         r = intersection_radius(HALF_SPACE, p, th, dirs)
         for k in range(16):
             x_in = (r[k] - 1e-9) * dirs[k]
-            assert all(h.contains(x_in) for h in planes)
+            assert np.all(th @ x_in <= p + 1e-12)
             if r[k] < 1.0:
                 x_out = (r[k] + 1e-9) * dirs[k]
-                assert not all(h.contains(x_out) for h in planes)
+                assert not np.all(th @ x_out <= p + 1e-12)
 
 
 class TestConeExit:
@@ -235,7 +240,7 @@ class TestPointMiss:
                     inside = margin >= 0.0
                 elif shape.kind == "half-space":
                     margin = p[i] - x @ th[i]
-                    inside = HalfSpace(th[i], p[i]).contains(x)
+                    inside = x @ th[i] <= p[i] + 1e-12
                 else:
                     # inside iff the angle at the apex stays below beta
                     w = x - apex
@@ -291,14 +296,42 @@ def test_bad_count(name, minimum, call, bad, rng):
         call(bad, rng)
 
 
+# a value outside each range check; NaN fails every comparison, so a check
+# must let only in-range values through rather than look for bad ones
+_OUT_OF_RANGE_CALLS = {
+    "invert_increasing": lambda: invert_increasing(lambda x: x, np.nan, 0.0, 1.0),
+    "lune_fraction": lambda: lune_fraction(2, np.nan),
+    "lune_fraction-array": lambda: lune_fraction(2, np.array([0.5, np.nan])),
+    "lune_fraction_closed_2d": lambda: lune_fraction_closed_2d(np.nan),
+    "wedge_volume": lambda: wedge_volume(2, np.nan),
+    "wedge_volume-inf": lambda: wedge_volume(2, np.inf),
+    "halfspace_uniform_weight": lambda: halfspace_uniform_weight(2, np.nan),
+    "cone_uniform_weight": lambda: cone_uniform_weight(1.0, np.nan),
+    "ShellDepthCdfs.transport": lambda: ShellDepthCdfs(0.1, 2).transport(np.nan),
+    "ShellDepthCdfs.inner_inverse": lambda: ShellDepthCdfs(0.1, 2).inner_inverse(np.nan),
+    "intersection_radius-ball": lambda: intersection_radius(
+        BALL, [np.nan], [[1.0, 0.0]], [[1.0, 0.0]]),
+    "intersection_radius-half-space": lambda: intersection_radius(
+        HALF_SPACE, [np.nan], [[1.0, 0.0]], [[1.0, 0.0]]),
+    "ball_intersection_radius": lambda: ball_intersection_radius([[np.nan, 0.0]], [[1.0, 0.0]]),
+    "DirectionGrid": lambda: DirectionGrid(2, np.array([[np.nan, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("call", _OUT_OF_RANGE_CALLS.values(), ids=_OUT_OF_RANGE_CALLS.keys())
+def test_nan_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestSampleModel:
     def test_empty_intensity(self, rng):
         m = sample_intersection_model(2, 0.0, uniform_radial_law(2), BALL,
                                       rng.spawn("empty"))
         assert m.count == 0
-        grid = direction_grid(2, 32)
-        assert np.array_equal(m.star.radii(grid), np.ones(32))
-        assert m.star.contains([0.0, 0.999])
+        radius = partial(intersection_radius, BALL, m.pin_radii, m.pin_dirs)
+        assert np.array_equal(radius(direction_grid(2, 32).points), np.ones(32))
+        assert star_contains(radius, [0.0, 0.999]).all()
 
     def test_cone_needs_plane(self, rng):
         with pytest.raises(ValueError):
@@ -349,7 +382,9 @@ class TestSampleModel:
         law = radial_law_from_cdf("sq", lambda r: np.asarray(r) ** 2)
         m = sample_intersection_model(2, 1e-9, law, HALF_SPACE, RngStream(1))
         assert m.count == 0
-        assert np.array_equal(m.star.radii(direction_grid(2, 8)), np.ones(8))
+        radii = intersection_radius(HALF_SPACE, m.pin_radii, m.pin_dirs,
+                                    direction_grid(2, 8).points)
+        assert np.array_equal(radii, np.ones(8))
 
     def test_membership_brute_force_ball(self, rng):
         m = sample_intersection_model(2, 20.0, uniform_radial_law(2), BALL,
@@ -361,26 +396,22 @@ class TestSampleModel:
         dist = np.linalg.norm(x[:, None, :] - c[None, :, :], axis=2)
         truth = np.all(dist <= 1.0, axis=1)
         margin = np.abs(dist - 1.0).min(axis=1) > 1e-9
-        checked = 0
-        for xi, ti, ok in zip(x, truth, margin):
-            if not ok:
-                continue
-            assert m.star.contains(xi) == ti
-            checked += 1
-        assert checked > 7000
+        inside = star_contains(partial(intersection_radius, BALL, m.pin_radii, m.pin_dirs),
+                               x[margin])
+        assert np.array_equal(inside, truth[margin])
+        assert np.count_nonzero(margin) > 7000
 
     def test_membership_brute_force_halfspace(self, rng):
         m = sample_intersection_model(2, 4.0, uniform_radial_law(2), HALF_SPACE,
                                       rng.spawn("bf-hs"))
-        planes = [HalfSpace(m.pin_dirs[i], m.pin_radii[i])
-                  for i in range(m.count)]
         g = rng.spawn("bf-hs-pts").gen
         x = g.uniform(-1.0, 1.0, (4000, 2))
         x = x[np.linalg.norm(x, axis=1) <= 1.0 - 1e-9]
         slack = x @ m.pin_dirs.T - m.pin_radii[None, :]
         keep = np.abs(slack).min(axis=1) > 1e-9
-        for xi, ok in zip(x[keep], np.all(slack[keep] < 0.0, axis=1)):
-            assert m.star.contains(xi) == ok
+        radius = partial(intersection_radius, HALF_SPACE, m.pin_radii, m.pin_dirs)
+        assert np.array_equal(star_contains(radius, x[keep]),
+                              np.all(slack[keep] < 0.0, axis=1))
 
     def test_monotone_in_centers(self, rng):
         # every added ball can only shrink the intersection
@@ -467,14 +498,15 @@ class TestWindowedPins:
         (cone(np.pi / 3.0), "uniform"),
     ], ids=["ball", "half-space", "half-space-depth", "cone"])
     def test_law_against_full_model(self, shape, law, lam, rng):
-        # the full model draws every pin; its radius along e1, the first
-        # direction of the grid, is the windowed sampler's target
+        # the full model draws every pin; its radius along e1 is the
+        # windowed sampler's target
         mu = self.LAWS[law]
         root = rng.spawn("window-law", shape.kind, law, lam)
         windowed = sample_axis_radii(2, lam, mu, shape, 20_000, root.spawn("windowed"))
-        e1 = direction_grid(2, 4)
-        full = [sample_intersection_model(2, lam, mu, shape, root.spawn("full", i))
-                .star.radii(e1)[0] for i in range(2000)]
+        full = np.empty(2000)
+        for i in range(full.size):
+            m = sample_intersection_model(2, lam, mu, shape, root.spawn("full", i))
+            full[i] = intersection_radius(shape, m.pin_radii, m.pin_dirs, [[1.0, 0.0]])[0]
         assert stats.ks_2samp(windowed, full).pvalue > 1e-3
 
     def test_law_in_small_chunks(self, rng, monkeypatch):
@@ -588,7 +620,7 @@ class TestRotationInvariance:
         for i in range(reps):
             m = sample_intersection_model(2, lam, uniform_radial_law(2), BALL,
                                           root.spawn(i))
-            radii[:, :][i] = m.star.radii(grid)
+            radii[i] = intersection_radius(BALL, m.pin_radii, m.pin_dirs, grid.points)
         # exact marginal law in every direction
         cdf = lambda r: 1.0 - np.exp(-lam * np.pi * lune_fraction(2, np.clip(r, 0, 1)))
         crit = 1.95 / np.sqrt(reps)
@@ -604,31 +636,33 @@ class TestRotationInvariance:
 
 
 class TestConvexity:
-    def _midpoints_inside(self, star, dirs, rng):
-        r = star.radii(DirectionGrid(star.dim, dirs)) * (1.0 - 1e-6)
-        pts = r[:, None] * dirs
+    def _midpoints_inside(self, radius, rng):
+        dirs = direction_grid(2, 128).points
+        pts = (radius(dirs) * (1.0 - 1e-6))[:, None] * dirs
         g = rng.gen
         i = g.integers(0, len(pts), 200)
         j = g.integers(0, len(pts), 200)
-        for a, b in zip(i, j):
-            assert star.contains(0.5 * (pts[a] + pts[b]))
+        assert star_contains(radius, 0.5 * (pts[i] + pts[j])).all()
 
     def test_halfspace_model(self, rng):
         m = sample_intersection_model(2, 10.0, uniform_radial_law(2),
                                       HALF_SPACE, rng.spawn("cvx-hs"))
-        dirs = direction_grid(2, 128).points
-        self._midpoints_inside(m.star, dirs, rng.spawn("cvx-hs-pairs"))
+        self._midpoints_inside(partial(intersection_radius, HALF_SPACE, m.pin_radii,
+                                       m.pin_dirs), rng.spawn("cvx-hs-pairs"))
 
     def test_ball_model(self, rng):
         m = sample_intersection_model(2, 30.0, uniform_radial_law(2), BALL,
                                       rng.spawn("cvx-ball"))
-        dirs = direction_grid(2, 128).points
-        self._midpoints_inside(m.star, dirs, rng.spawn("cvx-ball-pairs"))
+        self._midpoints_inside(partial(intersection_radius, BALL, m.pin_radii, m.pin_dirs),
+                               rng.spawn("cvx-ball-pairs"))
 
     def test_crofton_cell(self, rng):
+        # a zero cell is the half-space model of its hyperplanes, capped at
+        # the window it was certified in
         cell = crofton_cell(2, rng.spawn("cvx-cell"))
-        dirs = direction_grid(2, 128).points
-        self._midpoints_inside(cell.star, dirs, rng.spawn("cvx-cell-pairs"))
+        self._midpoints_inside(partial(intersection_radius, HALF_SPACE, cell.offsets,
+                                       cell.normals, rmax=cell.window),
+                               rng.spawn("cvx-cell-pairs"))
 
 
 class TestCroftonCell:
