@@ -294,7 +294,7 @@ def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
             a, b = sorted((pin_at(lo), pin_at(hi)))
             fa = float(mu.cdf(a))
             mass = float(mu.cdf(b)) - fa
-            counts = g.poisson(mean * mass, open_.size)
+            counts = sample_poisson_count(mean * mass, rng, open_.size)
             tot = int(counts.sum())
             p = np.asarray(mu.inverse_cdf(fa + g.random(tot) * mass), dtype=float)
             t = exit_distance(shape, p, axis_cosines(d, tot, rng))
@@ -453,7 +453,7 @@ def segment_crossing_count(d: int, length: float, n: int, rng: RngStream) -> np.
     g, mean = rng.gen, 2.0 * length
 
     def chunk(m: int) -> np.ndarray:
-        totals = g.poisson(mean, m)
+        totals = sample_poisson_count(mean, rng, m)
         rho = g.uniform(0.0, length, totals.sum())
         hit = rho <= length * np.maximum(axis_cosines(d, rho.size, rng), 0.0)
         return np.bincount(np.repeat(np.arange(m), totals)[hit], minlength=m)
@@ -637,7 +637,7 @@ def interval_intersection_stats(lam: float, replicates: int, rng: RngStream) -> 
     g = rng.gen
 
     def chunk(m: int) -> np.ndarray:
-        counts = g.poisson(2.0 * lam, m)
+        counts = sample_poisson_count(2.0 * lam, rng, m)
         c = g.uniform(-1.0, 1.0, int(counts.sum()))
         # empty replicates fall back to the full interval via the fills
         return np.column_stack([np.maximum(-1.0, -segmented_min(-c, counts, 2.0) - 1.0),
@@ -682,7 +682,7 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
     g = rng.gen
     sd = unit_sphere_area(d)
     if model == "hyperplane-tess":
-        counts = g.poisson(2.0 * eps * lam, replicates)
+        counts = sample_poisson_count(2.0 * eps * lam, rng, replicates)
         asym = 2.0 * lam * eps
         return float(counts.mean()), float(counts.std(ddof=1) / np.sqrt(replicates)), asym
     if model == "boolean":
@@ -694,7 +694,7 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
     mean = lam * (unit_ball_volume(d) * (hi_d - lo_d))
 
     def chunk(m: int) -> np.ndarray:
-        counts = g.poisson(mean, m)
+        counts = sample_poisson_count(mean, rng, m)
         radii = (lo_d + g.random(int(counts.sum())) * (hi_d - lo_d)) ** (1.0 / d)
         hit = np.abs(radii - 1.0) < eps if model == "sphere-tess" else radii < 1.0 + eps
         return np.bincount(np.repeat(np.arange(m), counts)[hit], minlength=m)

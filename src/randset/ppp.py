@@ -98,9 +98,18 @@ _ROOT_TOL = 1e-12
 _ROOT_MAX_ITER = 200
 
 
-def invert_increasing(fn, y, lo: float, hi: float) -> np.ndarray | float:
-    """Vectorized bisection solve of fn(x) = y for increasing fn on [lo, hi];
-    stops once every bracket is narrower than _ROOT_TOL."""
+def invert_increasing(fn, y, lo: float, hi: float, slope=None) -> np.ndarray | float:
+    """Vectorized solve of fn(x) = y for increasing fn on [lo, hi].
+
+    Every target starts at x = lo and keeps a bracket [a, b] from the sign
+    of fn(x) - y.  With slope (the derivative of fn) each step is the
+    Newton step x - (fn(x) - y) / slope(x) when it lands in [a, b], and the
+    midpoint of [a, b] otherwise; with slope=None every step is the
+    midpoint, plain bisection.  Stops once every accepted Newton step, or
+    every bisected bracket, is below _ROOT_TOL.  Newton's steps shrink with
+    the root, so small roots keep their relative precision; bisection's
+    absolute tolerance does not.
+    """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
@@ -110,17 +119,28 @@ def invert_increasing(fn, y, lo: float, hi: float) -> np.ndarray | float:
     fhi = float(np.asarray(fn(hi), dtype=float))
     if not np.all((y >= flo - 1e-12) & (y <= fhi + 1e-12)):
         raise ValueError("target outside the range of fn on [lo, hi]")
-    a = np.full(y.shape, lo)
-    b = np.full(y.shape, hi)
+    a = np.full(y.shape, float(lo))
+    b = np.full(y.shape, float(hi))
+    x, fx = a, np.full(y.shape, flo)
     for _ in range(_ROOT_MAX_ITER):
-        mid = 0.5 * (a + b)
-        below = np.asarray(fn(mid), dtype=float) < y
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-        if np.max(b - a) < _ROOT_TOL:
+        below = fx < y
+        a = np.where(below, x, a)
+        b = np.where(below, b, x)
+        step = 0.5 * (a + b)
+        size = b - a
+        if slope is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = x - (fx - y) / np.asarray(slope(x), dtype=float)
+            # inclusive bounds: a target converging from one side sits on
+            # a bracket end, and its last steps land there
+            ok = (newton >= a) & (newton <= b)
+            step = np.where(ok, newton, step)
+            size = np.where(ok, np.abs(newton - x), size)
+        x = step
+        if np.max(size) < _ROOT_TOL:
             break
-    out = 0.5 * (a + b)
-    return float(out[0]) if scalar else out
+        fx = np.asarray(fn(x), dtype=float)
+    return float(x[0]) if scalar else x
 
 
 def radial_law_from_cdf(name: str, cdf: Callable) -> RadialMeasure:
@@ -129,12 +149,21 @@ def radial_law_from_cdf(name: str, cdf: Callable) -> RadialMeasure:
                          inverse_cdf=partial(invert_increasing, cdf, lo=0.0, hi=1.0))
 
 
-def sample_poisson_count(mean: float, rng: RngStream) -> int:
-    """One Poisson draw.  Delegates to numpy's generator, which switches
-    between inversion and rejection internally depending on the mean."""
-    if not np.isfinite(mean) or mean < 0:
-        raise ValueError(f"Poisson mean must be finite and >= 0, got {mean}")
-    return int(rng.gen.poisson(mean))
+# numpy's Generator.poisson rejects larger means ("lam value too large")
+_MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+
+
+def sample_poisson_count(mean: float, rng: RngStream, size: int | None = None):
+    """One Poisson draw, or an array of `size` iid draws; every Poisson
+    count in the package is drawn here.  Delegates to numpy's generator,
+    which switches between inversion and rejection internally depending on
+    the mean, and accepts means up to _MAX_POISSON_MEAN (about 9.2e18)."""
+    if not 0.0 <= mean <= _MAX_POISSON_MEAN:
+        raise ValueError(f"Poisson mean must be finite and in [0, {_MAX_POISSON_MEAN:.4g}] "
+                         f"(numpy's limit), got {mean}")
+    if size is None:
+        return int(rng.gen.poisson(mean))
+    return rng.gen.poisson(mean, size)
 
 
 def uniform_directions(d: int, n: int, rng: RngStream) -> np.ndarray:
@@ -161,14 +190,21 @@ def uniform_directions(d: int, n: int, rng: RngStream) -> np.ndarray:
 def axis_cosines(d: int, n: int, rng: RngStream) -> np.ndarray:
     """Cosine of the angle between a uniform direction and a fixed axis.
 
-    Density proportional to (1-u^2)^((d-3)/2) on [-1, 1]; drawn directly
-    through a Beta((d-1)/2, (d-1)/2) variable so single-axis radius
-    computations never need full d-dimensional vectors.
+    Density proportional to (1-u^2)^((d-3)/2) on [-1, 1], drawn directly so
+    single-axis radius computations never need full d-dimensional vectors:
+    a random sign for d = 1, cos(pi U) (the arcsine law) for d = 2, 2U - 1
+    (uniform, Archimedes) for d = 3, and 2 Beta((d-1)/2, (d-1)/2) - 1
+    otherwise, with U uniform on [0, 1).
     """
     d = validate_dimension(d)
+    g = rng.gen
     if d == 1:
-        return np.where(rng.gen.random(n) < 0.5, -1.0, 1.0)
-    return 2.0 * rng.gen.beta((d - 1) / 2.0, (d - 1) / 2.0, n) - 1.0
+        return np.where(g.random(n) < 0.5, -1.0, 1.0)
+    if d == 2:
+        return np.cos(np.pi * g.random(n))
+    if d == 3:
+        return 2.0 * g.random(n) - 1.0
+    return 2.0 * g.beta((d - 1) / 2.0, (d - 1) / 2.0, n) - 1.0
 
 
 @dataclass(frozen=True)

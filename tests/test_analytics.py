@@ -8,6 +8,7 @@ from scipy import integrate, special, stats
 from randset.analytics import (
     CroftonMoments,
     RadiusLaw,
+    _miss_weight,
     asymptotic_volume_constant,
     cone_uniform_weight,
     crofton_moments,
@@ -200,6 +201,40 @@ class TestInvertIncreasing:
         out = invert_increasing(lambda x: x, np.empty(0), 0.0, 2.0)
         assert out.shape == (0,)
 
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_newton_on_the_lune(self, d):
+        # the exact sampler's targets at four intensities, plus y = 0 and
+        # the last float below w(1)
+        weight, slope = _miss_weight(d, None)
+        top = lune_fraction(d, 1.0)
+        calls = []
+
+        def counted(r):
+            calls.append(1)
+            return weight(r)
+        for lam in (1.0, 10.0, 1e3, 1e6):
+            y = RngStream(3, int(lam)).gen.exponential(size=4000) / (lam * unit_ball_volume(d))
+            for target in (y[y < top], np.array([0.0, np.nextafter(top, 0.0)])):
+                calls.clear()
+                x = invert_increasing(counted, target, 0.0, 1.0, slope)
+                assert len(calls) <= 8, (lam, len(calls))
+                bisected = invert_increasing(weight, target, 0.0, 1.0)
+                assert np.max(np.abs(x - bisected)) < 2e-12
+                assert np.max(np.abs(weight(x) - target)) < 1e-12
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_lune_slope(self, d):
+        r = np.linspace(0.01, 1.99, 199)
+        h = 1e-6
+        diff = (lune_fraction(d, r + h) - lune_fraction(d, r - h)) / (2.0 * h)
+        assert np.allclose(_miss_weight(d, None)[1](r), diff, rtol=1e-7, atol=1e-9)
+
+    def test_no_slope_bisects(self):
+        # a custom weight has no slope, so it is bisected to _ROOT_TOL
+        weight, slope = _miss_weight(2, lambda r: np.asarray(r) ** 2)
+        assert slope is None
+        assert invert_increasing(weight, 0.25, 0.0, 1.0, slope) == pytest.approx(0.5, abs=1e-12)
+
 
 class TestExactSampler:
     def test_zero_intensity(self, rng):
@@ -238,6 +273,20 @@ class TestExactSampler:
         process = sample_axis_radii(2, 50.0, uniform_radial_law(2), BALL,
                                     30_000, rng.spawn("two-p"))
         assert stats.ks_2samp(exact, process).pvalue > 0.01
+
+    @pytest.mark.parametrize("lam", [1e9, 1e12])
+    def test_large_intensity(self, lam):
+        # radii of order 1/lam keep their relative precision: the
+        # transformed sample is unit exponential, and each radius is the
+        # root of the wedge-linear weight r / B(1/2, 3/2), whose relative
+        # gap to the lune is of order r^2
+        n = 20_000
+        sample = sample_radius_exact(2, lam, n, RngStream(12, 1))
+        law = RadiusLaw(2, lam)
+        assert np.array_equal(law.sample(n, RngStream(12, 1)), sample)
+        assert stats.kstest(law.transform(sample), "expon").statistic < 0.02
+        y = RngStream(12, 1).gen.exponential(size=n) / (lam * np.pi)
+        assert np.allclose(sample, y * special.beta(0.5, 1.5), rtol=1e-9, atol=0.0)
 
     def test_domain(self, rng):
         with pytest.raises(ValueError):

@@ -375,6 +375,29 @@ class TestEndToEnd:
             assert code in (2, 3), (experiment, code, err)
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("experiment", ["meeting-counts", "radius-convergence", "warmup-1d"])
+    def test_poisson_mean_past_numpy_limit_exit_2(self, experiment, tmp_path, capsys,
+                                                  monkeypatch):
+        # the config error names the Poisson mean and numpy's limit, not
+        # numpy's bare "lam value too large"
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        code = main([experiment, "--lambda", "1e300", "--samples", "200",
+                     "--replicates", "50", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "config error: Poisson mean must be finite and in [0, 9.223e+18]" in err
+        assert "Traceback" not in err
+
+    def test_exact_sampler_at_large_intensity(self, tmp_path, monkeypatch):
+        # the radii are of order 1e-12, the root finder's absolute tolerance
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        out = tmp_path / "r.csv"
+        assert main(["radius-convergence", "--lambda", "1e12", "--samples", "4000",
+                     "--out", str(out)]) == 0
+        values = {r[5]: float(r[6]) for r in read_rows(out)[1:]}
+        assert values["two_sample_ks_p"] > 1e-4
+        assert values["ks_ball_exact"] < 0.05
+
     def test_crofton_low_rate(self, tmp_path, monkeypatch):
         # cells are drawn at rate 2 and scaled by 2/rate, so a low rate
         # certifies every cell as the unit one does

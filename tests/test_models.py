@@ -274,6 +274,25 @@ _LAM_ABOVE_ONE_ENTRY_POINTS = (
     lambda lam, rng: shell_containment_indicator(2, lam, rng, direction_grid(2, 8)),
 )
 
+# every sampler that draws its Poisson counts in batches, at a mean past
+# numpy's limit: each names the Poisson mean, not numpy's "lam value too large"
+_HUGE_MEAN_CALLS = {
+    "sample_axis_radii": lambda rng: sample_axis_radii(
+        2, 1e300, uniform_radial_law(2), BALL, 4, rng),
+    "segment_crossing_count": lambda rng: segment_crossing_count(2, 1e19, 4, rng),
+    "interval_intersection_stats": lambda rng: interval_intersection_stats(1e300, 4, rng),
+    "meeting_count_mc-boolean": lambda rng: meeting_count_mc("boolean", 2, 1e300, 0.01, 4, rng),
+    "meeting_count_mc-hyperplane": lambda rng: meeting_count_mc(
+        "hyperplane-tess", 2, 1e300, 0.01, 4, rng),
+}
+
+
+@pytest.mark.parametrize("call", _HUGE_MEAN_CALLS.values(), ids=_HUGE_MEAN_CALLS.keys())
+def test_poisson_mean_past_numpy_limit(call, rng):
+    with pytest.raises(ValueError, match=r"Poisson mean must be finite and in \[0, 9\.223e\+18\]"):
+        call(rng)
+
+
 # every entry point that takes a count, by the count's name and least value
 _COUNT_ENTRY_POINTS = (
     ("n", 0, lambda n, rng: sample_axis_radii(2, 10.0, uniform_radial_law(2), BALL, n, rng)),

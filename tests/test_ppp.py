@@ -103,6 +103,19 @@ class TestPoissonCount:
         with pytest.raises(ValueError):
             sample_poisson_count(np.nan, rng)
 
+    def test_size_draws_the_generator_batch(self):
+        a = sample_poisson_count(3.5, RngStream(7, 1), 1000)
+        assert a.shape == (1000,)
+        assert np.array_equal(a, RngStream(7, 1).gen.poisson(3.5, 1000))
+
+    def test_numpy_limit(self, rng):
+        # numpy's Generator.poisson draws up to int64 max - 10 sqrt(int64 max)
+        limit = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+        assert sample_poisson_count(limit, rng) > 0
+        for mean in (np.nextafter(limit, np.inf), 1e300, np.inf):
+            with pytest.raises(ValueError, match=r"Poisson mean .* 9\.223e\+18\]"):
+                sample_poisson_count(mean, rng, 3)
+
 
 class TestProductProcess:
     """The ball model's pins: Poisson(lam * omega_d) points with iid radii
