@@ -175,7 +175,10 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
     rather than their (p_i, Theta_i) pairs, for callers that hold centers.
 
     centers must lie in the closed unit ball.  No centers means the unit
-    ball itself, radius 1.
+    ball itself, radius 1.  B(c, 1) holds B(0, 1 - |c|), so no exit of a
+    center falls below its slack 1 - |c|, and only the centers whose slack
+    is at most the largest radius are evaluated (_binding_min): the radii
+    are those of every center, bit for bit.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     centers = np.asarray(centers, dtype=float)
@@ -185,8 +188,50 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
     s2 = np.sum(centers * centers, axis=1)
     if not np.all(s2 <= 1.0 + 1e-9):
         raise ValueError("ball model centers must lie in the unit ball")
-    t = _ball_exit(dirs @ centers.T, s2)
-    return np.clip(np.min(t, axis=1), 0.0, 1.0)
+    t = _binding_min(_ball_exit, centers, s2, 1.0 - np.sqrt(s2), dirs, 1.0)
+    return np.clip(t, 0.0, 1.0)
+
+
+_CULL_KEEP = 32
+_CULL_MARGIN = 1e-12
+
+
+def _binding_min(exit_, centers: np.ndarray, s2: np.ndarray, bound: np.ndarray,
+                 dirs: np.ndarray, cap: float) -> np.ndarray:
+    """Minimum of exit_(<dir, c>, |c|^2) over the centers along each
+    direction, evaluated only on the centers that can bind.
+
+    No exit of a center falls below its bound.  The first pass evaluates
+    the centers whose bound is among the _CULL_KEEP smallest (ties
+    included); R, the largest radius they give, capped at cap where the
+    caller clips, leaves out every center with bound > R + margin, since
+    such a center lowers no radius.  If that leaves out a center the first
+    pass skipped, the second pass evaluates every center with bound <=
+    R + margin; more centers only lower the radii, so that pass certifies
+    itself.  The margin, 1e-12 in units of max(1, |c|^2), covers rounding
+    in the bounds and the exits.  The dot products are elementwise, so a
+    center's exits do not depend on which other centers are evaluated with
+    it, and the result equals the full evaluation bit for bit.
+    """
+    if dirs.shape[1] != centers.shape[1]:
+        raise ValueError(f"centers of dimension {centers.shape[1]} and directions of "
+                         f"dimension {dirs.shape[1]} do not match")
+
+    def evaluate(mask) -> np.ndarray:
+        c = centers[mask]
+        dot = dirs[:, 0, None] * c[:, 0]
+        for j in range(1, c.shape[1]):
+            dot += dirs[:, j, None] * c[:, j]
+        return np.min(exit_(dot, s2[mask]), axis=1)
+
+    if bound.size <= _CULL_KEEP:
+        return evaluate(slice(None))
+    first = bound <= np.partition(bound, _CULL_KEEP - 1)[_CULL_KEEP - 1]
+    t = evaluate(first)
+    margin = _CULL_MARGIN * max(1.0, float(np.max(s2)))
+    # fmin: a NaN radius (from a NaN direction) reaches the cap
+    second = bound <= float(np.fmin(np.max(t, initial=0.0), cap)) + margin
+    return evaluate(second) if np.any(second & ~first) else t
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +367,19 @@ def windowed_ball_pins(d: int, lam: float, rng: RngStream) -> tuple[np.ndarray, 
     drawn.  Otherwise rho ends at 1 with every center drawn.  Exact in law,
     since the process on disjoint bands is independent across bands.  The
     certificate is tried for 2 <= d <= _MAX_CELL_DIM only, as for the zero
-    cells; other d draw every center at once.
+    cells; other d draw every center at once.  The bands of slack are told
+    apart only while the first window is at least the float spacing below
+    1, so a larger lam raises a ValueError.
     """
     d = validate_dimension(d)
     lam = validate_intensity(lam)
     hi = _first_window(d, lam, 1.0) if 2 <= d <= _MAX_CELL_DIM else 1.0
+    step = np.finfo(float).epsneg
+    if hi < step:
+        raise ValueError(f"windowed_ball_pins needs lam <= "
+                         f"{4.0 / (unit_ball_volume(d) * step):.4g} at d = {d}: above that "
+                         f"its first slack window 4/(lam omega_d) is finer than the float "
+                         f"spacing below 1; got lam = {lam:g}")
     lo, bands = 0.0, []
     while True:
         bands.append(_sample_band(d, lam, 1.0 - hi, 1.0 - lo, rng))
@@ -370,12 +423,12 @@ class CroftonCell:
 
 
 def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
-                        window: float) -> tuple[np.ndarray, float] | None:
-    """Exact vertices and volume of {x : <x,n_i> <= p_i}, or None when the
-    cell is not certified bounded and inside the window."""
+                        window: float) -> np.ndarray | None:
+    """Exact vertices of {x : <x,n_i> <= p_i}, or None when the cell is not
+    certified bounded and inside the window."""
     if normals.shape[0] == 0:
         return None
-    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+    from scipy.spatial import HalfspaceIntersection, QhullError
 
     halfspaces = np.column_stack([normals, -offsets])
     try:
@@ -387,7 +440,7 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
         verts = hs.intersections
         if not np.all(np.isfinite(verts)) or np.max(np.linalg.norm(verts, axis=1)) >= window:
             return None
-        return verts, float(ConvexHull(verts).volume)
+        return verts
     except QhullError:
         return None
 
@@ -426,9 +479,10 @@ def crofton_cell(d: int, rng: RngStream) -> CroftonCell:
             offs = rng.gen.uniform(lo, hi, n_new)
             normals = np.vstack([normals, uniform_directions(d, n_new, rng)])
             offsets = np.concatenate([offsets, offs])
-        result = _zero_cell_polytope(d, normals, offsets, hi)
-        if result is not None:
-            verts, vol = result
+        verts = _zero_cell_polytope(d, normals, offsets, hi)
+        if verts is not None:
+            from scipy.spatial import ConvexHull
+            vol = float(ConvexHull(verts).volume)
             return CroftonCell(d, normals, offsets, verts, vol, hi, attempt)
         lo, hi = hi, 2.0 * hi
     raise UnboundedCellError(
@@ -481,30 +535,40 @@ class TessellationCell:
     flagged_fraction: float
 
 
+def _circle_exit(dot, s2):
+    """First positive root of t^2 - 2 t dot + s2 = 1, the first crossing
+    with the unit circle centered at c, with dot = <dir, c> and s2 = |c|^2;
+    +inf when the ray meets none."""
+    disc = dot * dot + 1.0 - s2
+    valid = disc >= 0.0
+    sq = np.sqrt(np.where(valid, disc, 0.0))
+    r1 = dot - sq
+    r2 = dot + sq
+    return np.where(valid & (r1 > _TINY), r1, np.where(valid & (r2 > _TINY), r2, np.inf))
+
+
 def first_circle_crossing(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Distance along each unit direction to the first crossing with any of
     the unit circles centered at `centers`, or +inf when a ray meets none.
 
-    Centers may lie inside or outside the unit sphere.  Roots of
-    t^2 - 2 t <dir,c> + |c|^2 - 1 = 0 give the crossings; circles around
-    interior centers enclose the origin and always provide one positive
-    root, exterior ones contribute only when hit tangentially or better.
+    Centers must be finite and may lie inside or outside the unit sphere.
+    Roots of t^2 - 2 t <dir,c> + |c|^2 - 1 = 0 give the crossings; circles
+    around interior centers enclose the origin and always provide one
+    positive root, exterior ones contribute only when hit tangentially or
+    better.  Every point of the circle lies at least |1 - |c|| from the
+    origin, so only the centers with |1 - |c|| at most the largest crossing
+    are evaluated (_binding_min): the distances are those of every center,
+    bit for bit.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     centers = np.asarray(centers, dtype=float)
     if centers.size == 0:
         return np.full(dirs.shape[0], np.inf)
     centers = np.atleast_2d(centers)
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("circle centers must be finite")
     s2 = np.sum(centers * centers, axis=1)
-    dot = dirs @ centers.T
-    disc = dot * dot + 1.0 - s2[None, :]
-    valid = disc >= 0.0
-    sq = np.sqrt(np.where(valid, disc, 0.0))
-    r1 = dot - sq
-    r2 = dot + sq
-    cand = np.where(valid & (r1 > _TINY), r1,
-                    np.where(valid & (r2 > _TINY), r2, np.inf))
-    return np.min(cand, axis=1)
+    return _binding_min(_circle_exit, centers, s2, np.abs(1.0 - np.sqrt(s2)), dirs, np.inf)
 
 
 _JUMP_THRESHOLD = 0.2
@@ -567,6 +631,13 @@ def coupling_transform(tess_sample: ProcessSample, rng: RngStream,
     times max |r_a - r_b| over the grid between that cell and the ball
     intersection of the corrected points plus bulk, which bounds their
     Hausdorff distance (both sets are star-shaped about the origin).
+
+    Both radius arrays come from certified culls: no exit of a center
+    falls below its bound (slack 1 - |c| for the balls, |1 - |c|| for the
+    circles), so the kernels evaluate only the centers whose bound is at
+    most the largest radius, and the bulk centers, with slack at least
+    eps, are almost never evaluated.  The radii equal those of every
+    center, bit for bit.
     """
     if tess_sample.dim != 2:
         raise ValueError("the coupling is implemented for d = 2")
@@ -585,12 +656,7 @@ def coupling_transform(tess_sample: ProcessSample, rng: RngStream,
     bulk = sample_ball_uniform(2, lam, rng, rmax=1.0 - eps)
 
     cell = sphere_tessellation_cell_2d(pts, grid)
-    shell_radii = ball_intersection_radius(corrected, grid.points)
-    # a bulk center's exit distance is at least its slack 1 - |c|, so only
-    # centers with slack up to the largest shell radius can bind
-    slack = 1.0 - np.linalg.norm(bulk.points, axis=1)
-    kept = bulk.points[slack <= np.max(shell_radii)]
-    inter_radii = np.minimum(shell_radii, ball_intersection_radius(kept, grid.points))
+    inter_radii = ball_intersection_radius(np.vstack([corrected, bulk.points]), grid.points)
     h = float(np.max(np.abs(inter_radii - cell.radii)))
     return CouplingOutput(corrected, cell, lam * h)
 
@@ -602,7 +668,10 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
 
     Only sample points with slack 1 - |c| below the margin can certify or
     refute containment, so the process is sampled on that shell alone; the
-    verdict agrees with the full model exactly.
+    verdict agrees with the full model exactly.  Of the shell's points
+    (about 790 at lam = 3000), ball_intersection_radius evaluates only
+    those whose slack is at most the largest radius of the first few it
+    evaluates, a certificate that leaves the radii bit for bit unchanged.
     """
     d = validate_dimension(d)
     if not 1.0 < lam < np.inf:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.spatial import ConvexHull
 
 from randset import expcli, models
 from randset.analytics import (
@@ -333,6 +334,8 @@ _OUT_OF_RANGE_CALLS = {
     "intersection_radius-half-space": lambda: intersection_radius(
         HALF_SPACE, [np.nan], [[1.0, 0.0]], [[1.0, 0.0]]),
     "ball_intersection_radius": lambda: ball_intersection_radius([[np.nan, 0.0]], [[1.0, 0.0]]),
+    "first_circle_crossing": lambda: first_circle_crossing([[np.nan, 0.0]], [[1.0, 0.0]]),
+    "first_circle_crossing-inf": lambda: first_circle_crossing([[np.inf, 0.0]], [[1.0, 0.0]]),
     "DirectionGrid": lambda: DirectionGrid(2, np.array([[np.nan, 0.0]])),
 }
 
@@ -442,6 +445,122 @@ class TestSampleModel:
             cur = ball_intersection_radius(c[:k], dirs)
             assert np.all(cur <= prev + 1e-12)
             prev = cur
+
+
+def full_evaluation(kernel, centers, dirs):
+    """kernel over every center: the culled kernel with the cull switched
+    off, so the arithmetic of each radius is the same."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_CULL_KEEP", 10**9)
+        return kernel(centers, dirs)
+
+
+def symmetric_copies(a, b):
+    """The 8 centers (+-a, +-b) and (+-b, +-a), all of exactly one norm."""
+    return np.array([(x * a, y * b) for x in (1, -1) for y in (1, -1)]
+                    + [(x * b, y * a) for x in (1, -1) for y in (1, -1)], dtype=float)
+
+
+class TestCulledKernels:
+    """ball_intersection_radius and first_circle_crossing evaluate only the
+    centers whose bound (1 - |c| for balls, |1 - |c|| for circles) is at
+    most the largest radius; the result must be the full evaluation's, bit
+    for bit."""
+
+    GRID = direction_grid(2, 1024).points
+    KERNELS = [ball_intersection_radius, first_circle_crossing]
+
+    def assert_exact(self, kernel, centers):
+        culled = kernel(centers, self.GRID)
+        assert np.array_equal(culled, full_evaluation(kernel, centers, self.GRID))
+        return culled
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fewer_centers_than_kept(self, kernel, rng):
+        g = rng.spawn("cull-few").gen
+        centers = g.uniform(-0.6, 0.6, (models._CULL_KEEP - 5, 2))
+        self.assert_exact(kernel, centers)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_ties_at_the_threshold(self, kernel):
+        # ranks 1-4 are (a, a) copies, then groups of 8 of one norm each,
+        # so the 32nd smallest bound is tied across ranks 29 to 36
+        centers = np.vstack([symmetric_copies(0.7, 0.7)[:4]]
+                            + [symmetric_copies(0.9 - 0.1 * k, 0.2) for k in range(6)])
+        s = np.linalg.norm(centers, axis=1)
+        bound = 1.0 - s if kernel is ball_intersection_radius else np.abs(1.0 - s)
+        kth = np.sort(bound)[models._CULL_KEEP - 1]
+        assert np.count_nonzero(bound == kth) == 8 and np.count_nonzero(bound > kth) > 0
+        self.assert_exact(kernel, centers)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_wide_spread_needs_the_second_pass(self, kernel, rng):
+        # 40 centers just inside the sphere near +e1 leave the directions
+        # around +e1 to 20 deeper centers near -e1, which the first pass
+        # (the 32 smallest bounds) does not evaluate
+        g = rng.spawn("cull-wide").gen
+        a, b = g.uniform(-0.3, 0.3, 40), g.uniform(-0.3, 0.3, 20)
+        near = 0.999 * np.column_stack([np.cos(a), np.sin(a)])
+        deep = 0.5 * np.column_stack([-np.cos(b), np.sin(b)])
+        centers = np.vstack([near, deep])
+        culled = self.assert_exact(kernel, centers)
+        assert not np.array_equal(culled, full_evaluation(kernel, near, self.GRID))
+
+    def test_exterior_circles_that_no_ray_meets(self, rng):
+        # every center lies outside the sphere in one quadrant, so the rays
+        # into the opposite quadrant meet no circle
+        g = rng.spawn("cull-exterior").gen
+        a = g.uniform(0.0, np.pi / 2.0, 60)
+        centers = g.uniform(1.2, 1.5, 60)[:, None] * np.column_stack([np.cos(a), np.sin(a)])
+        r = self.assert_exact(first_circle_crossing, centers)
+        assert np.isinf(r).any() and np.isfinite(r).any()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_centers_on_the_sphere(self, kernel, rng):
+        g = rng.spawn("cull-sphere").gen
+        a = g.uniform(0.0, 2.0 * np.pi, 50)
+        axes = np.vstack([np.eye(2), -np.eye(2)])
+        centers = np.vstack([axes, g.uniform(0.2, 0.999, 50)[:, None]
+                             * np.column_stack([np.cos(a), np.sin(a)])])
+        self.assert_exact(kernel, centers)
+
+    def test_seeded_shells(self, rng, monkeypatch):
+        # the coupling block's inputs at lam = 3000: the containment shell
+        # (about 790 centers) and the tessellation sample (about 200); the
+        # cull evaluates a few dozen centers per call
+        lam = 3000.0
+        margin = 2.0 * np.log(lam) ** 2 / lam
+        eps = np.log(lam) ** 2 / (2.0 * lam)
+        evaluated, given = [], 0
+        ball_exit = models._ball_exit
+
+        def counted(dot, s2):
+            evaluated.append(dot.shape[1])
+            return ball_exit(dot, s2)
+
+        for i in range(200):
+            r = rng.spawn("cull-shells", i)
+            shell = sample_shell(2, lam, margin, "inner", r.spawn("contain")).points
+            tess = sample_shell(2, lam / 2.0, eps, "both", r.spawn("tess")).points
+            with monkeypatch.context() as mp:
+                mp.setattr(models, "_ball_exit", counted)
+                culled = ball_intersection_radius(shell, self.GRID)
+            given += shell.shape[0]
+            assert np.array_equal(culled, full_evaluation(ball_intersection_radius, shell,
+                                                          self.GRID))
+            self.assert_exact(first_circle_crossing, tess)
+        assert given > 200 * 700 and sum(evaluated) < 200 * 40
+
+    def test_containment_verdict(self, rng, monkeypatch):
+        grid = direction_grid(2, 1024)
+
+        def verdicts():
+            return [shell_containment_indicator(2, 3000.0, rng.spawn("cull-verdict", i), grid)
+                    for i in range(50)]
+
+        culled = verdicts()
+        monkeypatch.setattr(models, "_CULL_KEEP", 10**9)
+        assert culled == verdicts()
 
 
 SHAPES = st.one_of(st.sampled_from([BALL, HALF_SPACE]),
@@ -585,6 +704,12 @@ class TestWindowedPins:
         with pytest.raises(ValueError, match="mean pin count"):
             sample_axis_radii(2, 1e308, uniform_radial_law(2), BALL, 4, rng)
 
+    def test_huge_intensity_named(self):
+        # the first slack window 4/(lam pi) is finer than the float spacing
+        # below 1, so the bands of slack cannot be told apart
+        with pytest.raises(ValueError, match=r"lam <= 1\.147e\+16 at d = 2.*lam = 1e\+17"):
+            windowed_ball_pins(2, 1e17, RngStream(1))
+
     def test_uncertified_dimensions_draw_every_center(self, rng):
         centers, rho = windowed_ball_pins(1, 50.0, rng.spawn("window-1d"))
         assert rho == 1.0 and centers.shape[1] == 1
@@ -687,14 +812,16 @@ class TestConvexity:
 class TestCroftonCell:
     def test_square_polytope(self):
         normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        verts, vol = _zero_cell_polytope(2, normals, np.ones(4), 10.0)
+        verts = _zero_cell_polytope(2, normals, np.ones(4), 10.0)
+        vol = ConvexHull(verts).volume
         assert vol == pytest.approx(4.0, abs=1e-12)
         assert sorted(map(tuple, np.round(verts, 12).tolist())) == [
             (-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
 
     def test_cube_polytope(self):
         normals = np.vstack([np.eye(3), -np.eye(3)])
-        verts, vol = _zero_cell_polytope(3, normals, np.ones(6), 10.0)
+        verts = _zero_cell_polytope(3, normals, np.ones(6), 10.0)
+        vol = ConvexHull(verts).volume
         assert vol == pytest.approx(8.0, abs=1e-9)
         assert verts.shape[0] == 8
 
@@ -715,7 +842,8 @@ class TestCroftonCell:
         s = np.sqrt(0.5)
         cone_normals = np.array([[s, 0, s], [-s, 0, s], [0, s, s], [0, -s, s], [0, 0, 1.0]])
         assert _zero_cell_polytope(3, cone_normals, np.ones(5), 10.0) is None
-        verts, vol = _zero_cell_polytope(2, fan((0, 120, 240)), np.ones(3), 10.0)
+        verts = _zero_cell_polytope(2, fan((0, 120, 240)), np.ones(3), 10.0)
+        vol = ConvexHull(verts).volume
         assert vol == pytest.approx(3.0 * np.sqrt(3.0), rel=1e-12)
         assert verts.shape[0] == 3
 
