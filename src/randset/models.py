@@ -224,9 +224,8 @@ def _binding_min(exit_, centers: np.ndarray, s2: np.ndarray, bound: np.ndarray,
             dot += dirs[:, j, None] * c[:, j]
         return np.min(exit_(dot, s2[mask]), axis=1)
 
-    if bound.size <= _CULL_KEEP:
-        return evaluate(slice(None))
-    first = bound <= np.partition(bound, _CULL_KEEP - 1)[_CULL_KEEP - 1]
+    k = min(_CULL_KEEP, bound.size) - 1
+    first = bound <= np.partition(bound, k)[k]
     t = evaluate(first)
     margin = _CULL_MARGIN * max(1.0, float(np.max(s2)))
     # fmin: a NaN radius (from a NaN direction) reaches the cap
@@ -670,8 +669,9 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
     refute containment, so the process is sampled on that shell alone; the
     verdict agrees with the full model exactly.  Of the shell's points
     (about 790 at lam = 3000), ball_intersection_radius evaluates only
-    those whose slack is at most the largest radius of the first few it
-    evaluates, a certificate that leaves the radii bit for bit unchanged.
+    those whose slack is at most the largest radius that the 32 of
+    smallest slack give, a certificate that leaves the radii bit for bit
+    unchanged.
     """
     d = validate_dimension(d)
     if not 1.0 < lam < np.inf:
