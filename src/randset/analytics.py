@@ -255,7 +255,10 @@ def expected_volume_quadrature(d: int, lam: float, miss_fn=None) -> float:
 
     The integrand collapses onto a thin layer near 0 for large lam, so the
     integral is split where the exponent reaches 60; lam = 0 returns the
-    ball volume exactly.
+    ball volume exactly.  E|I| falls like lam^-d, so the head is held to a
+    relative tolerance alone, which keeps its digits at any scale (an
+    absolute one stops quad early once E|I| is below it), and the tail,
+    under e^-60 of the head, to one set by the head.
     """
     d = validate_dimension(d)
     lam = validate_intensity(lam)
@@ -268,13 +271,12 @@ def expected_volume_quadrature(d: int, lam: float, miss_fn=None) -> float:
         return d * wd * r ** (d - 1) * np.exp(-lam * wd * np.asarray(miss_fn(r), dtype=float))
 
     top = lam * wd * float(np.asarray(miss_fn(1.0), dtype=float))
-    if top > 60.0:
-        split = invert_increasing(miss_fn, 60.0 / (lam * wd), 0.0, 1.0, slope)
-        a, _ = integrate.quad(g, 0.0, split, epsabs=1e-14, epsrel=1e-12, limit=200)
-        b, _ = integrate.quad(g, split, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-        return a + b
-    val, _ = integrate.quad(g, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return val
+    if top <= 60.0:
+        return integrate.quad(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    split = invert_increasing(miss_fn, 60.0 / (lam * wd), 0.0, 1.0, slope)
+    head, _ = integrate.quad(g, 0.0, split, epsabs=0.0, epsrel=1e-12, limit=200)
+    tail, _ = integrate.quad(g, split, 1.0, epsabs=1e-13 * head, epsrel=1e-12, limit=200)
+    return head + tail
 
 
 _MAX_CONSTANT_DIM = 37

@@ -250,26 +250,27 @@ def _block_radius_convergence(cfg: ExperimentConfig, lam: float, rng: RngStream)
 def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
                              rng: RngStream) -> tuple[float, float]:
     """Brute-force volume of the ball-model intersection I: uniform points
-    in a ball B(0, rho) known to contain I, tested by squared distance
-    against every center that can shape I (models.windowed_ball_pins).
-    Each replicate records omega_d * rho^d times its hit fraction, which is
-    unbiased given its centers.  Independent of the star-radius route, so
-    it closes the consistency triangle with the quadrature and
-    radius-moment estimates."""
+    x in a ball B(0, rho) known to contain I, tested against every center
+    c = (1 - delta) * (-n) that can shape I (models.windowed_ball_pins) by
+    |x|^2 + 2 (1 - delta) <x, n> <= delta (2 - delta), which is |x - c| <= 1
+    written in the depth delta, so the test keeps its precision however
+    close the centers lie to the unit sphere.  Each replicate records
+    omega_d * rho^d times its hit fraction, which is unbiased given its
+    centers.  Independent of the star-radius route, so it closes the
+    consistency triangle with the quadrature and radius-moment estimates."""
     reps = max(2, samples // 10)
     pts_per = 2000
     wd = unit_ball_volume(d)
     vols = np.empty(reps)
     for i in range(reps):
         r = rng.spawn("real", i)
-        centers, rho = models.windowed_ball_pins(d, lam, r)
+        depths, normals, rho = models.windowed_ball_pins(d, lam, r)
         g = r.spawn("probe").gen
         x = g.standard_normal((pts_per, d))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         x *= rho * g.random(pts_per)[:, None] ** (1.0 / d)
-        d2 = (np.sum(x * x, axis=1)[:, None] - 2.0 * x @ centers.T
-              + np.sum(centers * centers, axis=1)[None, :])
-        vols[i] = wd * rho**d * np.mean(np.all(d2 <= 1.0 + 1e-12, axis=1))
+        lhs = np.sum(x * x, axis=1)[:, None] + 2.0 * x @ ((1.0 - depths)[:, None] * normals).T
+        vols[i] = wd * rho**d * np.mean(np.all(lhs <= depths * (2.0 - depths), axis=1))
     return float(vols.mean()), float(vols.std(ddof=1) / np.sqrt(reps))
 
 
@@ -322,7 +323,7 @@ def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[t
     for i in range(n):
         r = rng.spawn(i)
         tess = ppp.sample_shell(2, lam / 2.0, eps, "both", r.spawn("tess"))
-        outp = models.coupling_transform(tess, r.spawn("bulk"), grid)
+        outp = models.coupling_transform(tess.points, lam, eps, r.spawn("bulk"), grid)
         haus[i] = outp.hausdorff_scaled
         flags[i] = outp.tess_cell.flagged_fraction
         pts = tess.points

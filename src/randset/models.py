@@ -22,10 +22,8 @@ from .geomcore import (
     validate_intensity,
 )
 from .ppp import (
-    ProcessSample,
     RadialMeasure,
     RngStream,
-    _sample_band,
     axis_cosines,
     sample_ball_uniform,
     sample_poisson_count,
@@ -33,6 +31,7 @@ from .ppp import (
     segmented_min,
     shell_depth_cdfs,
     uniform_directions,
+    uniform_radial_law,
 )
 
 _TINY = 1e-14
@@ -352,45 +351,6 @@ def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
     return _pooled_chunks(n, min(mean, 4.0 * d), chunk)
 
 
-def windowed_ball_pins(d: int, lam: float, rng: RngStream) -> tuple[np.ndarray, float]:
-    """The ball-model centers that can shape I, and a radius rho with I
-    inside B(0, rho).
-
-    Each ball B(c, 1) lies in the half-space {x : <x, -c/|c|> <= 1 - |c|},
-    so I lies in the polytope P those half-spaces cut out, and a ball whose
-    slack 1 - |c| exceeds rho holds B(0, rho).  The centers are drawn in
-    bands of slack, (0, rho], then (rho, 2 rho] and so on, starting at
-    rho = 4 / (lam * omega_d).  Once _zero_cell_polytope certifies that the
-    P of the centers drawn so far lies in B(0, rho), every undrawn ball
-    holds P, so the drawn centers alone give I and the rest are never
-    drawn.  Otherwise rho ends at 1 with every center drawn.  Exact in law,
-    since the process on disjoint bands is independent across bands.  The
-    certificate is tried for 2 <= d <= _MAX_CELL_DIM only, as for the zero
-    cells; other d draw every center at once.  The bands of slack are told
-    apart only while the first window is at least the float spacing below
-    1, so a larger lam raises a ValueError.
-    """
-    d = validate_dimension(d)
-    lam = validate_intensity(lam)
-    hi = _first_window(d, lam, 1.0) if 2 <= d <= _MAX_CELL_DIM else 1.0
-    step = np.finfo(float).epsneg
-    if hi < step:
-        raise ValueError(f"windowed_ball_pins needs lam <= "
-                         f"{4.0 / (unit_ball_volume(d) * step):.4g} at d = {d}: above that "
-                         f"its first slack window 4/(lam omega_d) is finer than the float "
-                         f"spacing below 1; got lam = {lam:g}")
-    lo, bands = 0.0, []
-    while True:
-        bands.append(_sample_band(d, lam, 1.0 - hi, 1.0 - lo, rng))
-        centers = np.concatenate(bands)
-        if hi >= 1.0:
-            return centers, 1.0
-        s = np.linalg.norm(centers, axis=1)
-        if _zero_cell_polytope(d, -centers / s[:, None], 1.0 - s, hi) is not None:
-            return centers, hi
-        lo, hi = hi, min(2.0 * hi, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Poisson hyperplane tessellation, zero cell
 
@@ -444,6 +404,34 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
         return None
 
 
+def _windowed_cell(d: int, band: Callable[[float, float], tuple[np.ndarray, np.ndarray]],
+                   first: float, last: float, unit: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, int]:
+    """The zero cell of half-spaces {x : <x, n_i> <= p_i} whose offsets are
+    drawn window by window.
+
+    band(lo, hi) draws the normals and offsets with p in (lo, hi]: first
+    (0, first], then (hi, 2 hi] as the window hi doubles up to last.  The
+    loop stops once _zero_cell_polytope certifies the cell bounded and
+    inside the window, or at the window last.  Half-spaces past a certified
+    window cannot change the cell, and the process on disjoint bands is
+    independent across bands, so the cell is exact in law.  qhull sees the
+    offsets and the window in units of `unit`, a cell of size about 1.
+    Returns the normals, the offsets, the vertices (None when uncertified),
+    the last window and the number of doublings.
+    """
+    normals, offsets = np.empty((0, d)), np.empty(0)
+    lo, hi, doublings = 0.0, first, 0
+    while True:
+        new_normals, new_offsets = band(lo, hi)
+        normals = np.vstack([normals, new_normals])
+        offsets = np.concatenate([offsets, new_offsets])
+        verts = _zero_cell_polytope(d, normals, offsets / unit, hi / unit)
+        if verts is not None or hi >= last:
+            return normals, offsets, verts, hi, doublings
+        lo, hi, doublings = hi, min(2.0 * hi, last), doublings + 1
+
+
 _WINDOW_RADIUS = 10.0
 _MAX_ENLARGEMENTS = 3
 # qhull fails on about one cell in 2000 at d = 5, and more often above
@@ -458,35 +446,69 @@ def crofton_cell(d: int, rng: RngStream) -> CroftonCell:
     per unit distance (the measure of hyperplanes meeting the unit ball is
     2); normals are uniform on the sphere.  Any other rate r is a length
     scale: the cell at rate r is this cell scaled by 2/r.  Sampling is
-    windowed: the first window has radius _WINDOW_RADIUS.  If the exact
-    cell is not certified bounded and inside the current window (the
-    normals fail to span, or some vertex reaches the window), the window
-    doubles and new hyperplanes are superposed on the old ones, which
-    preserves the law.  A cell still uncertified after _MAX_ENLARGEMENTS
-    doublings raises UnboundedCellError; that signals a fault, not a rare
-    draw.
+    windowed (_windowed_cell): the first window has radius _WINDOW_RADIUS
+    and doubles, with new hyperplanes superposed on the old ones, until the
+    exact cell is certified bounded and inside it.  A cell still
+    uncertified after _MAX_ENLARGEMENTS doublings raises
+    UnboundedCellError; that signals a fault, not a rare draw.
     """
     d = validate_dimension(d)
     if not 2 <= d <= _MAX_CELL_DIM:
         raise ValueError(f"zero cells need 2 <= d <= {_MAX_CELL_DIM}, got d = {d}")
-    normals = np.empty((0, d))
-    offsets = np.empty(0)
-    lo, hi = 0.0, _WINDOW_RADIUS
-    for attempt in range(_MAX_ENLARGEMENTS + 1):
-        n_new = sample_poisson_count(2.0 * (hi - lo), rng)
-        if n_new:
-            offs = rng.gen.uniform(lo, hi, n_new)
-            normals = np.vstack([normals, uniform_directions(d, n_new, rng)])
-            offsets = np.concatenate([offsets, offs])
-        verts = _zero_cell_polytope(d, normals, offsets, hi)
-        if verts is not None:
-            from scipy.spatial import ConvexHull
-            vol = float(ConvexHull(verts).volume)
-            return CroftonCell(d, normals, offsets, verts, vol, hi, attempt)
-        lo, hi = hi, 2.0 * hi
-    raise UnboundedCellError(
-        f"zero cell not certified bounded within window {lo:g} after "
-        f"{_MAX_ENLARGEMENTS} enlargements")
+
+    def band(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        n = sample_poisson_count(2.0 * (hi - lo), rng)
+        offsets = rng.gen.uniform(lo, hi, n) if n else np.empty(0)
+        return uniform_directions(d, n, rng), offsets
+
+    normals, offsets, verts, window, doublings = _windowed_cell(
+        d, band, _WINDOW_RADIUS, _WINDOW_RADIUS * 2**_MAX_ENLARGEMENTS, 1.0)
+    if verts is None:
+        raise UnboundedCellError(
+            f"zero cell not certified bounded within window {window:g} after "
+            f"{_MAX_ENLARGEMENTS} enlargements")
+    from scipy.spatial import ConvexHull
+    vol = float(ConvexHull(verts).volume)
+    return CroftonCell(d, normals, offsets, verts, vol, window, doublings)
+
+
+def windowed_ball_pins(d: int, lam: float,
+                       rng: RngStream) -> tuple[np.ndarray, np.ndarray, float]:
+    """The depths delta = 1 - |c| and normals n = -c/|c| of the ball-model
+    centers c that can shape I, and a radius rho with I inside B(0, rho).
+
+    Each ball B(c, 1) lies in its tangent half-space {x : <x, n> <= delta},
+    so I lies in the polytope P those half-spaces cut out: the zero cell of
+    an isotropic Poisson half-space process with lam omega_d offsets of
+    depth law F(delta) = 1 - (1 - delta)^d.  A ball deeper than rho holds
+    B(0, rho), so once P of the drawn centers is certified inside B(0, rho)
+    the undrawn balls hold P, and the drawn centers alone give I.  The
+    depths are drawn window by window (_windowed_cell), from rho = 4 /
+    (lam omega_d) up to 1, with qhull working in units of the first
+    window: a band (lo, hi] holds Poisson(lam omega_d (F(hi) - F(lo)))
+    centers with depths F^-1(u), u uniform on (F(lo), F(hi)).  F and its
+    inverse are taken in expm1/log1p form, so the depths keep their
+    relative precision at any lam.  P's radii are intersection_radius(
+    HALF_SPACE, depths, normals, dirs), I's are intersection_radius(BALL,
+    1 - depths, -normals, dirs).  Dimensions outside 2..._MAX_CELL_DIM,
+    where no zero cell is certified, draw every center, with rho = 1.
+    """
+    d, mean = _mean_pin_count(d, lam, uniform_radial_law(d), BALL)
+    g = rng.gen
+
+    def band(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf: F(1) = 1
+            f_lo, f_hi = -np.expm1(d * np.log1p(-np.array([lo, hi])))
+            n = sample_poisson_count(mean * (f_hi - f_lo), rng)
+            depths = -np.expm1(np.log1p(-(f_lo + g.random(n) * (f_hi - f_lo))) / d)
+        return uniform_directions(d, n, rng), depths
+
+    if not 2 <= d <= _MAX_CELL_DIM:
+        normals, depths = band(0.0, 1.0)
+        return depths, normals, 1.0
+    first = _first_window(d, lam, 1.0)
+    normals, depths, _, rho, _ = _windowed_cell(d, band, first, 1.0, first)
+    return depths, normals, rho
 
 
 def segment_crossing_count(d: int, length: float, n: int, rng: RngStream) -> np.ndarray:
@@ -611,13 +633,13 @@ class CouplingOutput:
     hausdorff_scaled: float
 
 
-def coupling_transform(tess_sample: ProcessSample, rng: RngStream,
+def coupling_transform(points: np.ndarray, lam: float, eps: float, rng: RngStream,
                        grid: DirectionGrid) -> CouplingOutput:
     """Couple a sphere tessellation sample to a boolean intersection model.
 
-    The input is a uniform Poisson sample of intensity lam/2 on the annulus
-    of width eps = tess_sample.eps around the unit sphere.  Points outside
-    the sphere are reflected antipodally (radius s -> s - 2, i.e. 2 - s with
+    The input points are a uniform Poisson sample of intensity lam/2 on the
+    planar annulus |1 - |c|| <= eps around the unit circle.  Points outside
+    the circle are reflected antipodally (radius s -> s - 2, i.e. 2 - s with
     the direction flipped: a circle centered at (1+w)*theta walls the cell
     off near +theta, exactly where the circle centered at (w-1)*theta does,
     and their first-crossing distances agree to first order in w); inner
@@ -638,18 +660,18 @@ def coupling_transform(tess_sample: ProcessSample, rng: RngStream,
     eps, are almost never evaluated.  The radii equal those of every
     center, bit for bit.
     """
-    if tess_sample.dim != 2:
-        raise ValueError("the coupling is implemented for d = 2")
-    if tess_sample.region != "annulus" or tess_sample.eps is None:
-        raise ValueError("tess_sample must be drawn on the annulus around the unit sphere")
-    eps = tess_sample.eps
-    lam = 2.0 * tess_sample.intensity
-    pts = tess_sample.points
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"the coupling is implemented for d = 2, got points of shape "
+                         f"{pts.shape}")
+    depth_laws = shell_depth_cdfs(eps, 2)  # checks 0 < eps < 1
     s = np.linalg.norm(pts, axis=1)
+    depth = np.abs(s - 1.0)
+    if not np.all(depth <= eps + 1e-12):
+        raise ValueError(f"the points must lie in the annulus |1 - |c|| <= eps = {eps}")
     th = pts / s[:, None]
-    depth = np.clip(np.abs(s - 1.0), 0.0, eps)
     sign = np.where(s > 1.0, -1.0, 1.0)
-    w = np.asarray(shell_depth_cdfs(eps, 2).transport(depth), dtype=float)
+    w = np.asarray(depth_laws.transport(np.minimum(depth, eps)), dtype=float)
     corrected = (sign * (1.0 - w))[:, None] * th
 
     bulk = sample_ball_uniform(2, lam, rng, rmax=1.0 - eps)

@@ -209,14 +209,9 @@ def axis_cosines(d: int, n: int, rng: RngStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProcessSample:
-    """A realized marked Poisson sample: points, the driving intensity, and
-    the region the points live on."""
+    """A realized Poisson sample: its points, shape (n, d)."""
 
-    dim: int
-    points: np.ndarray  # (n, dim)
-    intensity: float
-    region: str  # "ball", "shell-inner", "shell-outer", "annulus"
-    eps: float | None = None
+    points: np.ndarray
 
     @property
     def count(self) -> int:
@@ -248,22 +243,18 @@ def sample_shell(d: int, lam: float, eps: float, side: str, rng: RngStream) -> P
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    bands = {"inner": (1.0 - eps, 1.0, "shell-inner"),
-             "outer": (1.0, 1.0 + eps, "shell-outer"),
-             "both": (1.0 - eps, 1.0 + eps, "annulus")}
+    bands = {"inner": (1.0 - eps, 1.0), "outer": (1.0, 1.0 + eps),
+             "both": (1.0 - eps, 1.0 + eps)}
     if side not in bands:
         raise ValueError(f"side must be inner/outer/both, got {side!r}")
-    lo, hi, region = bands[side]
-    pts = _sample_band(d, lam, lo, hi, rng)
-    return ProcessSample(pts.shape[1], pts, float(lam), region, eps=float(eps))
+    return ProcessSample(_sample_band(d, lam, *bands[side], rng))
 
 
 def sample_ball_uniform(d: int, lam: float, rng: RngStream, rmax: float = 1.0) -> ProcessSample:
     """Homogeneous Poisson(lam) sample on the centered ball of radius rmax."""
     if not rmax > 0:
         raise ValueError("rmax must be > 0")
-    pts = _sample_band(d, lam, 0.0, rmax, rng)
-    return ProcessSample(pts.shape[1], pts, float(lam), "ball")
+    return ProcessSample(_sample_band(d, lam, 0.0, rmax, rng))
 
 
 class ShellDepthCdfs:

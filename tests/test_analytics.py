@@ -358,6 +358,18 @@ class TestExpectedVolume:
                     / const for lam in (1e2, 1e3, 1e4)]
             assert gaps[0] > gaps[1] > gaps[2]
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_second_order_rate(self, d):
+        # lam^d E|I| = C_d (1 + a_d / lam^2 + O(lam^-4)), with a_d =
+        # (d-1) d (d+1) (d+2) / (24 omega_{d-1}^2): E|I| must keep its
+        # digits far below any fixed absolute scale for lam^2 times the
+        # relative gap to resolve a_d
+        a_d = (d - 1) * d * (d + 1) * (d + 2) / (24.0 * unit_ball_volume(d - 1) ** 2)
+        const = asymptotic_volume_constant(d)
+        for lam in (1e3, 1e4, 1e5):
+            gap = lam**d * expected_volume_quadrature(d, lam) / const - 1.0
+            assert lam**2 * gap == pytest.approx(a_d, rel=1e-4), lam
+
     def test_monotone_in_intensity(self):
         vols = [expected_volume_quadrature(2, lam)
                 for lam in (0.0, 1.0, 10.0, 100.0, 1e4, 1e6)]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import randset
-from randset import expcli, models
+from randset import analytics, expcli, models
 from randset.expcli import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -26,6 +26,7 @@ from randset.expcli import (
     parse_config_file,
     run_experiment,
 )
+from randset.ppp import RngStream
 
 
 def read_rows(path):
@@ -368,9 +369,10 @@ class TestEndToEnd:
         # rows are float64: lam = 1e300 ends in a config error or a
         # numerical failure, not a traceback or a hang
         monkeypatch.setenv("RANDSET_THREADS", "1")
-        for experiment in ("radius-convergence", "cone", "volume-sweep"):
+        for experiment in ("radius-convergence", "cone", "volume-sweep", "coupling",
+                           "crofton"):
             code = main([experiment, "--lambda", "1e300", "--samples", "200",
-                         "--out", str(tmp_path / "x.csv")])
+                         "--replicates", "2", "--out", str(tmp_path / "x.csv")])
             err = capsys.readouterr().err
             assert code in (2, 3), (experiment, code, err)
             assert "Traceback" not in err
@@ -450,6 +452,14 @@ class TestRecordSemantics:
         hm = recs["volume_hit_or_miss"]
         assert hm.value > 0.0 and hm.std_error > 0.0
         assert np.isfinite(recs["hit_or_miss_sigma_gap"].value)
+
+    @pytest.mark.parametrize("d, lam", [(2, 50.0), (3, 50.0), (2, 1e15)])
+    def test_hit_or_miss_volume_matches_quadrature(self, d, lam):
+        # the probes are tested in depth form, so the volume stays unbiased
+        # where the centers lie a few float spacings inside the sphere
+        vol, se = expcli._hit_or_miss_ball_volume(d, lam, 3000, RngStream(5))
+        quad = analytics.expected_volume_quadrature(d, lam)
+        assert abs(vol - quad) <= 3.0 * se, (vol, quad, se)
 
 
 CLI_ARGS = ["warmup-1d", "--d", "1", "--lambda", "60", "--replicates", "2000",

@@ -55,7 +55,6 @@ from randset.models import (
     windowed_ball_pins,
 )
 from randset.ppp import (
-    ProcessSample,
     RngStream,
     ShellDepthCdfs,
     _sample_band,
@@ -676,7 +675,7 @@ class TestWindowedPins:
 
     @pytest.mark.parametrize("d, lam", [(2, 10.0), (2, 200.0), (3, 10.0), (3, 200.0)])
     def test_certificate_holds_the_undrawn_centers(self, d, lam, rng):
-        # the centers left undrawn (slack above rho) change no radius, and
+        # the centers left undrawn (depth above rho) change no radius, and
         # every radius is within the certified window
         dirs = direction_grid(d, 256).points
 
@@ -687,11 +686,12 @@ class TestWindowedPins:
         certified = undrawn = 0
         for i in range(40):
             r = rng.spawn("certificate", d, lam, i)
-            centers, rho = windowed_ball_pins(d, lam, r)
-            assert np.all(1.0 - np.linalg.norm(centers, axis=1) <= rho)
+            depths, normals, rho = windowed_ball_pins(d, lam, r)
+            assert np.all((depths > 0.0) & (depths <= rho))
             if rho == 1.0:
                 continue
             certified += 1
+            centers = (depths - 1.0)[:, None] * normals
             drawn = radii(centers)
             assert np.all(drawn <= rho)
             rest = _sample_band(d, lam, 0.0, 1.0 - rho, r.spawn("undrawn"))
@@ -699,22 +699,54 @@ class TestWindowedPins:
             assert np.array_equal(radii(np.vstack([centers, rest])), drawn)
         assert certified >= 30 and undrawn >= 100
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tangent_polytope_law(self, d, rng):
+        # the tangent polytope P is the half-space model with depth-law
+        # offsets, so its radius along an axis has that model's law
+        lam, n = 50.0, 2000
+        e1 = np.eye(d)[:1]
+        root = rng.spawn("polytope-law", d)
+        drawn = np.empty(n)
+        for i in range(n):
+            depths, normals, _ = windowed_ball_pins(d, lam, root.spawn(i))
+            drawn[i] = intersection_radius(HALF_SPACE, depths, normals, e1)[0]
+        reference = sample_axis_radii(d, lam, depth_radial_law(d), HALF_SPACE, 20_000,
+                                      root.spawn("reference"))
+        assert stats.ks_2samp(drawn, reference).pvalue > 1e-3
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("lam", [1e17, 1e100])
+    def test_huge_intensity_certified(self, d, lam, rng):
+        # the first window 4/(lam omega_d) lies far below the float spacing
+        # at 1; depths drawn as depths still certify P within a few
+        # rounds, from a few dozen half-spaces, and lam R_P along an axis
+        # has its limit law Exp(omega_{d-1}) (the gap is of order 1/lam)
+        dirs = direction_grid(d, 512).points
+        e1 = np.eye(d)[:1]
+        root = rng.spawn("huge", d, lam)
+        scaled = np.empty(500)
+        for i in range(scaled.size):
+            depths, normals, rho = windowed_ball_pins(d, lam, root.spawn(i))
+            assert rho < 1.0
+            scaled[i] = lam * intersection_radius(HALF_SPACE, depths, normals, e1)[0]
+            if i < 20:
+                assert depths.size < 100
+                assert np.all(intersection_radius(HALF_SPACE, depths, normals, dirs,
+                                                  rmax=np.inf) <= rho)
+        rate = unit_ball_volume(d - 1)
+        assert stats.kstest(scaled, lambda t: -np.expm1(-rate * t)).pvalue > 1e-3
+
     def test_pin_count_overflow(self, rng):
         # an overflowing mean is named, not left to numpy's "lam is NaN"
         with pytest.raises(ValueError, match="mean pin count"):
             sample_axis_radii(2, 1e308, uniform_radial_law(2), BALL, 4, rng)
 
-    def test_huge_intensity_named(self):
-        # the first slack window 4/(lam pi) is finer than the float spacing
-        # below 1, so the bands of slack cannot be told apart
-        with pytest.raises(ValueError, match=r"lam <= 1\.147e\+16 at d = 2.*lam = 1e\+17"):
-            windowed_ball_pins(2, 1e17, RngStream(1))
-
     def test_uncertified_dimensions_draw_every_center(self, rng):
-        centers, rho = windowed_ball_pins(1, 50.0, rng.spawn("window-1d"))
-        assert rho == 1.0 and centers.shape[1] == 1
-        empty, rho0 = windowed_ball_pins(2, 0.0, rng.spawn("window-empty"))
-        assert rho0 == 1.0 and empty.shape == (0, 2)
+        depths, normals, rho = windowed_ball_pins(1, 50.0, rng.spawn("window-1d"))
+        assert rho == 1.0 and normals.shape == (depths.size, 1) and depths.size > 50
+        assert np.all((depths >= 0.0) & (depths <= 1.0))
+        empty, normals0, rho0 = windowed_ball_pins(2, 0.0, rng.spawn("window-empty"))
+        assert rho0 == 1.0 and empty.shape == (0,) and normals0.shape == (0, 2)
 
 
 class TestExactRadiusLaws:
@@ -1010,23 +1042,19 @@ class TestSphereTessellation:
 class TestCouplingTransform:
     GRID = direction_grid(2, 64)
 
-    def _annulus_sample(self, points, eps, intensity=10.0):
-        return ProcessSample(dim=2, points=np.asarray(points, dtype=float),
-                             intensity=intensity, region="annulus", eps=eps)
-
     def test_region_validation(self, rng):
-        bad = ProcessSample(dim=2, points=np.empty((0, 2)), intensity=1.0,
-                            region="ball", eps=None)
-        with pytest.raises(ValueError):
-            coupling_transform(bad, rng, self.GRID)
-        with pytest.raises(ValueError):
-            coupling_transform(self._annulus_sample(np.empty((0, 2)), None), rng,
-                               self.GRID)
+        # planar points on the annulus |1 - |c|| <= eps, with 0 < eps < 1
+        for points, eps in (([[1.0, 0.0, 0.0]], 0.1), ([[0.5, 0.0]], 0.1),
+                            ([[1.2, 0.0]], 0.1), ([[1.0, 0.0]], 0.0),
+                            ([[1.0, 0.0]], 1.0)):
+            with pytest.raises(ValueError):
+                coupling_transform(points, 10.0, eps, rng, self.GRID)
+        out = coupling_transform(np.empty((0, 2)), 0.0, 0.1, rng, self.GRID)
+        assert out.corrected_points.shape == (0, 2)
 
     def test_outer_point_reflects(self, rng):
         eps = 0.6
-        out = coupling_transform(self._annulus_sample([[1.5, 0.0]], eps, 0.0),
-                                 rng.spawn("fold"), self.GRID)
+        out = coupling_transform([[1.5, 0.0]], 0.0, eps, rng.spawn("fold"), self.GRID)
         # the fold sends the point antipodally to depth 0.5, and the
         # transport moves that depth by at most its bound
         assert out.corrected_points[0, 0] < 0.0
@@ -1037,15 +1065,15 @@ class TestCouplingTransform:
     def test_inner_points_kept(self, rng):
         eps = 0.25
         pts = np.array([[0.8, 0.0], [0.0, 0.95]])
-        out = coupling_transform(self._annulus_sample(pts, eps, 0.0),
-                                 rng.spawn("keep"), self.GRID)
+        out = coupling_transform(pts, 0.0, eps, rng.spawn("keep"), self.GRID)
         nudge = np.linalg.norm(out.corrected_points - pts, axis=1)
         assert np.max(nudge) <= 2.0 * eps * eps
 
     def test_sampled_geometry(self, rng):
         eps = 0.05
         s = sample_shell(2, 400.0, eps, "both", rng.spawn("cpl-s"))
-        out = coupling_transform(s, rng.spawn("cpl-r"), direction_grid(2, 256))
+        out = coupling_transform(s.points, 800.0, eps, rng.spawn("cpl-r"),
+                                 direction_grid(2, 256))
         assert out.corrected_points.shape == s.points.shape
         sn = np.linalg.norm(s.points, axis=1)
         cn = np.linalg.norm(out.corrected_points, axis=1)

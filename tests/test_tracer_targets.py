@@ -2,8 +2,10 @@
 its workloads build command-line configs.  Every name it patches must
 exist, or a traced run stops with a KeyError, and every workload's options
 must make a valid config, or the benchmark fails where this suite passed."""
+import dataclasses
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -44,3 +46,36 @@ def test_every_workload_config_builds(tmp_path):
             cfg = expcli.build_config(experiment, {}, dict(
                 options, seed=1, output_path=str(tmp_path / "run.csv"), format="csv"))
             assert cfg.experiment == experiment
+
+
+# tiny versions of the benchmark's workloads
+TRACED_RUNS = (
+    ("crofton", {"d": 2, "lambda_grid": (2.0,), "replicates": 20}),
+    ("coupling", {"lambda_grid": (3000.0,), "replicates": 2}),
+    ("volume-sweep", {"lambda_grid": (200.0,), "samples": 300}),
+    ("radius-convergence", {"lambda_grid": (10.0,), "samples": 2000}),
+)
+
+
+def _records():
+    out = []
+    for experiment, options in TRACED_RUNS:
+        cfg = expcli.build_config(experiment, {}, dict(options, seed=1))
+        out += [dataclasses.replace(r, runtime_ms=0.0) for r in expcli.run_experiment(cfg)]
+    return out
+
+
+def test_traced_runs_keep_the_tracer_contract(monkeypatch):
+    # the tracer reads attributes of what it wraps (.count, .enlargements):
+    # a traced run must raise nowhere, give finite layer metrics and the
+    # records of an untraced run
+    monkeypatch.setenv("RANDSET_THREADS", "1")
+    tracing = _load("tracing")
+    plain = _records()
+    tracer = tracing.Tracer()
+    with tracer:
+        traced = _records()
+    assert traced == plain
+    assert [s for s in tracer.spans if s[tracing.ERROR] is not None] == []
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics and all(math.isfinite(v) for v in metrics.values())
