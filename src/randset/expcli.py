@@ -257,7 +257,11 @@ def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
     close the centers lie to the unit sphere.  Each replicate records
     omega_d * rho^d times its hit fraction, which is unbiased given its
     centers.  Independent of the star-radius route, so it closes the
-    consistency triangle with the quadrature and radius-moment estimates."""
+    consistency triangle with the quadrature and radius-moment estimates.
+    The probes are held coordinate-major and tested one center per row and
+    one probe per column, so the test over the few centers runs along the
+    long probe axis; the probes are drawn as in the probe-major layout and
+    tested by the same inequality."""
     reps = max(2, samples // 10)
     pts_per = 2000
     wd = unit_ball_volume(d)
@@ -266,11 +270,13 @@ def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
         r = rng.spawn("real", i)
         depths, normals, rho = models.windowed_ball_pins(d, lam, r)
         g = r.spawn("probe").gen
-        x = g.standard_normal((pts_per, d))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        x *= rho * g.random(pts_per)[:, None] ** (1.0 / d)
-        lhs = np.sum(x * x, axis=1)[:, None] + 2.0 * x @ ((1.0 - depths)[:, None] * normals).T
-        vols[i] = wd * rho**d * np.mean(np.all(lhs <= depths * (2.0 - depths), axis=1))
+        x = np.ascontiguousarray(g.standard_normal((pts_per, d)).T)
+        x /= np.linalg.norm(x, axis=0)
+        x *= rho * g.random(pts_per) ** (1.0 / d)
+        lhs = ((1.0 - depths)[:, None] * normals) @ (2.0 * x)
+        lhs += np.sum(x * x, axis=0)
+        hits = np.all(lhs <= (depths * (2.0 - depths))[:, None], axis=0)
+        vols[i] = wd * rho**d * np.mean(hits)
     return float(vols.mean()), float(vols.std(ddof=1) / np.sqrt(reps))
 
 

@@ -65,6 +65,11 @@ def unit_sphere_area(d: int) -> float:
     return d * unit_ball_volume(d)
 
 
+# r^2/4 leaves the normal floats below r = 1.5e-154; lune_fraction takes its
+# leading term below this separation, with a relative error of O(r^2)
+_LUNE_LEADING_R = 1e-150
+
+
 def lune_fraction(d: int, r) -> float | np.ndarray:
     """Normalized volume of the lune cut from the unit ball by a shifted copy.
 
@@ -75,8 +80,11 @@ def lune_fraction(d: int, r) -> float | np.ndarray:
 
         lune_fraction(d, r) = I_{r^2/4}(1/2, (d+1)/2),
 
-    which is exact and keeps full relative precision down to r = 0
-    (the naive cap difference cancels catastrophically there).
+    which is exact and keeps full relative precision at small r, where
+    the naive cap difference cancels catastrophically.  Below r = 1e-150,
+    just above where r^2/4 leaves the normal floats, the leading term
+    r / B(1/2, (d+1)/2) stands in, so the precision holds down to r = 0;
+    its relative error is O(r^2).
 
     Parameters
     ----------
@@ -90,6 +98,9 @@ def lune_fraction(d: int, r) -> float | np.ndarray:
     if not np.all((arr >= 0.0) & (arr <= 2.0)):
         raise ValueError("separation r must lie in [0, 2]")
     out = special.betainc(0.5, (d + 1) / 2.0, arr * arr / 4.0)
+    # one reduction, cheaper than a mask, on the common path of no tiny r
+    if arr.min(initial=np.inf) < _LUNE_LEADING_R:
+        out = np.where(arr < _LUNE_LEADING_R, arr / special.beta(0.5, (d + 1) / 2.0), out)
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(out)
     return out

@@ -184,7 +184,7 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
     if centers.size == 0:
         return np.ones(dirs.shape[0])
     centers = np.atleast_2d(centers)
-    s2 = np.sum(centers * centers, axis=1)
+    s2 = _squared_norms(centers)
     if not np.all(s2 <= 1.0 + 1e-9):
         raise ValueError("ball model centers must lie in the unit ball")
     t = _binding_min(_ball_exit, centers, s2, 1.0 - np.sqrt(s2), dirs, 1.0)
@@ -193,6 +193,16 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
 
 _CULL_KEEP = 32
 _CULL_MARGIN = 1e-12
+
+
+def _squared_norms(centers: np.ndarray) -> np.ndarray:
+    """|c|^2 of each row, summed column by column over the long axis: the
+    same squares added in the same order as np.sum(c * c, axis=1) (a
+    sequential sum for rows of up to 7 coordinates), several times faster."""
+    s2 = centers[:, 0] * centers[:, 0]
+    for j in range(1, centers.shape[1]):
+        s2 += centers[:, j] * centers[:, j]
+    return s2
 
 
 def _binding_min(exit_, centers: np.ndarray, s2: np.ndarray, bound: np.ndarray,
@@ -211,17 +221,25 @@ def _binding_min(exit_, centers: np.ndarray, s2: np.ndarray, bound: np.ndarray,
     in the bounds and the exits.  The dot products are elementwise, so a
     center's exits do not depend on which other centers are evaluated with
     it, and the result equals the full evaluation bit for bit.
+
+    The exits are held center-major, one row per center and one column per
+    direction, so the minimum runs down the short axis as a few row-wise
+    passes over the long, contiguous direction axis; a minimum along each
+    short row costs several times more in numpy.  The products and their
+    sum over the coordinates are the same in either layout.
     """
     if dirs.shape[1] != centers.shape[1]:
         raise ValueError(f"centers of dimension {centers.shape[1]} and directions of "
                          f"dimension {dirs.shape[1]} do not match")
 
+    dirs_t = np.ascontiguousarray(dirs.T)
+
     def evaluate(mask) -> np.ndarray:
         c = centers[mask]
-        dot = dirs[:, 0, None] * c[:, 0]
+        dot = c[:, 0, None] * dirs_t[0]
         for j in range(1, c.shape[1]):
-            dot += dirs[:, j, None] * c[:, j]
-        return np.min(exit_(dot, s2[mask]), axis=1)
+            dot += c[:, j, None] * dirs_t[j]
+        return np.min(exit_(dot, s2[mask][:, None]), axis=0)
 
     k = min(_CULL_KEEP, bound.size) - 1
     first = bound <= np.partition(bound, k)[k]
@@ -588,7 +606,7 @@ def first_circle_crossing(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     centers = np.atleast_2d(centers)
     if not np.all(np.isfinite(centers)):
         raise ValueError("circle centers must be finite")
-    s2 = np.sum(centers * centers, axis=1)
+    s2 = _squared_norms(centers)
     return _binding_min(_circle_exit, centers, s2, np.abs(1.0 - np.sqrt(s2)), dirs, np.inf)
 
 

@@ -101,14 +101,16 @@ _ROOT_MAX_ITER = 200
 def invert_increasing(fn, y, lo: float, hi: float, slope=None) -> np.ndarray | float:
     """Vectorized solve of fn(x) = y for increasing fn on [lo, hi].
 
-    Every target starts at x = lo and keeps a bracket [a, b] from the sign
-    of fn(x) - y.  With slope (the derivative of fn) each step is the
-    Newton step x - (fn(x) - y) / slope(x) when it lands in [a, b], and the
-    midpoint of [a, b] otherwise; with slope=None every step is the
-    midpoint, plain bisection.  Stops once every accepted Newton step, or
-    every bisected bracket, is below _ROOT_TOL.  Newton's steps shrink with
-    the root, so small roots keep their relative precision; bisection's
-    absolute tolerance does not.
+    A target at or past a range end, fn(lo) or fn(hi), is answered with
+    that end and takes no step (so an fn flat at its top gives hi, the
+    largest root).  Every other target starts at x = lo and keeps a bracket
+    [a, b] from the sign of fn(x) - y.  With slope (the derivative of fn)
+    each step is the Newton step x - (fn(x) - y) / slope(x) when it lands
+    in [a, b], and the midpoint of [a, b] otherwise; with slope=None every
+    step is the midpoint, plain bisection.  Stops once every accepted
+    Newton step, or every bisected bracket, is below _ROOT_TOL.  Newton's
+    steps shrink with the root, so small roots keep their relative
+    precision; bisection's absolute tolerance does not.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
@@ -119,8 +121,19 @@ def invert_increasing(fn, y, lo: float, hi: float, slope=None) -> np.ndarray | f
     fhi = float(np.asarray(fn(hi), dtype=float))
     if not np.all((y >= flo - 1e-12) & (y <= fhi + 1e-12)):
         raise ValueError("target outside the range of fn on [lo, hi]")
-    a = np.full(y.shape, float(lo))
-    b = np.full(y.shape, float(hi))
+    x = np.where(y < fhi, float(lo), float(hi))
+    inner = (y > flo) & (y < fhi)
+    if np.any(inner):
+        x[inner] = _newton_bisect(fn, y[inner], float(lo), float(hi), flo, slope)
+    return float(x[0]) if scalar else x
+
+
+def _newton_bisect(fn, y: np.ndarray, lo: float, hi: float, flo: float,
+                   slope) -> np.ndarray:
+    """invert_increasing's loop over the targets strictly inside the range,
+    from x = lo with fn(lo) = flo."""
+    a = np.full(y.shape, lo)
+    b = np.full(y.shape, hi)
     x, fx = a, np.full(y.shape, flo)
     for _ in range(_ROOT_MAX_ITER):
         below = fx < y
@@ -140,7 +153,7 @@ def invert_increasing(fn, y, lo: float, hi: float, slope=None) -> np.ndarray | f
         if np.max(size) < _ROOT_TOL:
             break
         fx = np.asarray(fn(x), dtype=float)
-    return float(x[0]) if scalar else x
+    return x
 
 
 def radial_law_from_cdf(name: str, cdf: Callable) -> RadialMeasure:

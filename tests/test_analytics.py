@@ -222,6 +222,35 @@ class TestInvertIncreasing:
                 assert np.max(np.abs(x - bisected)) < 2e-12
                 assert np.max(np.abs(weight(x) - target)) < 1e-12
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_target_at_the_range_end(self, d):
+        # y = w(1) is answered with 1.0 at once; iterating on it, Newton
+        # steps land a rounding error past 1 and the loop bisects
+        weight, slope = _miss_weight(d, None)
+        top = lune_fraction(d, 1.0)
+        calls = []
+
+        def counted(r):
+            calls.append(1)
+            return weight(r)
+
+        def evaluations(target):
+            calls.clear()
+            x = invert_increasing(counted, target, 0.0, 1.0, slope)
+            return x, len(calls)
+
+        x_end, n_end = evaluations(top)
+        x_below, n_below = evaluations(0.999999 * top)
+        assert x_end == 1.0 and x_below < 1.0
+        assert n_end <= n_below, (n_end, n_below)
+
+    def test_range_ends_among_inner_targets(self):
+        fn = lambda x: np.asarray(x) ** 3
+        y = np.array([8.0, 0.125, 0.0, 1.0])
+        x = invert_increasing(fn, y, 0.0, 2.0)
+        assert x[0] == 2.0 and x[2] == 0.0
+        assert np.allclose(x[[1, 3]], [0.5, 1.0], atol=1e-10)
+
     @pytest.mark.parametrize("d", range(1, 6))
     def test_lune_slope(self, d):
         r = np.linspace(0.01, 1.99, 199)

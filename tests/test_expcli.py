@@ -26,6 +26,7 @@ from randset.expcli import (
     parse_config_file,
     run_experiment,
 )
+from randset.geomcore import unit_ball_volume
 from randset.ppp import RngStream
 
 
@@ -460,6 +461,29 @@ class TestRecordSemantics:
         vol, se = expcli._hit_or_miss_ball_volume(d, lam, 3000, RngStream(5))
         quad = analytics.expected_volume_quadrature(d, lam)
         assert abs(vol - quad) <= 3.0 * se, (vol, quad, se)
+
+    @pytest.mark.parametrize("d, lam", [(2, 20.0), (3, 20.0)])
+    def test_hit_or_miss_volume_matches_probe_major(self, d, lam):
+        # the probes are held coordinate-major; the probe-major form on the
+        # same streams (2000 probes in each of samples // 10 replicates)
+        # gives the same hits, so the same volume
+        samples, rng = 400, RngStream(9)
+        vols, hits = [], 0
+        for i in range(samples // 10):
+            r = rng.spawn("real", i)
+            depths, normals, rho = models.windowed_ball_pins(d, lam, r)
+            g = r.spawn("probe").gen
+            x = g.standard_normal((2000, d))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            x *= rho * g.random(2000)[:, None] ** (1.0 / d)
+            lhs = np.sum(x * x, axis=1)[:, None] + 2.0 * x @ ((1.0 - depths)[:, None] * normals).T
+            hit = np.all(lhs <= depths * (2.0 - depths), axis=1)
+            hits += np.count_nonzero(hit)
+            vols.append(unit_ball_volume(d) * rho**d * np.mean(hit))
+        vol, se = expcli._hit_or_miss_ball_volume(d, lam, samples, rng)
+        assert hits > 0
+        assert vol == float(np.mean(vols))
+        assert se == float(np.std(vols, ddof=1) / np.sqrt(len(vols)))
 
 
 CLI_ARGS = ["warmup-1d", "--d", "1", "--lambda", "60", "--replicates", "2000",

@@ -108,6 +108,16 @@ class TestLuneFraction:
         r = 1e-4
         assert lune_fraction(2, r) == pytest.approx(2.0 * r / np.pi, rel=1e-7)
 
+    @pytest.mark.parametrize("d, coeff", [(1, 0.5), (2, 2.0 / np.pi), (3, 0.75)])
+    @pytest.mark.parametrize("r", [1e-160, 1e-300])
+    def test_leading_term_below_underflow(self, d, coeff, r):
+        # r^2/4 underflows here; the leading term omega_{d-1}/omega_d * r
+        # keeps full relative precision, in scalars and arrays alike
+        assert lune_fraction(d, r) == pytest.approx(coeff * r, rel=1e-15, abs=0.0)
+        arr = lune_fraction(d, np.array([r, 0.5]))
+        assert arr[0] == pytest.approx(coeff * r, rel=1e-15, abs=0.0)
+        assert arr[1] == lune_fraction(d, 0.5)
+
     def test_linear_coefficient_bound(self):
         # |F(r)/r - omega_{d-1}/omega_d| <= r^2 for small r
         for d in range(1, 7):

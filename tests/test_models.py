@@ -523,6 +523,26 @@ class TestCulledKernels:
                              * np.column_stack([np.cos(a), np.sin(a)])])
         self.assert_exact(kernel, centers)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_three_dimensions(self, kernel, rng):
+        # the center-major dot products run over every coordinate; 200
+        # centers spread in depth leave the cull some to skip
+        grid = direction_grid(3, 1000).points
+        g = rng.spawn("cull-3d").gen
+        u = g.standard_normal((200, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        centers = g.uniform(0.2, 0.999, 200)[:, None] * u
+        culled = kernel(centers, grid)
+        assert np.array_equal(culled, full_evaluation(kernel, centers, grid))
+        # direction-major reference: the same products summed in the same
+        # order, so the same radii bit for bit
+        dot = grid[:, 0, None] * centers[:, 0]
+        for j in range(1, 3):
+            dot += grid[:, j, None] * centers[:, j]
+        s2 = np.sum(centers * centers, axis=1)
+        exit_ = models._ball_exit if kernel is ball_intersection_radius else models._circle_exit
+        assert np.array_equal(culled, np.min(exit_(dot, s2), axis=1))
+
     def test_seeded_shells(self, rng, monkeypatch):
         # the coupling block's inputs at lam = 3000: the containment shell
         # (about 790 centers) and the tessellation sample (about 200); the
@@ -534,7 +554,7 @@ class TestCulledKernels:
         ball_exit = models._ball_exit
 
         def counted(dot, s2):
-            evaluated.append(dot.shape[1])
+            evaluated.append(dot.shape[0])
             return ball_exit(dot, s2)
 
         for i in range(200):
