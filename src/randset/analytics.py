@@ -26,8 +26,8 @@ from .ppp import RadialMeasure, RngStream, axis_cosines, invert_increasing
 def lune_fraction_closed_2d(r) -> np.ndarray | float:
     """Planar lune weight 1 - (2 arccos(r/2) - r sqrt(1 - r^2/4)) / pi.
 
-    Independent closed form of lune_fraction(2, r); the general-d version
-    goes through the incomplete beta function instead.
+    Independent closed form of lune_fraction(2, r), which sums the
+    incomplete-beta recurrence from (2/pi) asin(r/2) instead.
     """
     r = np.asarray(r, dtype=float)
     if not np.all((r >= 0.0) & (r <= 2.0)):
@@ -228,9 +228,10 @@ class RadiusLaw:
         return np.asarray(w, dtype=float)
 
     def survival(self, r) -> np.ndarray:
-        """P(R > r) for r in [0, 1]; right-continuous, zero beyond 1."""
+        """P(R > r) at any real r; right-continuous, one below 0 and zero
+        from 1 on (the weight is taken at r clipped to [0, 1])."""
         r = np.asarray(r, dtype=float)
-        out = np.exp(-self.lam * unit_ball_volume(self.dim) * self.weight(r))
+        out = np.exp(-self.lam * unit_ball_volume(self.dim) * self.weight(np.clip(r, 0.0, 1.0)))
         return np.where(r >= 1.0, 0.0, out)
 
     def cdf(self, r) -> np.ndarray:

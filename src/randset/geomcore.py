@@ -65,11 +65,6 @@ def unit_sphere_area(d: int) -> float:
     return d * unit_ball_volume(d)
 
 
-# r^2/4 leaves the normal floats below r = 1.5e-154; lune_fraction takes its
-# leading term below this separation, with a relative error of O(r^2)
-_LUNE_LEADING_R = 1e-150
-
-
 def lune_fraction(d: int, r) -> float | np.ndarray:
     """Normalized volume of the lune cut from the unit ball by a shifted copy.
 
@@ -78,29 +73,49 @@ def lune_fraction(d: int, r) -> float | np.ndarray:
     intersection into spherical caps and applying the reflection identity
     for the regularized incomplete beta function gives
 
-        lune_fraction(d, r) = I_{r^2/4}(1/2, (d+1)/2),
+        lune_fraction(d, r) = I_{h^2}(1/2, (d+1)/2),   h = r/2.
 
-    which is exact and keeps full relative precision at small r, where
-    the naive cap difference cancels catastrophically.  Below r = 1e-150,
-    just above where r^2/4 leaves the normal floats, the leading term
-    r / B(1/2, (d+1)/2) stands in, so the precision holds down to r = 0;
-    its relative error is O(r^2).
+    With c = 1 - h^2, the b-recurrence of the incomplete beta function
+    (DLMF 8.17(iv)) adds one term per unit step in b,
+
+        I(1/2, b+1) = I(1/2, b) + t_b,   t_b = h c^b / (b B(1/2, b)),
+        t_{b+1} = t_b c (b + 1/2) / (b + 1),
+
+    so the lune is a finite sum with numpy only.  Odd d starts from
+    I(1/2, 1) = h with t_1 = h c / 2 and takes (d-1)/2 steps; even d
+    starts from I(1/2, 1/2) = (2/pi) asin(h) with t_{1/2} = (2/pi) h
+    sqrt(c) and takes d/2 steps.  Every term is positive, so nothing
+    cancels, and the sum is h times a series that tends to a constant as
+    r -> 0, so it keeps full relative precision down to r = 0 with no
+    special case (the naive cap difference cancels catastrophically
+    there).  The error grows with the number of steps, from 1-3 ulp at
+    d <= 20 to about 20 ulp at d = _MAX_BALL_DIM.
 
     Parameters
     ----------
     d : int
-        Dimension, >= 1.
+        Dimension, 1 <= d <= _MAX_BALL_DIM.
     r : float or array
         Center separation, 0 <= r <= 2.
     """
     d = validate_dimension(d)
+    if d > _MAX_BALL_DIM:
+        raise ValueError(f"the lune fraction needs 1 <= d <= {_MAX_BALL_DIM}, got d = {d}")
     arr = np.asarray(r, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 2.0)):
         raise ValueError("separation r must lie in [0, 2]")
-    out = special.betainc(0.5, (d + 1) / 2.0, arr * arr / 4.0)
-    # one reduction, cheaper than a mask, on the common path of no tiny r
-    if arr.min(initial=np.inf) < _LUNE_LEADING_R:
-        out = np.where(arr < _LUNE_LEADING_R, arr / special.beta(0.5, (d + 1) / 2.0), out)
+    h = arr / 2.0
+    c = 1.0 - h * h
+    if d % 2:
+        out, t, b = h, h * c / 2.0, 1.0
+    else:
+        out, t, b = (2.0 / np.pi) * np.arcsin(h), (2.0 / np.pi) * h * np.sqrt(c), 0.5
+    for k in range(d // 2):
+        if k:
+            t *= c
+            t *= (b + 0.5) / (b + 1.0)
+            b += 1.0
+        out += t
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(out)
     return out

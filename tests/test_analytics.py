@@ -336,6 +336,23 @@ class TestRadiusLaw:
         assert np.all(s[r >= 1.0] == 0.0)
         assert np.allclose(law.cdf(r), 1.0 - s, atol=1e-15)
 
+    @pytest.mark.parametrize("d, miss_fn", [
+        (2, None), (3, None),
+        (2, lambda r: halfspace_uniform_weight(2, r)),
+        (3, lambda r: halfspace_uniform_weight(3, r)),
+    ], ids=["ball-2", "ball-3", "halfspace-2", "halfspace-3"])
+    def test_survival_off_the_unit_interval(self, d, miss_fn):
+        # one below 0 and zero from 1 on, as for any radius in [0, 1]
+        law = RadiusLaw(d, 10.0, miss_fn)
+        r = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 3.0])
+        s = law.survival(r)
+        assert np.array_equal(s[[0, 1, 3, 4, 5]], [1.0, 1.0, 0.0, 0.0, 0.0])
+        assert s[2] == np.exp(-10.0 * unit_ball_volume(d) * law.weight(0.5))
+        assert 0.0 < s[2] < 1.0
+        assert np.array_equal(law.cdf(r), 1.0 - s)
+        for ri, si in zip(r, s):
+            assert float(law.survival(ri)) == si
+
     def test_atom_is_left_limit(self):
         law = RadiusLaw(2, 5.0)
         assert law.atom_mass() == pytest.approx(

@@ -378,7 +378,7 @@ class TestEndToEnd:
             assert code in (2, 3), (experiment, code, err)
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("experiment", ["meeting-counts", "radius-convergence", "warmup-1d"])
+    @pytest.mark.parametrize("experiment", ["meeting-counts", "warmup-1d"])
     def test_poisson_mean_past_numpy_limit_exit_2(self, experiment, tmp_path, capsys,
                                                   monkeypatch):
         # the config error names the Poisson mean and numpy's limit, not
@@ -390,6 +390,23 @@ class TestEndToEnd:
         assert code == 2, err
         assert "config error: Poisson mean must be finite and in [0, 9.223e+18]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lam, top", [("1e15", "1e+15"), ("1e17", "1e+17"),
+                                          ("10,1e13", "1e+13")])
+    def test_radius_lambda_bound_exit_2(self, lam, top, tmp_path, capsys, monkeypatch):
+        # past 1e12 the ball process route loses its digits near the unit
+        # sphere, so the experiment refuses the grid before any block runs
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        monkeypatch.setattr(expcli, "_run_block", no_block)
+        code = main(["radius-convergence", "--lambda", lam, "--samples", "200",
+                     "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == ("randset: config error: the radius-convergence experiment needs "
+                       f"every --lambda in (0, 1e+12], got {top}\n")
 
     def test_exact_sampler_at_large_intensity(self, tmp_path, monkeypatch):
         # the radii are of order 1e-12, the root finder's absolute tolerance

@@ -132,17 +132,74 @@ class TestLuneFraction:
             assert np.all(np.diff(vals) > 0.0)
 
     def test_array_matches_scalar(self):
-        r = np.array([0.0, 0.3, 1.0, 1.7, 2.0])
-        arr = lune_fraction(3, r)
-        assert arr.shape == r.shape
-        for ri, vi in zip(r, arr):
-            assert vi == lune_fraction(3, float(ri))
+        # odd d is a polynomial in r, so a scalar call repeats the array's
+        # arithmetic; even d starts from arcsin, whose vectorized loop may
+        # differ from the scalar one in the last bit
+        r = np.linspace(0.0, 2.0, 4301)
+        for d, ulps in [(3, 0), (5, 0), (2, 1), (4, 1)]:
+            arr = lune_fraction(d, r)
+            assert arr.shape == r.shape
+            one = np.array([lune_fraction(d, float(ri)) for ri in r])
+            assert np.all(np.abs(one - arr) <= ulps * np.spacing(arr))
 
     def test_domain(self):
         with pytest.raises(ValueError):
             lune_fraction(2, -0.01)
         with pytest.raises(ValueError):
             lune_fraction(2, 2.01)
+
+    def test_dimension_bound(self):
+        # d is bounded as in unit_ball_volume, which every caller of the
+        # lune already passes through
+        with pytest.raises(ValueError, match="got d = 342"):
+            lune_fraction(342, 0.5)
+        r = np.linspace(0.0, 2.0, 201)
+        vals = lune_fraction(341, r)
+        assert np.all(np.isfinite(vals))
+        # past r = 0.8 the lune is within 1e-14 of 1, where the sum's last
+        # bits need not rise with r
+        inner = vals < 1.0 - 1e-14
+        assert inner.sum() > 75
+        assert np.all(np.diff(vals[inner]) > 0.0)
+        assert np.all(np.abs(vals[~inner] - 1.0) <= 1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 12, 20, 37, 100, 341])
+    def test_matches_betainc(self, d):
+        # scipy's incomplete beta is the independent reference; below
+        # r = 1e-150, where r^2/4 leaves the normal floats, its leading term
+        # r / B(1/2, (d+1)/2) is exact to O(r^2)
+        r = np.concatenate([np.linspace(0.0, 2.0, 2001), np.logspace(-300, 0, 301)])
+        tiny = r < 1e-150
+        ref = np.where(tiny, r / special.beta(0.5, (d + 1) / 2.0),
+                       special.betainc(0.5, (d + 1) / 2.0, r * r / 4.0))
+        got = lune_fraction(d, r)
+        rel = np.abs(got - ref) / np.where(ref > 0.0, ref, 1.0)
+        assert rel.max() <= (4e-15 if d <= 20 else 1e-14)
+        assert got[0] == 0.0
+
+    def test_exact_forms(self):
+        r = np.concatenate([np.linspace(0.0, 2.0, 4001), np.logspace(-300, 0, 301)])
+        # d = 1: the half separation, bit for bit
+        assert np.array_equal(lune_fraction(1, r), r / 2.0)
+        # d = 3: 3r/4 - r^3/16, a cubic with no cancellation on [0, 2]
+        cubic = 0.75 * r - r**3 / 16.0
+        assert np.all(np.abs(lune_fraction(3, r) - cubic) <= 2.0 * np.spacing(cubic))
+        # d = 2: the planar lune (2/pi) (asin(r/2) + (r/2) sqrt(1 - r^2/4))
+        h = r / 2.0
+        planar = (2.0 / np.pi) * (np.arcsin(h) + h * np.sqrt(1.0 - h * h))
+        assert np.all(np.abs(lune_fraction(2, r) - planar) <= 2.0 * np.spacing(planar))
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 20, 341])
+    def test_against_mpmath(self, d):
+        mpmath = pytest.importorskip("mpmath")
+        r = np.concatenate([np.linspace(0.01, 2.0, 40), [1e-300, 1e-160, 1e-20]])
+        got = lune_fraction(d, r)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.betainc(0.5, mpmath.mpf(d + 1) / 2, 0,
+                                                 (mpmath.mpf(x) / 2) ** 2, regularized=True))
+                            for x in r])
+        ulps = 3.0 if d <= 20 else 24.0
+        assert np.all(np.abs(got - ref) <= ulps * np.spacing(ref))
 
 
 class TestWedgeVolume:
