@@ -493,7 +493,7 @@ class _Experiment(NamedTuple):
     count: str      # "samples" or "replicates", whichever must be >= 2
     d_range: tuple[int, int] | None  # inclusive bounds on d, or None for any d
     defaults: dict  # overrides of the ExperimentConfig defaults
-    lam_max: float = np.inf  # largest lambda whose records hold their digits
+    lam_max: float = np.inf  # largest lambda that keeps the records' digits and memory
 
 
 _EXPERIMENT_TABLE = {
@@ -505,8 +505,12 @@ _EXPERIMENT_TABLE = {
         d=2, lambda_grid=(10.0, 50.0, 200.0), samples=100_000), lam_max=1e12),
     "volume-sweep": _Experiment(_block_volume_sweep, "samples", None, dict(
         d=2, lambda_grid=(50.0, 200.0, 1000.0, 10000.0), samples=20_000)),
+    # the coupling draws its whole bulk, about lambda omega_d points per
+    # replicate, so its memory grows linearly in lambda: 270 MB at 1e6
+    # (2 replicates), and lambda = 1e17 asks for 3.1e17 points
     "coupling": _Experiment(_block_coupling, "replicates", (2, 2), dict(
-        d=2, lambda_grid=(1000.0, 3000.0, 10000.0), replicates=200, grid_size=1024)),
+        d=2, lambda_grid=(1000.0, 3000.0, 10000.0), replicates=200, grid_size=1024),
+        lam_max=1e6),
     "crofton": _Experiment(_block_crofton, "replicates", (2, models._MAX_CELL_DIM), dict(
         d=2, lambda_grid=(2.0,), replicates=8000)),
     "warmup-1d": _Experiment(_block_warmup, "replicates", (1, 1), dict(

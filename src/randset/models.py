@@ -384,8 +384,10 @@ class CroftonCell:
     """Zero cell of an isotropic Poisson hyperplane process at rate 2.
 
     normals/offsets describe the halfspaces {<x, n_i> <= p_i} that were
-    sampled inside the final window; vertices are the exact cell corners.
-    The cell is certified to lie inside the sampling window, so deeper
+    sampled inside the final window; vertices are the exact cell corners,
+    counter-clockwise for d = 2, and volume is their area for d = 2 (the
+    shoelace formula) or qhull's hull volume for d = 3 and 4.  The cell is
+    certified to lie inside the sampling window, so deeper
     hyperplanes cannot change it; its radii are
     intersection_radius(HALF_SPACE, offsets, normals, dirs, rmax=window).
     """
@@ -399,10 +401,61 @@ class CroftonCell:
     enlargements: int
 
 
+def _planar_zero_cell(normals: np.ndarray, offsets: np.ndarray,
+                      window: float) -> np.ndarray | None:
+    """_zero_cell_polytope for d = 2, by the polar hull in Python floats.
+
+    With every p_i > 0 the cell is {x : <x, q_i> <= 1}, q_i = n_i / p_i.
+    It is bounded iff the origin lies strictly inside conv{q_i}, that is
+    strictly left of every counter-clockwise edge (a, b) of that hull, and
+    then each such edge is the cell vertex where lines a and b meet.  The
+    hull is Andrew's monotone chain with collinear points popped, so the
+    vertices come back counter-clockwise, one per cell corner.  The edge
+    test is the sign of Cramer's determinant for lines a and b,
+    p_a p_b cross(q_a, q_b), so the vertex solve never divides by zero.
+    Plain floats: numpy costs more than the geometry on some 20 lines.
+    """
+    p = offsets.tolist()
+    if len(p) < 3 or min(p) <= 0.0:
+        return None
+    nx, ny = normals.T.tolist()
+    q = sorted((x / s, y / s, i) for i, (x, y, s) in enumerate(zip(nx, ny, p)))
+
+    def chain(points) -> list:
+        hull = []
+        for c in points:
+            while len(hull) >= 2:
+                (ax, ay, _), (bx, by, _) = hull[-2], hull[-1]
+                if (bx - ax) * (c[1] - ay) - (by - ay) * (c[0] - ax) > 0.0:
+                    break
+                hull.pop()
+            hull.append(c)
+        return hull[:-1]
+
+    hull = [i for _, _, i in chain(q) + chain(reversed(q))]
+    if len(hull) < 3:
+        return None
+    verts, w2 = [], window * window
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        det = nx[a] * ny[b] - ny[a] * nx[b]
+        if det <= 0.0:
+            return None
+        x = (p[a] * ny[b] - p[b] * ny[a]) / det
+        y = (p[b] * nx[a] - p[a] * nx[b]) / det
+        if x * x + y * y >= w2:
+            return None
+        verts.append((x, y))
+    return np.array(verts)
+
+
 def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
                         window: float) -> np.ndarray | None:
     """Exact vertices of {x : <x,n_i> <= p_i}, or None when the cell is not
-    certified bounded and inside the window."""
+    certified bounded and inside the window (no vertex at distance window
+    or more).  d = 2 takes the polar hull in plain floats
+    (_planar_zero_cell), counter-clockwise; d = 3 and 4 ask qhull."""
+    if d == 2:
+        return _planar_zero_cell(normals, offsets, window)
     if normals.shape[0] == 0:
         return None
     from scipy.spatial import HalfspaceIntersection, QhullError
@@ -433,8 +486,9 @@ def _windowed_cell(d: int, band: Callable[[float, float], tuple[np.ndarray, np.n
     loop stops once _zero_cell_polytope certifies the cell bounded and
     inside the window, or at the window last.  Half-spaces past a certified
     window cannot change the cell, and the process on disjoint bands is
-    independent across bands, so the cell is exact in law.  qhull sees the
-    offsets and the window in units of `unit`, a cell of size about 1.
+    independent across bands, so the cell is exact in law.  The certificate
+    sees the offsets and the window in units of `unit`, a cell of size
+    about 1, since qhull's tolerances (d = 3 and 4) are absolute.
     Returns the normals, the offsets, the vertices (None when uncertified),
     the last window and the number of doublings.
     """
@@ -468,7 +522,9 @@ def crofton_cell(d: int, rng: RngStream) -> CroftonCell:
     and doubles, with new hyperplanes superposed on the old ones, until the
     exact cell is certified bounded and inside it.  A cell still
     uncertified after _MAX_ENLARGEMENTS doublings raises
-    UnboundedCellError; that signals a fault, not a rare draw.
+    UnboundedCellError; that signals a fault, not a rare draw.  The planar
+    area is the shoelace formula over the counter-clockwise vertices; d = 3
+    and 4 take qhull's hull volume.
     """
     d = validate_dimension(d)
     if not 2 <= d <= _MAX_CELL_DIM:
@@ -485,8 +541,12 @@ def crofton_cell(d: int, rng: RngStream) -> CroftonCell:
         raise UnboundedCellError(
             f"zero cell not certified bounded within window {window:g} after "
             f"{_MAX_ENLARGEMENTS} enlargements")
-    from scipy.spatial import ConvexHull
-    vol = float(ConvexHull(verts).volume)
+    if d == 2:
+        x, y = verts.T.tolist()
+        vol = 0.5 * sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(len(x)))
+    else:
+        from scipy.spatial import ConvexHull
+        vol = float(ConvexHull(verts).volume)
     return CroftonCell(d, normals, offsets, verts, vol, window, doublings)
 
 
@@ -502,8 +562,8 @@ def windowed_ball_pins(d: int, lam: float,
     B(0, rho), so once P of the drawn centers is certified inside B(0, rho)
     the undrawn balls hold P, and the drawn centers alone give I.  The
     depths are drawn window by window (_windowed_cell), from rho = 4 /
-    (lam omega_d) up to 1, with qhull working in units of the first
-    window: a band (lo, hi] holds Poisson(lam omega_d (F(hi) - F(lo)))
+    (lam omega_d) up to 1, with the certificate working in units of the
+    first window: a band (lo, hi] holds Poisson(lam omega_d (F(hi) - F(lo)))
     centers with depths F^-1(u), u uniform on (F(lo), F(hi)).  F and its
     inverse are taken in expm1/log1p form, so the depths keep their
     relative precision at any lam.  P's radii are intersection_radius(

@@ -35,6 +35,17 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def main_without_blocks(argv, capsys, monkeypatch):
+    """main(argv) with a block run as a failure: its exit code and stderr."""
+    def no_block(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setenv("RANDSET_THREADS", "1")
+    monkeypatch.setattr(expcli, "_run_block", no_block)
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_formats_and_comments(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -396,17 +407,24 @@ class TestEndToEnd:
     def test_radius_lambda_bound_exit_2(self, lam, top, tmp_path, capsys, monkeypatch):
         # past 1e12 the ball process route loses its digits near the unit
         # sphere, so the experiment refuses the grid before any block runs
-        def no_block(*args):
-            raise AssertionError("a block ran")
-
-        monkeypatch.setenv("RANDSET_THREADS", "1")
-        monkeypatch.setattr(expcli, "_run_block", no_block)
-        code = main(["radius-convergence", "--lambda", lam, "--samples", "200",
-                     "--out", str(tmp_path / "x.csv")])
-        err = capsys.readouterr().err
+        code, err = main_without_blocks(
+            ["radius-convergence", "--lambda", lam, "--samples", "200",
+             "--out", str(tmp_path / "x.csv")], capsys, monkeypatch)
         assert code == 2, err
         assert err == ("randset: config error: the radius-convergence experiment needs "
                        f"every --lambda in (0, 1e+12], got {top}\n")
+
+    @pytest.mark.parametrize("lam, top", [("1e15", "1e+15"), ("1e17", "1e+17"),
+                                          ("1000,1e7", "1e+07")])
+    def test_coupling_lambda_bound_exit_2(self, lam, top, tmp_path, capsys, monkeypatch):
+        # the coupling's bulk grows linearly in lambda (3.1e17 points at
+        # 1e17 ended in a MemoryError), so it refuses the grid up front
+        code, err = main_without_blocks(
+            ["coupling", "--lambda", lam, "--replicates", "2",
+             "--out", str(tmp_path / "x.csv")], capsys, monkeypatch)
+        assert code == 2, err
+        assert err == ("randset: config error: the coupling experiment needs "
+                       f"every --lambda in (0, 1e+06], got {top}\n")
 
     def test_exact_sampler_at_large_intensity(self, tmp_path, monkeypatch):
         # the radii are of order 1e-12, the root finder's absolute tolerance

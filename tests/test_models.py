@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from randset import expcli, models
 from randset.analytics import (
@@ -64,6 +64,7 @@ from randset.ppp import (
     poisson_log_tail_check,
     radial_law_from_cdf,
     sample_ball_uniform,
+    sample_poisson_count,
     sample_shell,
     uniform_directions,
     uniform_radial_law,
@@ -643,6 +644,27 @@ class TestExitKernelProperties:
         assert np.max(np.abs(by_pins - by_centers)) <= 1e-12
 
 
+def qhull_zero_cell(d, normals, offsets, window):
+    """The reference route to _zero_cell_polytope: qhull's vertices of
+    {x : <x, n_i> <= p_i}, or None when qhull does not certify the cell
+    bounded (the origin strictly inside the dual hull) and inside the
+    window."""
+    if normals.shape[0] == 0:
+        return None
+    try:
+        # an unbounded cell has dual facets through or near the origin,
+        # which qhull's vertices divide by
+        with np.errstate(all="ignore"):
+            hs = HalfspaceIntersection(np.column_stack([normals, -offsets]), np.zeros(d))
+    except QhullError:
+        return None
+    verts = hs.intersections
+    if (np.any(hs.dual_equations[:, -1] >= 0) or not np.all(np.isfinite(verts))
+            or np.max(np.linalg.norm(verts, axis=1)) >= window):
+        return None
+    return verts
+
+
 class TestWindowedPins:
     """sample_axis_radii and windowed_ball_pins draw only the pins that can
     shape the set; the law must stay that of the full model."""
@@ -756,6 +778,19 @@ class TestWindowedPins:
         rate = unit_ball_volume(d - 1)
         assert stats.kstest(scaled, lambda t: -np.expm1(-rate * t)).pvalue > 1e-3
 
+    @pytest.mark.parametrize("lam", [30.0, 200.0, 1e4, 1e100])
+    def test_planar_certificate_as_qhull(self, lam, rng, monkeypatch):
+        # the planar polar hull certifies in the same round as qhull, so
+        # the loop draws the same bands: the same depths, normals and rho,
+        # bit for bit
+        root = rng.spawn("planar-certificate", lam)
+        planar = [windowed_ball_pins(2, lam, root.spawn(i)) for i in range(200)]
+        monkeypatch.setattr(models, "_zero_cell_polytope", qhull_zero_cell)
+        for i, (depths, normals, rho) in enumerate(planar):
+            depths0, normals0, rho0 = windowed_ball_pins(2, lam, root.spawn(i))
+            assert rho == rho0
+            assert np.array_equal(depths, depths0) and np.array_equal(normals, normals0)
+
     def test_pin_count_overflow(self, rng):
         # an overflowing mean is named, not left to numpy's "lam is NaN"
         with pytest.raises(ValueError, match="mean pin count"):
@@ -861,14 +896,36 @@ class TestConvexity:
                                rng.spawn("cvx-cell-pairs"))
 
 
+def assert_same_planar_cell(normals, offsets, window):
+    """The planar polar hull and qhull give the same verdict and, on a
+    certified cell, the same vertex set and the same area."""
+    verts = _zero_cell_polytope(2, normals, offsets, window)
+    reference = qhull_zero_cell(2, normals, offsets, window)
+    assert (verts is None) == (reference is None)
+    if verts is None:
+        return
+    gaps = np.linalg.norm(verts[:, None, :] - reference[None, :, :], axis=2)
+    assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-12 * window
+    x, y = verts.T
+    area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    assert area == pytest.approx(ConvexHull(reference).volume, rel=1e-12)
+
+
+SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+# planar lines as (offset, normal angle) pairs, and a window
+LINES = st.lists(st.tuples(st.floats(0.01, 10.0), st.floats(0.0, 2.0 * np.pi)),
+                 max_size=16)
+WINDOWS = st.floats(0.5, 40.0)
+
+
 class TestCroftonCell:
     def test_square_polytope(self):
+        # the planar vertices come back counter-clockwise
         normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         verts = _zero_cell_polytope(2, normals, np.ones(4), 10.0)
         vol = ConvexHull(verts).volume
         assert vol == pytest.approx(4.0, abs=1e-12)
-        assert sorted(map(tuple, np.round(verts, 12).tolist())) == [
-            (-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+        assert verts.tolist() == [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
     def test_cube_polytope(self):
         normals = np.vstack([np.eye(3), -np.eye(3)])
@@ -878,9 +935,12 @@ class TestCroftonCell:
         assert verts.shape[0] == 8
 
     def test_uncertified_returns_none(self):
-        # a slab is unbounded: must not be certified at any window
+        # a slab is unbounded: must not be certified at any window, however
+        # many parallel lines bound it
         normals = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert _zero_cell_polytope(2, normals, np.ones(2), 10.0) is None
+        slab = np.vstack([normals, normals])
+        assert _zero_cell_polytope(2, slab, np.array([1.0, 2.0, 1.0, 3.0]), 10.0) is None
 
     def test_unbounded_cells_uncertified(self):
         # normals inside a closed half-space leave an unbounded cell, though
@@ -891,6 +951,7 @@ class TestCroftonCell:
 
         for degrees in ((0, 60, 120), (0, 45, 90, 135), (10, 100, 170)):
             assert _zero_cell_polytope(2, fan(degrees), np.ones(len(degrees)), 10.0) is None
+            assert_same_planar_cell(fan(degrees), np.ones(len(degrees)), 10.0)
         s = np.sqrt(0.5)
         cone_normals = np.array([[s, 0, s], [-s, 0, s], [0, s, s], [0, -s, s], [0, 0, 1.0]])
         assert _zero_cell_polytope(3, cone_normals, np.ones(5), 10.0) is None
@@ -898,16 +959,57 @@ class TestCroftonCell:
         vol = ConvexHull(verts).volume
         assert vol == pytest.approx(3.0 * np.sqrt(3.0), rel=1e-12)
         assert verts.shape[0] == 3
+        assert_same_planar_cell(fan((0, 120, 240)), np.ones(3), 10.0)
+
+    def test_planar_degenerate_inputs(self):
+        # fewer than 3 lines bound nothing
+        for k in range(3):
+            assert _zero_cell_polytope(2, SQUARE[:k], np.ones(k), 10.0) is None
+        # the origin must lie strictly inside: a zero or negative offset
+        # is not certified (qhull raises on it)
+        for bad in (0.0, -1.0):
+            offsets = np.array([1.0, 1.0, 1.0, bad])
+            assert _zero_cell_polytope(2, SQUARE, offsets, 10.0) is None
+            assert_same_planar_cell(SQUARE, offsets, 10.0)
+        # duplicate lines leave one vertex per corner
+        twice = np.vstack([SQUARE, SQUARE])
+        verts = _zero_cell_polytope(2, twice, np.ones(8), 10.0)
+        assert verts.tolist() == [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+        assert_same_planar_cell(twice, np.ones(8), 10.0)
+
+    def test_vertex_on_the_window_uncertified(self):
+        # the corners (+-3, +-4) lie at distance exactly 5: a window of 5
+        # does not hold them, the next float up does
+        offsets = np.array([3.0, 4.0, 3.0, 4.0])
+        assert _zero_cell_polytope(2, SQUARE, offsets, 5.0) is None
+        verts = _zero_cell_polytope(2, SQUARE, offsets, np.nextafter(5.0, np.inf))
+        assert verts.tolist() == [[-3.0, -4.0], [3.0, -4.0], [3.0, 4.0], [-3.0, 4.0]]
+
+    @settings(KERNEL_SETTINGS, max_examples=300)
+    @given(lines=LINES, window=WINDOWS)
+    def test_planar_cell_matches_qhull(self, lines, window):
+        p, normals = pin_arrays(lines) if lines else (np.empty(0), np.empty((0, 2)))
+        assert_same_planar_cell(normals, p, window)
+
+    def test_planar_cells_match_qhull_at_rate_2(self, rng):
+        # the windows _windowed_cell hands over when it draws a zero cell
+        root = rng.spawn("planar-qhull")
+        certified = 0
+        for i in range(2000):
+            r = root.spawn(i)
+            window = r.gen.uniform(0.5, 10.0)
+            n = sample_poisson_count(2.0 * window, r)
+            normals, offsets = uniform_directions(2, n, r), r.gen.uniform(0.0, window, n)
+            assert_same_planar_cell(normals, offsets, window)
+            certified += _zero_cell_polytope(2, normals, offsets, window) is not None
+        assert 500 <= certified <= 1500
 
     def test_area_dual_route(self, rng):
-        # qhull returns the vertices unordered; the origin is interior, so
-        # sorting them by angle gives the boundary for the shoelace formula
-        for i in range(5):
+        # the planar area is the shoelace over the counter-clockwise
+        # vertices; qhull's hull of the same vertices is the second route
+        for i in range(20):
             cell = crofton_cell(2, rng.spawn("area", i))
-            x, y = cell.vertices[np.argsort(np.arctan2(cell.vertices[:, 1],
-                                                       cell.vertices[:, 0]))].T
-            shoelace = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-            assert cell.volume == pytest.approx(shoelace, rel=1e-9)
+            assert cell.volume == pytest.approx(ConvexHull(cell.vertices).volume, rel=1e-12)
 
     def test_vertices_satisfy_constraints(self, rng):
         root = rng.spawn("feas", 2.0)
