@@ -40,6 +40,7 @@ from .models import (
     count_scale,
     coupling_transform,
     crofton_cell,
+    crofton_cells,
     interval_intersection_1d,
     interval_intersection_stats,
     meeting_count_mc,

@@ -262,6 +262,8 @@ def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
     omega_d * rho^d times its hit fraction, which is unbiased given its
     centers.  Independent of the star-radius route, so it closes the
     consistency triangle with the quadrature and radius-moment estimates.
+    The replicates' centers come pooled from one stream ("pins") and their
+    probes from another ("probe"), 2000 per replicate in replicate order.
     The probes are held coordinate-major and tested one center per row and
     one probe per column, so the test over the few centers runs along the
     long probe axis; the probes are drawn as in the probe-major layout and
@@ -270,10 +272,9 @@ def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
     pts_per = 2000
     wd = unit_ball_volume(d)
     vols = np.empty(reps)
-    for i in range(reps):
-        r = rng.spawn("real", i)
-        depths, normals, rho = models.windowed_ball_pins(d, lam, r)
-        g = r.spawn("probe").gen
+    g = rng.spawn("probe").gen
+    pins = models.windowed_ball_pins(d, lam, reps, rng.spawn("pins"))
+    for i, (depths, normals, rho) in enumerate(pins):
         x = np.ascontiguousarray(g.standard_normal((pts_per, d)).T)
         x /= np.linalg.norm(x, axis=0)
         x *= rho * g.random(pts_per) ** (1.0 / d)
@@ -372,8 +373,7 @@ def _block_crofton(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[tu
     mom = analytics.crofton_moments(d)
     vols = np.empty(n)
     enlargements = 0
-    for i in range(n):
-        cell = models.crofton_cell(d, rng.spawn("cell", i))
+    for i, cell in enumerate(models.crofton_cells(d, n, rng.spawn("cells"))):
         vols[i] = cell.volume
         enlargements += cell.enlargements > 0
     if np.any(vols <= 0):

@@ -9,7 +9,7 @@ and the one-dimensional warm-up model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -381,13 +381,15 @@ class UnboundedCellError(RuntimeError):
 
 @dataclass(frozen=True)
 class CroftonCell:
-    """Zero cell of an isotropic Poisson hyperplane process at rate 2.
+    """Zero cell of an isotropic Poisson hyperplane process at rate 2, as
+    crofton_cells yields it.
 
     normals/offsets describe the halfspaces {<x, n_i> <= p_i} that were
-    sampled inside the final window; vertices are the exact cell corners,
-    counter-clockwise for d = 2, and volume is their area for d = 2 (the
-    shoelace formula) or qhull's hull volume for d = 3 and 4.  The cell is
-    certified to lie inside the sampling window, so deeper
+    sampled inside the final window, in draw order, round by round, and
+    enlargements counts the window's doublings; vertices are the exact
+    cell corners, counter-clockwise for d = 2, and volume is their area for
+    d = 2 (the shoelace formula) or qhull's hull volume for d = 3 and 4.
+    The cell is certified to lie inside the sampling window, so deeper
     hyperplanes cannot change it; its radii are
     intersection_radius(HALF_SPACE, offsets, normals, dirs, rmax=window).
     """
@@ -475,84 +477,115 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
         return None
 
 
-def _windowed_cell(d: int, band: Callable[[float, float], tuple[np.ndarray, np.ndarray]],
-                   first: float, last: float, unit: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, int]:
-    """The zero cell of half-spaces {x : <x, n_i> <= p_i} whose offsets are
-    drawn window by window.
+def _windowed_cells(d: int, n: int,
+                    band: Callable[[float, float, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
+                    first: float, last: float, unit: float
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None, float, int]]:
+    """n independent zero cells of half-spaces {x : <x, n_i> <= p_i} whose
+    offsets are drawn window by window, the open cells pooled in each round.
 
-    band(lo, hi) draws the normals and offsets with p in (lo, hi]: first
-    (0, first], then (hi, 2 hi] as the window hi doubles up to last.  The
-    loop stops once _zero_cell_polytope certifies the cell bounded and
-    inside the window, or at the window last.  Half-spaces past a certified
-    window cannot change the cell, and the process on disjoint bands is
-    independent across bands, so the cell is exact in law.  The certificate
-    sees the offsets and the window in units of `unit`, a cell of size
-    about 1, since qhull's tolerances (d = 3 and 4) are absolute.
-    Returns the normals, the offsets, the vertices (None when uncertified),
-    the last window and the number of doublings.
+    band(lo, hi, m) draws the half-spaces with p in (lo, hi] of m cells at
+    once: m Poisson counts, then all the offsets, then all the normals,
+    cell after cell.  The bands are (0, first], then (hi, 2 hi] as the
+    window hi doubles up to last.  Each round draws the band of every cell
+    still open and slices it per cell by the cumulative counts, and
+    _zero_cell_polytope certifies each cell on its own lines; a cell leaves
+    the loop once certified bounded and inside the window, or at the window
+    last.  Half-spaces past a certified window cannot change a cell, and
+    the process on disjoint bands is independent across bands and across
+    cells, so every cell is exact in law and the cells are independent.
+    The certificate sees the offsets and the window in units of `unit`, a
+    cell of size about 1, since qhull's tolerances (d = 3 and 4) are
+    absolute.  The cells are drawn in chunks of _CHUNK_CELLS, so memory
+    stays bounded in n, and a lone cell draws as a one-cell loop would:
+    count, offsets, normals, round after round.
+    Yields, cell by cell, the normals, the offsets, the vertices (None when
+    uncertified), the last window and the number of doublings.
     """
-    normals, offsets = np.empty((0, d)), np.empty(0)
-    lo, hi, doublings = 0.0, first, 0
-    while True:
-        new_normals, new_offsets = band(lo, hi)
-        normals = np.vstack([normals, new_normals])
-        offsets = np.concatenate([offsets, new_offsets])
-        verts = _zero_cell_polytope(d, normals, offsets / unit, hi / unit)
-        if verts is not None or hi >= last:
-            return normals, offsets, verts, hi, doublings
-        lo, hi, doublings = hi, min(2.0 * hi, last), doublings + 1
+    for start in range(0, n, _CHUNK_CELLS):
+        m = min(_CHUNK_CELLS, n - start)
+        normals, offsets = [np.empty((0, d))] * m, [np.empty(0)] * m
+        cells: list = [None] * m
+        open_, lo, hi, doublings = range(m), 0.0, first, 0
+        while open_:
+            counts, new_offsets, new_normals = band(lo, hi, len(open_))
+            still, a = [], 0
+            for j, b in zip(open_, np.cumsum(counts).tolist()):
+                normals[j] = np.concatenate([normals[j], new_normals[a:b]])
+                offsets[j] = np.concatenate([offsets[j], new_offsets[a:b]])
+                a = b
+                verts = _zero_cell_polytope(d, normals[j], offsets[j] / unit, hi / unit)
+                if verts is not None or hi >= last:
+                    cells[j] = normals[j], offsets[j], verts, hi, doublings
+                else:
+                    still.append(j)
+            open_, lo, hi, doublings = still, hi, min(2.0 * hi, last), doublings + 1
+        yield from cells
 
 
+# a chunk's cells wait, about 1 KB each in the plane, for its last to be
+# certified; at 1000 a round's fixed cost is already small per cell
+_CHUNK_CELLS = 1000
 _WINDOW_RADIUS = 10.0
 _MAX_ENLARGEMENTS = 3
 # qhull fails on about one cell in 2000 at d = 5, and more often above
 _MAX_CELL_DIM = 4
 
 
-def crofton_cell(d: int, rng: RngStream) -> CroftonCell:
-    """Sample the zero cell of an isotropic Poisson hyperplane process at
-    rate 2, for 2 <= d <= _MAX_CELL_DIM.
+def crofton_cells(d: int, n: int, rng: RngStream) -> Iterator[CroftonCell]:
+    """n independent zero cells of an isotropic Poisson hyperplane process
+    at rate 2, for 2 <= d <= _MAX_CELL_DIM, all drawn from one stream.
 
     Hyperplane distances from the origin form a Poisson process of rate 2
     per unit distance (the measure of hyperplanes meeting the unit ball is
     2); normals are uniform on the sphere.  Any other rate r is a length
     scale: the cell at rate r is this cell scaled by 2/r.  Sampling is
-    windowed (_windowed_cell): the first window has radius _WINDOW_RADIUS
-    and doubles, with new hyperplanes superposed on the old ones, until the
-    exact cell is certified bounded and inside it.  A cell still
-    uncertified after _MAX_ENLARGEMENTS doublings raises
+    windowed and pooled over the cells (_windowed_cells): the first window
+    has radius _WINDOW_RADIUS and doubles, with new hyperplanes superposed
+    on the old ones, until each exact cell is certified bounded and inside
+    it.  A cell still uncertified after _MAX_ENLARGEMENTS doublings raises
     UnboundedCellError; that signals a fault, not a rare draw.  The planar
     area is the shoelace formula over the counter-clockwise vertices; d = 3
-    and 4 take qhull's hull volume.
+    and 4 take qhull's hull volume.  The arguments are checked at the call;
+    the cells are drawn as they are taken.
     """
     d = validate_dimension(d)
     if not 2 <= d <= _MAX_CELL_DIM:
         raise ValueError(f"zero cells need 2 <= d <= {_MAX_CELL_DIM}, got d = {d}")
+    n = validate_count(n, "n")
+    g = rng.gen
 
-    def band(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        n = sample_poisson_count(2.0 * (hi - lo), rng)
-        offsets = rng.gen.uniform(lo, hi, n) if n else np.empty(0)
-        return uniform_directions(d, n, rng), offsets
+    def band(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        counts = sample_poisson_count(2.0 * (hi - lo), rng, m)
+        total = int(counts.sum())
+        return counts, g.uniform(lo, hi, total), uniform_directions(d, total, rng)
 
-    normals, offsets, verts, window, doublings = _windowed_cell(
-        d, band, _WINDOW_RADIUS, _WINDOW_RADIUS * 2**_MAX_ENLARGEMENTS, 1.0)
-    if verts is None:
-        raise UnboundedCellError(
-            f"zero cell not certified bounded within window {window:g} after "
-            f"{_MAX_ENLARGEMENTS} enlargements")
-    if d == 2:
-        x, y = verts.T.tolist()
-        vol = 0.5 * sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(len(x)))
-    else:
-        from scipy.spatial import ConvexHull
-        vol = float(ConvexHull(verts).volume)
-    return CroftonCell(d, normals, offsets, verts, vol, window, doublings)
+    def cells() -> Iterator[CroftonCell]:
+        for normals, offsets, verts, window, doublings in _windowed_cells(
+                d, n, band, _WINDOW_RADIUS, _WINDOW_RADIUS * 2**_MAX_ENLARGEMENTS, 1.0):
+            if verts is None:
+                raise UnboundedCellError(
+                    f"zero cell not certified bounded within window {window:g} after "
+                    f"{_MAX_ENLARGEMENTS} enlargements")
+            if d == 2:
+                x, y = verts.T.tolist()
+                vol = 0.5 * sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(len(x)))
+            else:
+                from scipy.spatial import ConvexHull
+                vol = float(ConvexHull(verts).volume)
+            yield CroftonCell(d, normals, offsets, verts, vol, window, doublings)
+    return cells()
 
 
-def windowed_ball_pins(d: int, lam: float,
-                       rng: RngStream) -> tuple[np.ndarray, np.ndarray, float]:
-    """The depths delta = 1 - |c| and normals n = -c/|c| of the ball-model
+def crofton_cell(d: int, rng: RngStream) -> CroftonCell:
+    """One zero cell of crofton_cells, drawn from its own stream."""
+    return next(crofton_cells(d, 1, rng))
+
+
+def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
+                       ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """For n independent replicates of the ball model, drawn from one
+    stream: the depths delta = 1 - |c| and normals n = -c/|c| of the
     centers c that can shape I, and a radius rho with I inside B(0, rho).
 
     Each ball B(c, 1) lies in its tangent half-space {x : <x, n> <= delta},
@@ -561,32 +594,36 @@ def windowed_ball_pins(d: int, lam: float,
     depth law F(delta) = 1 - (1 - delta)^d.  A ball deeper than rho holds
     B(0, rho), so once P of the drawn centers is certified inside B(0, rho)
     the undrawn balls hold P, and the drawn centers alone give I.  The
-    depths are drawn window by window (_windowed_cell), from rho = 4 /
-    (lam omega_d) up to 1, with the certificate working in units of the
-    first window: a band (lo, hi] holds Poisson(lam omega_d (F(hi) - F(lo)))
-    centers with depths F^-1(u), u uniform on (F(lo), F(hi)).  F and its
-    inverse are taken in expm1/log1p form, so the depths keep their
-    relative precision at any lam.  P's radii are intersection_radius(
-    HALF_SPACE, depths, normals, dirs), I's are intersection_radius(BALL,
-    1 - depths, -normals, dirs).  Dimensions outside 2..._MAX_CELL_DIM,
-    where no zero cell is certified, draw every center, with rho = 1.
+    depths are drawn window by window, pooled over the replicates
+    (_windowed_cells), from rho = 4 / (lam omega_d) up to 1, with the
+    certificate working in units of the first window: a band (lo, hi] holds
+    Poisson(lam omega_d (F(hi) - F(lo))) centers with depths F^-1(u), u
+    uniform on (F(lo), F(hi)).  F and its inverse are taken in expm1/log1p
+    form, so the depths keep their relative precision at any lam.  P's
+    radii are intersection_radius(HALF_SPACE, depths, normals, dirs), I's
+    are intersection_radius(BALL, 1 - depths, -normals, dirs).  Dimensions
+    outside 2..._MAX_CELL_DIM, where no zero cell is certified, draw every
+    center, one replicate at a time, with rho = 1.  The arguments are
+    checked at the call; the replicates are drawn as they are taken.
     """
     d, mean = _mean_pin_count(d, lam, uniform_radial_law(d), BALL)
+    n = validate_count(n, "n")
     g = rng.gen
 
-    def band(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    def band(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf: F(1) = 1
             f_lo, f_hi = -np.expm1(d * np.log1p(-np.array([lo, hi])))
-            n = sample_poisson_count(mean * (f_hi - f_lo), rng)
-            depths = -np.expm1(np.log1p(-(f_lo + g.random(n) * (f_hi - f_lo))) / d)
-        return uniform_directions(d, n, rng), depths
+            counts = sample_poisson_count(mean * (f_hi - f_lo), rng, m)
+            total = int(counts.sum())
+            depths = -np.expm1(np.log1p(-(f_lo + g.random(total) * (f_hi - f_lo))) / d)
+        return counts, depths, uniform_directions(d, total, rng)
 
     if not 2 <= d <= _MAX_CELL_DIM:
-        normals, depths = band(0.0, 1.0)
-        return depths, normals, 1.0
+        bands = (band(0.0, 1.0, 1) for _ in range(n))
+        return ((depths, normals, 1.0) for _, depths, normals in bands)
     first = _first_window(d, lam, 1.0)
-    normals, depths, _, rho, _ = _windowed_cell(d, band, first, 1.0, first)
-    return depths, normals, rho
+    return ((depths, normals, rho)
+            for normals, depths, _, rho, _ in _windowed_cells(d, n, band, first, 1.0, first))
 
 
 def segment_crossing_count(d: int, length: float, n: int, rng: RngStream) -> np.ndarray:

@@ -500,14 +500,14 @@ class TestRecordSemantics:
     @pytest.mark.parametrize("d, lam", [(2, 20.0), (3, 20.0)])
     def test_hit_or_miss_volume_matches_probe_major(self, d, lam):
         # the probes are held coordinate-major; the probe-major form on the
-        # same streams (2000 probes in each of samples // 10 replicates)
-        # gives the same hits, so the same volume
+        # same streams (the samples // 10 replicates' centers pooled from
+        # the pins stream, 2000 probes each from the probe stream in
+        # replicate order) gives the same hits, so the same volume
         samples, rng = 400, RngStream(9)
         vols, hits = [], 0
-        for i in range(samples // 10):
-            r = rng.spawn("real", i)
-            depths, normals, rho = models.windowed_ball_pins(d, lam, r)
-            g = r.spawn("probe").gen
+        g = rng.spawn("probe").gen
+        pins = models.windowed_ball_pins(d, lam, samples // 10, rng.spawn("pins"))
+        for depths, normals, rho in pins:
             x = g.standard_normal((2000, d))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
             x *= rho * g.random(2000)[:, None] ** (1.0 / d)

@@ -12,6 +12,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from randset import expcli, models
 from randset.analytics import (
     RadiusLaw,
+    crofton_moments,
     expected_volume_quadrature,
     halfspace_miss_series,
     halfspace_uniform_weight,
@@ -306,6 +307,8 @@ _COUNT_ENTRY_POINTS = (
     ("replicates", 1, lambda n, rng: coupon_empirical(2, [0.5, 0.5], 4, n, rng)),
     ("grid size", 1, lambda n, rng: direction_grid(2, n)),
     ("n", 0, lambda n, rng: segment_crossing_count(2, 1.0, n, rng)),
+    ("n", 0, lambda n, rng: models.crofton_cells(2, n, rng)),
+    ("n", 0, lambda n, rng: windowed_ball_pins(2, 10.0, n, rng)),
 )
 
 
@@ -728,7 +731,7 @@ class TestWindowedPins:
         certified = undrawn = 0
         for i in range(40):
             r = rng.spawn("certificate", d, lam, i)
-            depths, normals, rho = windowed_ball_pins(d, lam, r)
+            depths, normals, rho = next(windowed_ball_pins(d, lam, 1, r))
             assert np.all((depths > 0.0) & (depths <= rho))
             if rho == 1.0:
                 continue
@@ -749,8 +752,7 @@ class TestWindowedPins:
         e1 = np.eye(d)[:1]
         root = rng.spawn("polytope-law", d)
         drawn = np.empty(n)
-        for i in range(n):
-            depths, normals, _ = windowed_ball_pins(d, lam, root.spawn(i))
+        for i, (depths, normals, _) in enumerate(windowed_ball_pins(d, lam, n, root)):
             drawn[i] = intersection_radius(HALF_SPACE, depths, normals, e1)[0]
         reference = sample_axis_radii(d, lam, depth_radial_law(d), HALF_SPACE, 20_000,
                                       root.spawn("reference"))
@@ -767,8 +769,7 @@ class TestWindowedPins:
         e1 = np.eye(d)[:1]
         root = rng.spawn("huge", d, lam)
         scaled = np.empty(500)
-        for i in range(scaled.size):
-            depths, normals, rho = windowed_ball_pins(d, lam, root.spawn(i))
+        for i, (depths, normals, rho) in enumerate(windowed_ball_pins(d, lam, 500, root)):
             assert rho < 1.0
             scaled[i] = lam * intersection_radius(HALF_SPACE, depths, normals, e1)[0]
             if i < 20:
@@ -783,11 +784,10 @@ class TestWindowedPins:
         # the planar polar hull certifies in the same round as qhull, so
         # the loop draws the same bands: the same depths, normals and rho,
         # bit for bit
-        root = rng.spawn("planar-certificate", lam)
-        planar = [windowed_ball_pins(2, lam, root.spawn(i)) for i in range(200)]
+        planar = list(windowed_ball_pins(2, lam, 200, rng.spawn("planar-certificate", lam)))
         monkeypatch.setattr(models, "_zero_cell_polytope", qhull_zero_cell)
-        for i, (depths, normals, rho) in enumerate(planar):
-            depths0, normals0, rho0 = windowed_ball_pins(2, lam, root.spawn(i))
+        qhull = windowed_ball_pins(2, lam, 200, rng.spawn("planar-certificate", lam))
+        for (depths, normals, rho), (depths0, normals0, rho0) in zip(planar, qhull, strict=True):
             assert rho == rho0
             assert np.array_equal(depths, depths0) and np.array_equal(normals, normals0)
 
@@ -797,10 +797,10 @@ class TestWindowedPins:
             sample_axis_radii(2, 1e308, uniform_radial_law(2), BALL, 4, rng)
 
     def test_uncertified_dimensions_draw_every_center(self, rng):
-        depths, normals, rho = windowed_ball_pins(1, 50.0, rng.spawn("window-1d"))
+        depths, normals, rho = next(windowed_ball_pins(1, 50.0, 1, rng.spawn("window-1d")))
         assert rho == 1.0 and normals.shape == (depths.size, 1) and depths.size > 50
         assert np.all((depths >= 0.0) & (depths <= 1.0))
-        empty, normals0, rho0 = windowed_ball_pins(2, 0.0, rng.spawn("window-empty"))
+        empty, normals0, rho0 = next(windowed_ball_pins(2, 0.0, 1, rng.spawn("window-empty")))
         assert rho0 == 1.0 and empty.shape == (0,) and normals0.shape == (0, 2)
 
 
@@ -1068,6 +1068,172 @@ class TestCroftonCell:
         for d in (1, 5):
             with pytest.raises(ValueError, match="2 <= d <= 4"):
                 crofton_cell(d, rng)
+
+
+def per_cell_reference(d, band, first, last, unit):
+    """The one-cell window loop that _windowed_cells pools: band(lo, hi)
+    draws one cell's normals and offsets with p in (lo, hi]."""
+    normals, offsets = np.empty((0, d)), np.empty(0)
+    lo, hi, doublings = 0.0, first, 0
+    while True:
+        new_normals, new_offsets = band(lo, hi)
+        normals = np.vstack([normals, new_normals])
+        offsets = np.concatenate([offsets, new_offsets])
+        verts = _zero_cell_polytope(d, normals, offsets / unit, hi / unit)
+        if verts is not None or hi >= last:
+            return normals, offsets, verts, hi, doublings
+        lo, hi, doublings = hi, min(2.0 * hi, last), doublings + 1
+
+
+def reference_crofton_cell(d, rng):
+    """One rate-2 zero cell by the one-cell loop, drawn count, offsets when
+    the count is positive, normals."""
+    def band(lo, hi):
+        n = sample_poisson_count(2.0 * (hi - lo), rng)
+        offsets = rng.gen.uniform(lo, hi, n) if n else np.empty(0)
+        return uniform_directions(d, n, rng), offsets
+    return per_cell_reference(d, band, 10.0, 80.0, 1.0)
+
+
+def reference_ball_pins(d, lam, rng):
+    """One replicate's depths, normals and rho by the one-cell loop."""
+    mean, g = lam * unit_ball_volume(d), rng.gen
+
+    def band(lo, hi):
+        with np.errstate(divide="ignore"):
+            f_lo, f_hi = -np.expm1(d * np.log1p(-np.array([lo, hi])))
+            n = sample_poisson_count(mean * (f_hi - f_lo), rng)
+            depths = -np.expm1(np.log1p(-(f_lo + g.random(n) * (f_hi - f_lo))) / d)
+        return uniform_directions(d, n, rng), depths
+    first = min(4.0 / mean, 1.0)
+    normals, depths, _, rho, _ = per_cell_reference(d, band, first, 1.0, first)
+    return depths, normals, rho
+
+
+class StubBand:
+    """A band whose lines carry their cell index and round: line k of cell j
+    in round r has normal (j, r) and offset 100 j + 10 r + k.  schedule[j]
+    is the round in which cell j is certified (None: never), so the band
+    knows which cells are open in each round and checks their number, and
+    its certificate checks that a cell sees exactly its own lines."""
+
+    def __init__(self, schedule, first, unit):
+        self.schedule, self.first, self.unit = schedule, first, unit
+        self.chunks, self.windows, self.certified = [], [], []
+
+    @staticmethod
+    def lines(j, r):
+        # every cell has a line in round 0, where the certificate reads the
+        # cell index off; later rounds may hold none
+        return [(j, r, k) for k in range(1 + j % 2 if r == 0 else (j + 2 * r) % 3)]
+
+    def lines_to(self, j, r):
+        return [line for q in range(r + 1) for line in self.lines(j, q)]
+
+    def round_of(self, window):
+        return int(round(np.log2(window / self.first)))
+
+    def __call__(self, lo, hi, m):
+        r = self.round_of(hi)
+        self.windows.append((lo, hi))
+        if lo == 0.0:
+            self.chunks.append(m)
+        start = sum(self.chunks[:-1])
+        open_ = [j for j in range(start, start + self.chunks[-1])
+                 if self.schedule[j] is None or self.schedule[j] >= r]
+        assert m == len(open_)
+        lines = [line for j in open_ for line in self.lines(j, r)]
+        counts = np.array([len(self.lines(j, r)) for j in open_])
+        normals = np.array([[j, r] for j, r, _ in lines], dtype=float).reshape(-1, 2)
+        offsets = np.array([100.0 * j + 10.0 * r + k for j, r, k in lines])
+        return counts, offsets, normals
+
+    def certify(self, d, normals, offsets, window):
+        # the certificate sees offsets and window in units of `unit`
+        j, r = int(normals[0, 0]), self.round_of(window * self.unit)
+        lines = self.lines_to(j, r)
+        assert normals.tolist() == [[j, q] for j, q, _ in lines]
+        assert (offsets * self.unit).tolist() == [100.0 * j + 10.0 * q + k for j, q, k in lines]
+        self.certified.append((j, r))
+        return np.array([[j, r]], dtype=float) if self.schedule[j] == r else None
+
+
+class TestPooledCells:
+    """_windowed_cells pools the open cells in each round: every cell gets
+    exactly its own lines, one cell draws as the one-cell loop does, and
+    the pooled cells have the zero cell's law."""
+
+    # cell j certified in round SCHEDULE[j]; None outlasts the last window
+    SCHEDULE = [0, 2, 1, None, 0, 1, 2]
+
+    def run(self, monkeypatch, chunk=None):
+        first, last, unit = 1.0, 4.0, 2.0
+        stub = StubBand(self.SCHEDULE, first, unit)
+        monkeypatch.setattr(models, "_zero_cell_polytope", stub.certify)
+        if chunk is not None:
+            monkeypatch.setattr(models, "_CHUNK_CELLS", chunk)
+        cells = list(models._windowed_cells(2, len(self.SCHEDULE), stub, first, last, unit))
+        assert len(cells) == len(self.SCHEDULE)
+        for j, (normals, offsets, verts, window, doublings) in enumerate(cells):
+            rounds = 2 if self.SCHEDULE[j] is None else self.SCHEDULE[j]
+            lines = stub.lines_to(j, rounds)
+            assert normals.tolist() == [[j, r] for j, r, _ in lines]
+            assert offsets.tolist() == [100.0 * j + 10.0 * r + k for j, r, k in lines]
+            assert (window, doublings) == (first * 2**rounds, rounds)
+            assert (verts is None) == (self.SCHEDULE[j] is None)
+            if verts is not None:
+                assert verts.tolist() == [[j, rounds]]
+        # each cell is certified once in each round it is open
+        assert sorted(stub.certified) == sorted(
+            (j, r) for j, last_round in enumerate(self.SCHEDULE)
+            for r in range(3 if last_round is None else last_round + 1))
+        return stub
+
+    def test_every_cell_gets_its_own_lines(self, monkeypatch):
+        stub = self.run(monkeypatch)
+        assert stub.chunks == [7]
+        assert stub.windows == [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)]
+
+    def test_chunk_boundary(self, monkeypatch):
+        # n = chunk + 3: two chunks, no cell split, each yielded once in order
+        stub = self.run(monkeypatch, chunk=4)
+        assert stub.chunks == [4, 3]
+        assert stub.windows == [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)] * 2
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_cell_as_the_per_cell_loop(self, d, seed):
+        root = RngStream(seed).spawn("one-cell", d)
+        for i in range(30 if d == 2 else 10):
+            cell = next(models.crofton_cells(d, 1, root.spawn(i)))
+            normals, offsets, verts, window, doublings = reference_crofton_cell(d, root.spawn(i))
+            assert np.array_equal(cell.normals, normals)
+            assert np.array_equal(cell.offsets, offsets)
+            assert np.array_equal(cell.vertices, verts)
+            assert (cell.window, cell.enlargements) == (window, doublings)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("lam", [30.0, 200.0, 1e4, 1e100])
+    def test_one_replicate_as_the_per_cell_loop(self, d, lam, rng):
+        root = rng.spawn("one-replicate", d, lam)
+        for i in range(20):
+            depths, normals, rho = next(windowed_ball_pins(d, lam, 1, root.spawn(i)))
+            depths0, normals0, rho0 = reference_ball_pins(d, lam, root.spawn(i))
+            assert rho == rho0
+            assert np.array_equal(depths, depths0) and np.array_equal(normals, normals0)
+
+    @pytest.mark.parametrize("d, n", [(2, 4000), (3, 600)])
+    def test_pooled_law(self, d, n, rng):
+        # the pooled volumes have the zero cell's mean, and the law of
+        # cells drawn one stream each
+        root = rng.spawn("pooled-law", d)
+        pooled = np.array([c.volume for c in models.crofton_cells(d, n, root.spawn("pooled"))])
+        se = pooled.std(ddof=1) / np.sqrt(n)
+        mean = crofton_moments(d).zero_cell_mean
+        assert abs(pooled.mean() - mean) <= 4.0 * se, (pooled.mean(), mean, se)
+        single = np.array([crofton_cell(d, root.spawn("single", i)).volume
+                           for i in range(n // 2)])
+        assert stats.ks_2samp(pooled, single).pvalue > 1e-3
 
 
 class TestSegmentCrossings:

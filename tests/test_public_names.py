@@ -23,6 +23,8 @@ REFERENCE_ROUTES = {
     "depth_radial_law": "offset law that makes half-spaces mimic tangent balls",
     "sample_intersection_model": "the full-pin model the windowed samplers are tested against",
     "intersection_radius": "radii of the full-pin model, the windowed samplers' reference",
+    "crofton_cell": "one-cell form of `crofton_cells`; exported, read by the geometry tests "
+                    "and acceptance 07, patched by the benchmark tracer",
 }
 
 
