@@ -20,7 +20,7 @@ from .geomcore import (
     validate_intensity,
 )
 from .models import ShapeKind, count_scale, exit_distance
-from .ppp import RadialMeasure, RngStream, axis_cosines, invert_increasing
+from .ppp import RadialMeasure, RngStream, axis_cosines, depth_radial_law, invert_increasing
 
 
 def lune_fraction_closed_2d(r) -> np.ndarray | float:
@@ -84,9 +84,10 @@ def halfspace_miss_quadrature(d: int, r: float) -> float:
     if d == 1:
         return 2.0 * r
     front = _halfspace_front(d, "quadrature", _MAX_QUADRATURE_DIM)
+    depth_cdf = depth_radial_law(d).cdf
 
     def f(a):
-        return (1.0 - (1.0 - r * np.cos(a)) ** d) * np.sin(a) ** (d - 2)
+        return depth_cdf(r * np.cos(a)) * np.sin(a) ** (d - 2)
 
     val, _ = integrate.quad(f, 0.0, np.pi / 2.0, epsabs=1e-13, epsrel=1e-12)
     return front * val
@@ -211,8 +212,8 @@ class RadiusLaw:
     1 of mass exp(-lam * omega_d * w(1)).
 
     miss_fn must be increasing on [0, 1] with miss_fn(0) = 0.  None, the
-    default, stands for the ball model's lune weight, and sample() passes
-    it on as None so the exact sampler can use the lune's slope.
+    default, stands for the ball model's lune weight.  sample_radius_exact
+    draws from the law.
     """
 
     dim: int
@@ -245,10 +246,6 @@ class RadiusLaw:
     def atom_mass(self) -> float:
         return float(np.exp(-self.lam * unit_ball_volume(self.dim)
                             * self.weight(1.0)))
-
-    def sample(self, n: int, rng: RngStream) -> np.ndarray:
-        return sample_radius_exact(self.dim, self.lam, n, rng,
-                                   miss_fn=self.miss_fn)
 
 
 def expected_volume_quadrature(d: int, lam: float, miss_fn=None) -> float:

@@ -25,6 +25,7 @@ from .ppp import (
     RadialMeasure,
     RngStream,
     axis_cosines,
+    depth_radial_law,
     sample_ball_uniform,
     sample_poisson_count,
     sample_shell,
@@ -598,8 +599,8 @@ def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
     (_windowed_cells), from rho = 4 / (lam omega_d) up to 1, with the
     certificate working in units of the first window: a band (lo, hi] holds
     Poisson(lam omega_d (F(hi) - F(lo))) centers with depths F^-1(u), u
-    uniform on (F(lo), F(hi)).  F and its inverse are taken in expm1/log1p
-    form, so the depths keep their relative precision at any lam.  P's
+    uniform on (F(lo), F(hi)).  F and its inverse are depth_radial_law's,
+    so the depths keep their relative precision at any lam.  P's
     radii are intersection_radius(HALF_SPACE, depths, normals, dirs), I's
     are intersection_radius(BALL, 1 - depths, -normals, dirs).  Dimensions
     outside 2..._MAX_CELL_DIM, where no zero cell is certified, draw every
@@ -608,14 +609,13 @@ def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
     """
     d, mean = _mean_pin_count(d, lam, uniform_radial_law(d), BALL)
     n = validate_count(n, "n")
-    g = rng.gen
+    g, law = rng.gen, depth_radial_law(d)
 
     def band(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        with np.errstate(divide="ignore"):  # log1p(-1) = -inf: F(1) = 1
-            f_lo, f_hi = -np.expm1(d * np.log1p(-np.array([lo, hi])))
-            counts = sample_poisson_count(mean * (f_hi - f_lo), rng, m)
-            total = int(counts.sum())
-            depths = -np.expm1(np.log1p(-(f_lo + g.random(total) * (f_hi - f_lo))) / d)
+        f_lo, f_hi = law.cdf(np.array([lo, hi]))
+        counts = sample_poisson_count(mean * (f_hi - f_lo), rng, m)
+        total = int(counts.sum())
+        depths = law.inverse_cdf(f_lo + g.random(total) * (f_hi - f_lo))
         return counts, depths, uniform_directions(d, total, rng)
 
     if not 2 <= d <= _MAX_CELL_DIM:

@@ -12,7 +12,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .geomcore import unit_ball_volume, validate_count, validate_dimension, validate_intensity
 
@@ -84,14 +84,20 @@ def uniform_radial_law(d: int) -> RadialMeasure:
 
 def depth_radial_law(d: int) -> RadialMeasure:
     """Law of the distance from a uniform point in the ball to the unit
-    sphere: CDF 1 - (1-r)^d.  Used as the offset law that makes pinned
-    half-spaces mimic boundary-tangent balls."""
+    sphere: CDF F(x) = 1 - (1-x)^d, the offset law that makes pinned
+    half-spaces mimic boundary-tangent balls.  The one definition of F and
+    its inverse in the package, taken in expm1/log1p form so that depths
+    and probabilities near 0 keep their relative precision at any lam."""
     d = validate_dimension(d)
-    return RadialMeasure(
-        name="depth",
-        cdf=lambda r: 1.0 - (1.0 - np.asarray(r, dtype=float)) ** d,
-        inverse_cdf=lambda u: 1.0 - (1.0 - np.asarray(u, dtype=float)) ** (1.0 / d),
-    )
+
+    def cdf(x):
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf: F(1) = 1
+            return -np.expm1(d * np.log1p(-np.asarray(x, dtype=float)))
+
+    def inverse_cdf(u):
+        with np.errstate(divide="ignore"):
+            return -np.expm1(np.log1p(-np.asarray(u, dtype=float)) / d)
+    return RadialMeasure("depth", cdf, inverse_cdf)
 
 
 _ROOT_TOL = 1e-12
@@ -287,7 +293,8 @@ class ShellDepthCdfs:
             raise ValueError("eps must lie in (0, 1)")
         self.eps = float(eps)
         self.d = validate_dimension(d)
-        self._den_inner = 1.0 - (1.0 - eps) ** d
+        self._depth = depth_radial_law(d)
+        self._den_inner = self._depth.cdf(self.eps)
         self._den_folded = (1.0 + eps) ** d - (1.0 - eps) ** d
 
     def _check_depth(self, w):
@@ -304,11 +311,11 @@ class ShellDepthCdfs:
 
     def inner(self, w):
         w = self._check_depth(w)
-        return (1.0 - (1.0 - w) ** self.d) / self._den_inner
+        return self._depth.cdf(w) / self._den_inner
 
     def inner_inverse(self, u):
         u = self._check_quantile(u)
-        return 1.0 - (1.0 - u * self._den_inner) ** (1.0 / self.d)
+        return self._depth.inverse_cdf(u * self._den_inner)
 
     def folded(self, w):
         w = self._check_depth(w)
@@ -387,8 +394,8 @@ def poisson_total_variation(mu: float, delta: float) -> float:
                          f"got mu = {mu}; use poisson_tail_crossover")
     half = 12.0 * np.sqrt(mu + delta) + 30.0
     ks = np.arange(max(int(np.floor(mu - half)), 0), int(np.ceil(mu + delta + half)) + 1)
-    p = stats.poisson.pmf(ks, mu)
-    q = stats.poisson.pmf(ks, mu + delta)
+    # scipy.stats' Poisson pmf, without importing scipy.stats (its cdf is special.pdtr)
+    p, q = (np.exp(special.xlogy(ks, m) - special.gammaln(ks + 1) - m) for m in (mu, mu + delta))
     tv = float(0.5 * np.sum(np.abs(p - q)))
     # tv <= delta holds for all mu (mean-shift coupling); a violation means
     # the truncation window or the pmf evaluation broke down
@@ -406,7 +413,7 @@ def poisson_tail_crossover(mu: float, delta: float) -> float:
     kappa = delta / np.log1p(delta / mu) if mu > 0 else 0.0
     # at mu = 0 the pmf difference is positive at k = 0 only
     m = max(int(np.ceil(kappa)) - 1, 0)
-    return float(stats.poisson.cdf(m, mu) - stats.poisson.cdf(m, mu + delta))
+    return float(special.pdtr(m, mu) - special.pdtr(m, mu + delta))
 
 
 def poisson_log_tail_check(lam: float, d: int = 2) -> tuple[float, bool]:
@@ -418,7 +425,7 @@ def poisson_log_tail_check(lam: float, d: int = 2) -> tuple[float, bool]:
     eps = np.log(lam) ** 2 / lam
     vol = unit_ball_volume(d) * ((1.0 + eps) ** d - (1.0 - eps) ** d)
     threshold = np.log(lam)
-    prob = float(stats.poisson.cdf(np.ceil(threshold) - 1.0, vol * lam))
+    prob = float(special.pdtr(np.ceil(threshold) - 1.0, vol * lam))
     return prob, prob < 1.0 / lam
 
 

@@ -97,7 +97,7 @@ def test_criterion_03_radius_law_exponential(arng):
         z, lambda t: (1.0 - np.exp(-np.minimum(t, zmax))) / -np.expm1(-zmax)
     ).statistic
     assert ks < 0.01, ks
-    exact = law.sample(n, arng.spawn("c3e"))
+    exact = sample_radius_exact(2, lam, n, arng.spawn("c3e"))
     p = stats.ks_2samp(process, exact).pvalue
     assert p > 0.01, p
     report(f"radius law: KS={ks:.5f} < 0.01, two-sample p={p:.3f} > 0.01 -> PASS")

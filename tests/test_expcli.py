@@ -447,6 +447,18 @@ class TestEndToEnd:
         assert "zero_cell_volume_mean" in metrics
         assert "unbounded_count" not in metrics
 
+    def test_sweep_hit_or_miss_only_where_a_window_is_certified(self, tmp_path, monkeypatch):
+        # past the zero-cell dimensions the probes would fill the unit ball,
+        # which at d = 5, lam = 50 holds the set only in 1.3e-10 of its volume:
+        # no probe hits, and the sigma gap would be over a zero standard error
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        out = tmp_path / "v.csv"
+        assert main(["volume-sweep", "--d", "5", "--lambda", "50", "--samples", "500",
+                     "--out", str(out)]) == 0
+        metrics = {r[5] for r in read_rows(out)[1:]}
+        assert "volume_mc" in metrics
+        assert not any("hit_or_miss" in m for m in metrics)
+
     def test_thread_env_error_exit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RANDSET_THREADS", "lots")
         monkeypatch.chdir(tmp_path)  # the default output path is probed

@@ -17,6 +17,7 @@ from randset.analytics import (
     halfspace_miss_series,
     halfspace_uniform_weight,
     cone_uniform_weight,
+    halfspace_miss_quadrature,
     invert_increasing,
     lune_fraction_closed_2d,
     miss_weight_mc,
@@ -59,6 +60,7 @@ from randset.ppp import (
     RngStream,
     ShellDepthCdfs,
     _sample_band,
+    axis_cosines,
     coupon_bound,
     coupon_empirical,
     depth_radial_law,
@@ -347,6 +349,41 @@ _OUT_OF_RANGE_CALLS = {
 def test_nan_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+def _fair_signs(u) -> bool:
+    return set(np.unique(u)) == {-1.0, 1.0} and abs(np.mean(u)) < 3.0 / np.sqrt(u.size)
+
+
+# branches no other test reaches: a call and what it must give, either a
+# check of its result or the message of the ValueError it raises
+_GUARD_CALLS = {
+    # qhull raises ValueError("No points given") on no half-spaces, not
+    # QhullError, so the guard before it is what returns None
+    "zero-cell-no-half-spaces": (
+        lambda rng: _zero_cell_polytope(3, np.empty((0, 3)), np.empty(0), 10.0),
+        lambda out: out is None),
+    "binding-min-dimensions": (
+        lambda rng: ball_intersection_radius([[0.5, 0.0, 0.0]], [[1.0, 0.0]]),
+        "do not match"),
+    "axis-cosines-line": (lambda rng: axis_cosines(1, 4000, rng), _fair_signs),
+    "band-bounds": (lambda rng: _sample_band(2, 1.0, 0.5, 0.5, rng), "need 0 <= lo < hi"),
+    "ball-rmax": (lambda rng: sample_ball_uniform(2, 1.0, rng, rmax=0.0),
+                  "rmax must be > 0"),
+    "empty-direction-grid": (lambda rng: DirectionGrid(2, np.empty((0, 2))), "nonempty"),
+    "quadrature-radius": (lambda rng: halfspace_miss_quadrature(3, 1.5),
+                          r"r must lie in \[0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("case", _GUARD_CALLS)
+def test_guard_branches(case, rng):
+    call, outcome = _GUARD_CALLS[case]
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            call(rng.spawn(case))
+    else:
+        assert outcome(call(rng.spawn(case)))
 
 
 class TestSampleModel:
@@ -697,7 +734,7 @@ class TestWindowedPins:
         n, lam = 5000, 200.0
         radii = sample_axis_radii(2, lam, uniform_radial_law(2), BALL, n,
                                   rng.spawn("window-chunks"))
-        exact = RadiusLaw(2, lam).sample(n, rng.spawn("window-exact"))
+        exact = sample_radius_exact(2, lam, n, rng.spawn("window-exact"))
         assert stats.ks_2samp(radii, exact).pvalue > 1e-3
 
     @pytest.mark.parametrize("shape", [BALL, HALF_SPACE], ids=["ball", "half-space"])
@@ -840,6 +877,16 @@ class TestExactRadiusLaws:
             tgt = np.exp(-z)
             assert_close_sigma(np.mean(sample > rz), tgt, binomial_se(tgt, n),
                                label=f"{name} d={d} lam={lam} z={z}")
+
+    @pytest.mark.parametrize("lam", [1e3, 1e15, 1e17])
+    def test_depth_offsets_at_huge_intensity(self, lam):
+        # the offsets are of order 1/lam, and the depth law's inverse keeps
+        # their digits, so lam omega_2 w(R) stays unit exponential
+        law = RadiusLaw(2, lam, miss_fn=lambda r: 2.0 * np.asarray(r) / np.pi
+                        - np.asarray(r) ** 2 / 4.0)
+        radii = sample_axis_radii(2, lam, depth_radial_law(2), HALF_SPACE, 20_000,
+                                  RngStream(1))
+        assert stats.kstest(law.transform(radii), "expon").statistic < 0.01
 
 
 class TestRotationInvariance:
@@ -1417,6 +1464,18 @@ class TestIntervalModel:
         assert abs(stats_["scaled_length_var"] - 2.0) < 0.15
         assert abs(stats_["endpoint_corr"]) < 3.0 / np.sqrt(n)
         assert np.all(stats_["hi"] >= stats_["lo"])
+
+    def test_one_replicate_route(self, rng):
+        # interval_intersection_1d draws the batched route's law one
+        # replicate at a time
+        lam, n = 20.0, 4000
+        root = rng.spawn("one-replicate")
+        lo, hi = np.array([interval_intersection_1d(lam, root.spawn(i))
+                           for i in range(n)]).T
+        batched = interval_intersection_stats(lam, n, rng.spawn("batched"))
+        assert stats.ks_2samp(lam * (hi - lo),
+                              lam * (batched["hi"] - batched["lo"])).pvalue > 1e-3
+        assert stats.ks_2samp(lo, batched["lo"]).pvalue > 1e-3
 
     def test_domain(self, rng):
         with pytest.raises(ValueError):

@@ -1,8 +1,14 @@
 """Process sampling, radial laws, shell transport, discrete bounds."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import randset
 from randset.geomcore import unit_ball_volume
 from randset.models import BALL, sample_intersection_model
 from randset.ppp import (
@@ -70,8 +76,14 @@ class TestRadialMeasures:
         r = np.linspace(0.0, 1.0, 101)
         assert mu.cdf(0.0) == 0.0
         assert mu.cdf(1.0) == 1.0
+        assert mu.inverse_cdf(1.0) == 1.0
         assert np.allclose(mu.cdf(r), 1.0 - (1.0 - r) ** 4, atol=1e-13)
         assert np.allclose(mu.inverse_cdf(mu.cdf(r)), r, atol=1e-10)
+        # F(x) = 4x - 6x^2 + ..., so F and its inverse keep relative
+        # precision down to the smallest depths
+        x = np.array([1e-300, 1e-17, 1e-12])
+        assert np.allclose(mu.cdf(x), 4.0 * x, rtol=1e-11, atol=0.0)
+        assert np.allclose(mu.inverse_cdf(4.0 * x), x, rtol=1e-11, atol=0.0)
 
     def test_bisection_inverse(self):
         mu = radial_law_from_cdf("sq", lambda r: np.asarray(r) ** 2)
@@ -370,6 +382,29 @@ class TestPoissonBounds:
         # ratio (mu + delta) / mu rounded the crossover to 0 at 1e12
         assert poisson_tail_crossover(mu, 1.0) == pytest.approx(
             1.0 / np.sqrt(2.0 * np.pi * mu), rel=1e-6)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 7.0, 250.0, 1e5])
+    def test_routes_equal_scipy_stats(self, mu):
+        # the pmf and cdf are scipy.stats' own formulas, so the bits agree
+        delta = 0.7
+        half = 12.0 * np.sqrt(mu + delta) + 30.0
+        ks = np.arange(max(int(np.floor(mu - half)), 0), int(np.ceil(mu + delta + half)) + 1)
+        tv = 0.5 * np.sum(np.abs(stats.poisson.pmf(ks, mu) - stats.poisson.pmf(ks, mu + delta)))
+        assert poisson_total_variation(mu, delta) == tv
+        m = max(int(np.ceil(delta / np.log1p(delta / mu))) - 1, 0) if mu > 0 else 0
+        assert poisson_tail_crossover(mu, delta) == (
+            stats.poisson.cdf(m, mu) - stats.poisson.cdf(m, mu + delta))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the Poisson pmf and cdf come from scipy.special, so importing the
+        # package does not pay for scipy.stats
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(randset.__file__).resolve().parents[1]),
+                        os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, randset; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_pinned_example(self):
         tv = poisson_total_variation(5.0, 0.1)

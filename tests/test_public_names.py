@@ -20,7 +20,6 @@ REFERENCE_ROUTES = {
     "poisson_total_variation": "Poisson shift distance summed from the pmfs",
     "poisson_tail_crossover": "route to the same distance through its sign change",
     "radial_law_from_cdf": "a bisection-inverted law to test custom laws with",
-    "depth_radial_law": "offset law that makes half-spaces mimic tangent balls",
     "sample_intersection_model": "the full-pin model the windowed samplers are tested against",
     "intersection_radius": "radii of the full-pin model, the windowed samplers' reference",
     "crofton_cell": "one-cell form of `crofton_cells`; exported, read by the geometry tests "
