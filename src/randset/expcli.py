@@ -90,10 +90,11 @@ class ExperimentConfig:
         if getattr(self, spec.count) < 2:
             raise ConfigError(f"{self.experiment} needs {spec.count} >= 2")
         self.lambda_grid = tuple(map(float, self.lambda_grid))
-        if max(self.lambda_grid) > spec.lam_max:
-            raise ConfigError(
-                f"the {self.experiment} experiment needs every --lambda in "
-                f"(0, {spec.lam_max:g}], got {max(self.lambda_grid):g}")
+        lo, hi = spec.lam_range
+        for lam in self.lambda_grid:
+            if not lo < lam <= hi:
+                raise ConfigError(f"the {self.experiment} experiment needs every --lambda "
+                                  f"in ({lo:g}, {hi:g}], got {lam:g}")
         if not self.output_path:
             self.output_path = f"randset-{self.experiment}.{self.format}"
 
@@ -333,6 +334,11 @@ def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[t
     flags = np.empty(n)
     occupied = 0
     contained = 0
+    # containment of I in B(0, margin), from the centers that can shape I
+    # (windowed_ball_pins): I lies in B(0, rho), and the drawn centers alone
+    # give its radii; the same law as shell_containment_indicator's
+    margin = 2.0 * np.log(lam) ** 2 / lam
+    pins = models.windowed_ball_pins(2, lam, n, rng.spawn("contain"))
     for i in range(n):
         r = rng.spawn(i)
         tess = ppp.sample_shell(2, lam / 2.0, eps, "both", r.spawn("tess"))
@@ -344,7 +350,12 @@ def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[t
             ang = np.arctan2(pts[:, 1], pts[:, 0])
             arcs = np.unique(np.minimum((ang + np.pi) * 3.0 / np.pi, 5.0).astype(int))
             occupied += arcs.size == 6
-        contained += models.shell_containment_indicator(2, lam, r.spawn("contain"), grid)
+        if margin < 1.0:
+            depths, normals, rho = next(pins)
+            contained += rho <= margin or bool(np.max(models.intersection_radius(
+                models.BALL, 1.0 - depths, -normals, grid.points)) <= margin)
+        else:
+            contained += 1
     out: list[tuple] = []
     _rec(out, "coupling_eps", eps)
     _rec(out, "hausdorff_scaled_mean", haus.mean(), haus.std(ddof=1) / np.sqrt(n))
@@ -495,7 +506,9 @@ class _Experiment(NamedTuple):
     count: str      # "samples" or "replicates", whichever must be >= 2
     d_range: tuple[int, int] | None  # inclusive bounds on d, or None for any d
     defaults: dict  # overrides of the ExperimentConfig defaults
-    lam_max: float = np.inf  # largest lambda that keeps the records' digits and memory
+    # accepted lambdas, open below and closed above: where the records keep
+    # their digits and the block's laws are defined
+    lam_range: tuple[float, float] = (0.0, np.inf)
 
 
 _EXPERIMENT_TABLE = {
@@ -504,15 +517,16 @@ _EXPERIMENT_TABLE = {
     # ks_ball_process reads 0.003-0.006 at lambda 1e12 and 1e13, 0.015-0.021
     # at 1e14 and 0.128 at 1e15 (d = 2, 20 000 to 40 000 samples)
     "radius-convergence": _Experiment(_block_radius_convergence, "samples", None, dict(
-        d=2, lambda_grid=(10.0, 50.0, 200.0), samples=100_000), lam_max=1e12),
+        d=2, lambda_grid=(10.0, 50.0, 200.0), samples=100_000), lam_range=(0.0, 1e12)),
     "volume-sweep": _Experiment(_block_volume_sweep, "samples", None, dict(
         d=2, lambda_grid=(50.0, 200.0, 1000.0, 10000.0), samples=20_000)),
-    # the coupling draws its whole bulk, about lambda omega_d points per
-    # replicate, so its memory grows linearly in lambda: 270 MB at 1e6
-    # (2 replicates), and lambda = 1e17 asks for 3.1e17 points
+    # the coupling's shell width eps = log(lambda)^2 / (2 lambda) is positive
+    # only for lambda > 1; a replicate draws its bulk only when the bulk can
+    # bind, so its work does not grow with lambda, and the bound 1e6 is one
+    # of precision: the ball exits lose their digits near the unit sphere
     "coupling": _Experiment(_block_coupling, "replicates", (2, 2), dict(
         d=2, lambda_grid=(1000.0, 3000.0, 10000.0), replicates=200, grid_size=1024),
-        lam_max=1e6),
+        lam_range=(1.0, 1e6)),
     "crofton": _Experiment(_block_crofton, "replicates", (2, models._MAX_CELL_DIM), dict(
         d=2, lambda_grid=(2.0,), replicates=8000)),
     "warmup-1d": _Experiment(_block_warmup, "replicates", (1, 1), dict(

@@ -737,7 +737,7 @@ class CouplingOutput:
     corrected_points are the folded sample (outer points sent antipodally,
     inner points kept) with every depth pushed through the folded-to-inner
     transport, an O(eps^2) nudge; they are the centers the intersection
-    side is built from (together with the independent bulk sample).
+    side is built from (together with the bulk sample, when it can bind).
     tess_cell is the origin cell of the untouched sample, and
     hausdorff_scaled is lam times the radius-sup distance between the two
     sides on the grid.
@@ -761,19 +761,23 @@ def coupling_transform(points: np.ndarray, lam: float, eps: float, rng: RngStrea
     points are kept in place.  The folded depths follow the two-sided shell
     law, so every depth is then pushed through the exact transport onto the
     inner shell law, an O(eps^2) correction per point.  An independent
-    uniform Poisson(lam) sample on the ball of radius 1 - eps fills in the
-    bulk, whose copies almost never bind.  Returned are the corrected
-    points, the tessellation origin cell of the untouched sample, and lam
-    times max |r_a - r_b| over the grid between that cell and the ball
+    uniform Poisson(lam) sample on the ball of radius 1 - eps, drawn from
+    rng, fills in the bulk.  Returned are the corrected points, the
+    tessellation origin cell of the untouched sample, and lam times
+    max |r_a - r_b| over the grid between that cell and the ball
     intersection of the corrected points plus bulk, which bounds their
     Hausdorff distance (both sets are star-shaped about the origin).
 
     Both radius arrays come from certified culls: no exit of a center
     falls below its bound (slack 1 - |c| for the balls, |1 - |c|| for the
     circles), so the kernels evaluate only the centers whose bound is at
-    most the largest radius, and the bulk centers, with slack at least
-    eps, are almost never evaluated.  The radii equal those of every
-    center, bit for bit.
+    most the largest radius.  Every bulk center has slack at least eps, so
+    when the corrected centers alone give radii below eps - _CULL_MARGIN,
+    no bulk center can lower one and the bulk is not drawn: its stream
+    feeds nothing else, so the output is the same, bit for bit, as with
+    the bulk drawn and evaluated, and a replicate's work does not grow
+    with lam.  Otherwise the bulk is drawn and evaluated with the
+    corrected centers.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -789,10 +793,12 @@ def coupling_transform(points: np.ndarray, lam: float, eps: float, rng: RngStrea
     w = np.asarray(depth_laws.transport(np.minimum(depth, eps)), dtype=float)
     corrected = (sign * (1.0 - w))[:, None] * th
 
-    bulk = sample_ball_uniform(2, lam, rng, rmax=1.0 - eps)
-
     cell = sphere_tessellation_cell_2d(pts, grid)
-    inter_radii = ball_intersection_radius(np.vstack([corrected, bulk.points]), grid.points)
+    inter_radii = ball_intersection_radius(corrected, grid.points)
+    if np.max(inter_radii) + _CULL_MARGIN >= eps:
+        bulk = sample_ball_uniform(2, lam, rng, rmax=1.0 - eps)
+        inter_radii = ball_intersection_radius(np.vstack([corrected, bulk.points]),
+                                               grid.points)
     h = float(np.max(np.abs(inter_radii - cell.radii)))
     return CouplingOutput(corrected, cell, lam * h)
 

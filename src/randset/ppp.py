@@ -295,7 +295,7 @@ class ShellDepthCdfs:
         self.d = validate_dimension(d)
         self._depth = depth_radial_law(d)
         self._den_inner = self._depth.cdf(self.eps)
-        self._den_folded = (1.0 + eps) ** d - (1.0 - eps) ** d
+        self._den_folded = self._folded_mass(self.eps)
 
     def _check_depth(self, w):
         arr = np.asarray(w, dtype=float)
@@ -317,9 +317,14 @@ class ShellDepthCdfs:
         u = self._check_quantile(u)
         return self._depth.inverse_cdf(u * self._den_inner)
 
+    def _folded_mass(self, w):
+        """(1 + w)^d - (1 - w)^d, as a difference of expm1 terms so that
+        small depths keep their relative precision."""
+        return np.expm1(self.d * np.log1p(w)) - np.expm1(self.d * np.log1p(-w))
+
     def folded(self, w):
         w = self._check_depth(w)
-        return ((1.0 + w) ** self.d - (1.0 - w) ** self.d) / self._den_folded
+        return self._folded_mass(w) / self._den_folded
 
     def transport(self, w):
         """Monotone transport of a folded-law depth onto the inner law.

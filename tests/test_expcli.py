@@ -414,17 +414,19 @@ class TestEndToEnd:
         assert err == ("randset: config error: the radius-convergence experiment needs "
                        f"every --lambda in (0, 1e+12], got {top}\n")
 
-    @pytest.mark.parametrize("lam, top", [("1e15", "1e+15"), ("1e17", "1e+17"),
-                                          ("1000,1e7", "1e+07")])
-    def test_coupling_lambda_bound_exit_2(self, lam, top, tmp_path, capsys, monkeypatch):
-        # the coupling's bulk grows linearly in lambda (3.1e17 points at
-        # 1e17 ended in a MemoryError), so it refuses the grid up front
+    @pytest.mark.parametrize("lam, bad", [("1e15", "1e+15"), ("1e17", "1e+17"),
+                                          ("1000,1e7", "1e+07"), ("1", "1"),
+                                          ("0.5", "0.5"), ("1000,1", "1")])
+    def test_coupling_lambda_bound_exit_2(self, lam, bad, tmp_path, capsys, monkeypatch):
+        # the shell width log(lambda)^2 / (2 lambda) needs lambda > 1, and
+        # the ball exits near the unit sphere keep their digits up to 1e6,
+        # so the coupling refuses the grid before any block runs
         code, err = main_without_blocks(
             ["coupling", "--lambda", lam, "--replicates", "2",
              "--out", str(tmp_path / "x.csv")], capsys, monkeypatch)
         assert code == 2, err
         assert err == ("randset: config error: the coupling experiment needs "
-                       f"every --lambda in (0, 1e+06], got {top}\n")
+                       f"every --lambda in (1, 1e+06], got {bad}\n")
 
     def test_exact_sampler_at_large_intensity(self, tmp_path, monkeypatch):
         # the radii are of order 1e-12, the root finder's absolute tolerance

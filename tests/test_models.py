@@ -585,9 +585,9 @@ class TestCulledKernels:
         assert np.array_equal(culled, np.min(exit_(dot, s2), axis=1))
 
     def test_seeded_shells(self, rng, monkeypatch):
-        # the coupling block's inputs at lam = 3000: the containment shell
-        # (about 790 centers) and the tessellation sample (about 200); the
-        # cull evaluates a few dozen centers per call
+        # at lam = 3000: shell_containment_indicator's shell (about 790
+        # centers) and the coupling block's tessellation sample (about 200);
+        # the cull evaluates a few dozen centers per call
         lam = 3000.0
         margin = 2.0 * np.log(lam) ** 2 / lam
         eps = np.log(lam) ** 2 / (2.0 * lam)
@@ -1422,6 +1422,60 @@ class TestCouplingTransform:
         assert np.max(np.abs(cn - folded)) <= 2.0 * eps * eps
         assert out.hausdorff_scaled >= 0.0
 
+    @staticmethod
+    def block_input(lam, r):
+        """The coupling block's shell width and tessellation sample."""
+        eps = np.log(lam) ** 2 / (2.0 * lam)
+        return eps, sample_shell(2, lam / 2.0, eps, "both", r.spawn("tess")).points
+
+    @pytest.mark.parametrize("lam", [1e4, 1e6])
+    def test_bulk_skipped_at_large_intensity(self, lam, rng, monkeypatch):
+        # the corrected centers alone give radii below eps: the bulk, about
+        # 3.1e6 points at lam = 1e6, is never drawn
+        def no_bulk(*args, **kwargs):
+            raise AssertionError("the bulk was drawn")
+
+        monkeypatch.setattr(models, "sample_ball_uniform", no_bulk)
+        grid = direction_grid(2, 1024)
+        for i in range(5):
+            r = rng.spawn("no-bulk", lam, i)
+            eps, points = self.block_input(lam, r)
+            out = coupling_transform(points, lam, eps, r.spawn("bulk"), grid)
+            assert 0.0 <= out.hausdorff_scaled < np.inf
+
+    @pytest.mark.parametrize("lam", [5.0, 8.0, 3000.0])
+    def test_bulk_certificate_is_exact(self, lam, rng, monkeypatch):
+        # a reference that always draws the bulk from the same stream and
+        # evaluates it with the corrected centers gives the same radii and
+        # distance bit for bit, whether or not the bulk is drawn
+        grid = direction_grid(2, 1024)
+        drawn, radii = [], []
+        kernel, bulk_sampler = models.ball_intersection_radius, models.sample_ball_uniform
+
+        def kept_radii(*args):
+            radii.append(kernel(*args))
+            return radii[-1]
+
+        def counted_bulk(*args, **kwargs):
+            drawn.append(i)
+            return bulk_sampler(*args, **kwargs)
+
+        monkeypatch.setattr(models, "ball_intersection_radius", kept_radii)
+        monkeypatch.setattr(models, "sample_ball_uniform", counted_bulk)
+        for i in range(200):
+            r = rng.spawn("bulk-cert", lam, i)
+            eps, points = self.block_input(lam, r)
+            out = coupling_transform(points, lam, eps, r.spawn("bulk"), grid)
+            bulk = bulk_sampler(2, lam, r.spawn("bulk"), rmax=1.0 - eps).points
+            ref = kernel(np.vstack([out.corrected_points, bulk]), grid.points)
+            assert np.array_equal(radii[-1], ref)
+            assert out.hausdorff_scaled == lam * float(np.max(np.abs(
+                ref - out.tess_cell.radii)))
+        if lam < 10.0:
+            assert 0 < len(drawn) < 200
+        else:
+            assert drawn == []
+
 
 class TestShellContainment:
     def test_wide_margin_trivial(self, rng):
@@ -1440,6 +1494,23 @@ class TestShellContainment:
         hits = sum(shell_containment_indicator(2, 1e4, root.spawn(i), grid)
                    for i in range(40))
         assert hits >= 36
+
+    @pytest.mark.parametrize("lam", [2.0, 3.0])
+    def test_block_verdict_has_the_shell_law(self, lam, rng):
+        # the coupling block takes containment from pooled windowed pins;
+        # its frequency against the shell route's, by a two-proportion z
+        n = 2000
+        cfg = ExperimentConfig(experiment="coupling", lambda_grid=(lam,), replicates=n,
+                               grid_size=256)
+        rows = {m: v for m, v, _ in expcli._block_coupling(cfg, lam,
+                                                           rng.spawn("block", lam))}
+        windowed = rows["containment_fraction"]
+        grid, root = direction_grid(2, 256), rng.spawn("shell", lam)
+        shell = sum(shell_containment_indicator(2, lam, root.spawn(i), grid)
+                    for i in range(n)) / n
+        p = (windowed + shell) / 2.0
+        assert 0.0 < p < 1.0
+        assert abs(windowed - shell) / np.sqrt(p * (1.0 - p) * 2.0 / n) < 4.0
 
 
 class TestIntervalModel:

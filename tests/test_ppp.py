@@ -263,6 +263,16 @@ class TestShellDepthTransport:
         w = np.linspace(0.0, 0.01, 101)
         assert np.allclose(c.folded(w), w / 0.01, atol=1e-12)
 
+    @pytest.mark.parametrize("d, mass", [(2, lambda w: 4.0 * w),
+                                         (3, lambda w: 6.0 * w + 2.0 * w ** 3)])
+    def test_folded_keeps_small_depths(self, d, mass):
+        # (1 + w)^d - (1 - w)^d in closed form: the difference of powers
+        # cancels at small w (5.5% off at w = 1e-15, d = 2)
+        eps = 0.05
+        c = shell_depth_cdfs(eps, d)
+        w = np.array([1e-15, 1e-12, 1e-6, 1e-3, eps])
+        assert np.allclose(c.folded(w), mass(w) / mass(eps), rtol=1e-14, atol=0.0)
+
     def test_inverse_round_trips(self):
         c = shell_depth_cdfs(0.02, 3)
         w = np.linspace(0.0, 0.02, 201)

@@ -21,7 +21,9 @@ REFERENCE_ROUTES = {
     "poisson_tail_crossover": "route to the same distance through its sign change",
     "radial_law_from_cdf": "a bisection-inverted law to test custom laws with",
     "sample_intersection_model": "the full-pin model the windowed samplers are tested against",
-    "intersection_radius": "radii of the full-pin model, the windowed samplers' reference",
+    "shell_containment_indicator": "the shell route the coupling block's windowed "
+                                   "containment is checked against; patched by the "
+                                   "benchmark tracer",
     "crofton_cell": "one-cell form of `crofton_cells`; exported, read by the geometry tests "
                     "and acceptance 07, patched by the benchmark tracer",
 }

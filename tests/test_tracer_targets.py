@@ -79,3 +79,7 @@ def test_traced_runs_keep_the_tracer_contract(monkeypatch):
     assert [s for s in tracer.spans if s[tracing.ERROR] is not None] == []
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics and all(math.isfinite(v) for v in metrics.values())
+    # the coupling at lambda = 3000 draws no bulk: its corrected centers
+    # certify that no bulk center can bind
+    assert metrics["models.coupling_transform.ms_per_call"] > 0
+    assert metrics["models.coupling_transform.bulk_points_per_call"] == 0
