@@ -33,6 +33,7 @@ from .ppp import (
     shell_depth_cdfs,
     uniform_directions,
     uniform_radial_law,
+    validate_poisson_mean,
 )
 
 _TINY = 1e-14
@@ -301,73 +302,68 @@ def _pooled_chunks(n: int, mean: float, draw: Callable[[int], np.ndarray]) -> np
     return np.concatenate([draw(min(per, n - i)) for i in range(0, n, per)] or [draw(0)])
 
 
-def _first_window(d: int, lam: float, rho_max: float) -> float:
-    """4 / (lam * omega_d), the scale of the model radii, capped at rho_max."""
-    scale = lam * unit_ball_volume(d)
-    return 4.0 / scale if scale * rho_max > 4.0 else rho_max
-
-
-def _pin_bound(shape: ShapeKind) -> tuple[float, Callable[[float], float]]:
-    """The largest exit-distance lower bound b(p) of a pin, and the pin
-    radius p at which b(p) takes a given value.
+def _pin_bound(shape: ShapeKind) -> tuple[float, float]:
+    """The lower bound b(p) = b0 + slope * p on every exit distance of a pin
+    at radius p, as (b0, slope); a bound b is reached at p = (b - b0) / slope.
 
     The ball B(c, 1) holds B(0, 1 - p), the half-space lies at distance p,
     and the cone's sides pass at p sin(beta) from the point p along its
     axis (the sine rule of _cone_exit with sin(gamma - beta) <= 1).
     """
     if shape.kind == "ball":
-        return 1.0, lambda b: 1.0 - b
+        return 1.0, -1.0
     if shape.kind == "half-space":
-        return 1.0, lambda b: b
-    sinb = float(np.sin(shape.beta))
-    return sinb, lambda b: b / sinb
+        return 0.0, 1.0
+    return 0.0, float(np.sin(shape.beta))
 
 
 def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,
                       n: int, rng: RngStream) -> np.ndarray:
-    """n independent model radii along a fixed axis, drawing only the pins
-    that can bind.
+    """n independent model radii along a fixed axis, drawing each
+    replicate's pins in the order of their bounds and only those that can
+    bind.
 
     Rotation invariance makes the radius along e1 equal in law to the
     radius in any direction, so each replicate only needs the pin radius
     and the axis cosine of each of its points.  A pin's exit distance is at
-    least b(p) (_pin_bound), so pins with b(p) above a window rho cannot
-    change a radius at most rho.  The first window is rho = 4 / (lam *
-    omega_d): each replicate draws the pins with b(p) <= rho, one interval
-    of pin radii.  A replicate whose minimum is at most rho is done; for
-    the others rho doubles and only the new band of pins is drawn, until
-    rho covers every pin (1 for the ball and the half-space, sin(beta) for
-    the cone).  The Poisson process on disjoint bands is independent across
-    bands, so the radii are exact in law, and a replicate draws a handful
-    of pins at any lam.  Each round pools the open replicates and reduces
-    them with a segmented minimum, in chunks (_pooled_chunks).
+    least its bound b(p) (_pin_bound), monotone in p.  By the mapping
+    theorem, the pins of one replicate taken in increasing b(p) sit at the
+    cumulative sums Gamma of Exp(1) gaps in the mass coordinate: with c0
+    the CDF of mu at the pin radius of least bound and span the signed
+    mass to the other end, the pin at Gamma has radius
+    mu.inverse_cdf(c0 + span * Gamma / total), total = mean * |span|, and
+    there are no pins past Gamma = total.  A pin whose bound reaches the
+    replicate's running minimum cannot lower it, nor can any pin after it,
+    so the replicate closes there, exact in law, after a handful of pins at
+    any lam.  Each round adds one gap to every open replicate and draws
+    the axis cosines of those still open, pooled, in chunks of replicates
+    (_pooled_chunks).
     """
     d, mean = _mean_pin_count(d, lam, mu, shape)
     n = validate_count(n, "n")
-    rho_max, pin_at = _pin_bound(shape)
-    first = _first_window(d, lam, rho_max)
+    b0, slope = _pin_bound(shape)
+    c0 = float(mu.cdf(0.0 if slope > 0.0 else 1.0))
+    span = float(mu.cdf(1.0 if slope > 0.0 else 0.0)) - c0
+    # past the Poisson limit, Gamma / total lies below the float spacing at
+    # 1 and every ball pin would round to p = 1
+    total = validate_poisson_mean(mean * abs(span))
     g = rng.gen
 
     def chunk(m: int) -> np.ndarray:
         radii = np.full(m, np.inf)
+        mass = np.zeros(m)
         open_ = np.arange(m)
-        lo, hi = 0.0, first
         while open_.size:
-            a, b = sorted((pin_at(lo), pin_at(hi)))
-            fa = float(mu.cdf(a))
-            mass = float(mu.cdf(b)) - fa
-            counts = sample_poisson_count(mean * mass, rng, open_.size)
-            tot = int(counts.sum())
-            p = np.asarray(mu.inverse_cdf(fa + g.random(tot) * mass), dtype=float)
-            t = exit_distance(shape, p, axis_cosines(d, tot, rng))
-            radii[open_] = np.minimum(radii[open_], segmented_min(t, counts, np.inf))
-            if hi >= rho_max:
-                break
-            open_ = open_[radii[open_] > hi]
-            lo, hi = hi, min(2.0 * hi, rho_max)
+            mass[open_] += g.standard_exponential(open_.size)
+            open_ = open_[mass[open_] < total]
+            p = np.asarray(mu.inverse_cdf(c0 + span * (mass[open_] / total)), dtype=float)
+            binds = b0 + slope * p < radii[open_]
+            open_, p = open_[binds], p[binds]
+            t = exit_distance(shape, p, axis_cosines(d, open_.size, rng))
+            radii[open_] = np.minimum(radii[open_], t)
         return np.clip(radii, 0.0, 1.0)
-    # a ball replicate draws about 4 d pins in all, most in its first window
-    return _pooled_chunks(n, min(mean, 4.0 * d), chunk)
+    # a round's temporaries hold a few values per open replicate
+    return _pooled_chunks(n, 1.0, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +617,7 @@ def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
     if not 2 <= d <= _MAX_CELL_DIM:
         bands = (band(0.0, 1.0, 1) for _ in range(n))
         return ((depths, normals, 1.0) for _, depths, normals in bands)
-    first = _first_window(d, lam, 1.0)
+    first = 4.0 / mean if mean > 4.0 else 1.0
     return ((depths, normals, rho)
             for normals, depths, _, rho, _ in _windowed_cells(d, n, band, first, 1.0, first))
 

@@ -172,14 +172,22 @@ def radial_law_from_cdf(name: str, cdf: Callable) -> RadialMeasure:
 _MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
+def validate_poisson_mean(mean: float) -> float:
+    """Check that a Poisson mean lies in [0, _MAX_POISSON_MEAN] (about
+    9.2e18) and return it as a float: the means sample_poisson_count can
+    draw, and the pin mass that sample_axis_radii orders its pins in."""
+    if not 0.0 <= mean <= _MAX_POISSON_MEAN:
+        raise ValueError(f"Poisson mean must be finite and in [0, {_MAX_POISSON_MEAN:.4g}] "
+                         f"(numpy's limit), got {mean}")
+    return float(mean)
+
+
 def sample_poisson_count(mean: float, rng: RngStream, size: int | None = None):
     """One Poisson draw, or an array of `size` iid draws; every Poisson
     count in the package is drawn here.  Delegates to numpy's generator,
     which switches between inversion and rejection internally depending on
-    the mean, and accepts means up to _MAX_POISSON_MEAN (about 9.2e18)."""
-    if not 0.0 <= mean <= _MAX_POISSON_MEAN:
-        raise ValueError(f"Poisson mean must be finite and in [0, {_MAX_POISSON_MEAN:.4g}] "
-                         f"(numpy's limit), got {mean}")
+    the mean (validate_poisson_mean)."""
+    mean = validate_poisson_mean(mean)
     if size is None:
         return int(rng.gen.poisson(mean))
     return rng.gen.poisson(mean, size)

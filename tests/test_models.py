@@ -714,8 +714,8 @@ class TestWindowedPins:
     @pytest.mark.parametrize("lam", [2.0, 10.0, 200.0])
     @pytest.mark.parametrize("shape, law", [
         (BALL, "uniform"), (HALF_SPACE, "uniform"), (HALF_SPACE, "depth"),
-        (cone(np.pi / 3.0), "uniform"),
-    ], ids=["ball", "half-space", "half-space-depth", "cone"])
+        (cone(np.pi / 3.0), "uniform"), (cone(2.0 * np.pi / 3.0), "uniform"),
+    ], ids=["ball", "half-space", "half-space-depth", "cone", "obtuse-cone"])
     def test_law_against_full_model(self, shape, law, lam, rng):
         # the full model draws every pin; its radius along e1 is the
         # windowed sampler's target
@@ -729,7 +729,7 @@ class TestWindowedPins:
         assert stats.ks_2samp(windowed, full).pvalue > 1e-3
 
     def test_law_in_small_chunks(self, rng, monkeypatch):
-        # 70 pins per chunk is 8 replicates per chunk at about 9 pins each
+        # 70 replicates per chunk
         monkeypatch.setattr(models, "_CHUNK_PINS", 70)
         n, lam = 5000, 200.0
         radii = sample_axis_radii(2, lam, uniform_radial_law(2), BALL, n,
@@ -741,19 +741,32 @@ class TestWindowedPins:
     def test_pins_per_replicate(self, shape, rng, monkeypatch):
         # at lam = 1e4 a replicate of the full model holds about 31416 ball
         # or 98696 half-space pins; the count stops the run as soon as it
-        # passes 20 per replicate
+        # passes 5 per replicate (about 3 ball and 4 half-space pins are
+        # drawn), and each round draws its cosines in one call, so the
+        # calls count the rounds (about 30)
         n, drawn = 20_000, []
         cosines = models.axis_cosines
 
         def counted(d, m, stream):
             drawn.append(m)
-            assert sum(drawn) < 20 * n, "more than 20 pins per replicate"
+            assert sum(drawn) < 5 * n, "more than 5 pins per replicate"
+            assert len(drawn) <= 60, "more than 60 rounds"
             return cosines(d, m, stream)
 
         monkeypatch.setattr(models, "axis_cosines", counted)
         radii = sample_axis_radii(2, 1e4, uniform_radial_law(2), shape, n,
                                   rng.spawn("window-work", shape.kind))
         assert radii.shape == (n,) and sum(drawn) > 0
+
+    def test_ball_law_at_the_radius_experiment_top(self, rng):
+        # lam = 1e12 is the largest lam radius-convergence accepts for its
+        # process route: pins within about 1e-12 of the unit sphere must
+        # still give the ball model's radius law, unit exponential under
+        # the law's transform
+        lam = 1e12
+        radii = sample_axis_radii(2, lam, uniform_radial_law(2), BALL, 20_000,
+                                  rng.spawn("window-top"))
+        assert stats.kstest(RadiusLaw(2, lam).transform(radii), "expon").pvalue > 1e-3
 
     @pytest.mark.parametrize("d, lam", [(2, 10.0), (2, 200.0), (3, 10.0), (3, 200.0)])
     def test_certificate_holds_the_undrawn_centers(self, d, lam, rng):
