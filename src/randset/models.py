@@ -26,6 +26,7 @@ from .ppp import (
     RngStream,
     axis_cosines,
     depth_radial_law,
+    poisson_band,
     sample_ball_uniform,
     sample_poisson_count,
     sample_shell,
@@ -285,10 +286,9 @@ def sample_intersection_model(d: int, lam: float, mu: RadialMeasure, shape: Shap
     """Every pin of one intersection model: the full-pin reference that
     sample_axis_radii and windowed_ball_pins are tested against."""
     d, mean = _mean_pin_count(d, lam, mu, shape)
-    n = sample_poisson_count(mean, rng)
-    p = np.asarray(mu.inverse_cdf(rng.gen.random(n)), dtype=float)
-    th = uniform_directions(d, n, rng)
-    return ModelRealization(p, th)
+    n, u = poisson_band(mean, 0.0, 1.0, rng)
+    p = np.asarray(mu.inverse_cdf(u), dtype=float)
+    return ModelRealization(p, uniform_directions(d, n, rng))
 
 
 _CHUNK_PINS = 2_000_000
@@ -297,7 +297,9 @@ _CHUNK_PINS = 2_000_000
 def _pooled_chunks(n: int, mean: float, draw: Callable[[int], np.ndarray]) -> np.ndarray:
     """draw(m) over consecutive chunks of m of the n replicates, each chunk
     holding about _CHUNK_PINS pins at `mean` pins per replicate, joined in
-    order; memory stays bounded at any mean and a replicate is never split."""
+    order.  A replicate is never split, so past _CHUNK_PINS pins per
+    replicate a chunk holds one whole replicate; poisson_band bounds that
+    by rejecting means past ppp._MAX_BAND_POINTS."""
     per = max(1, int(_CHUNK_PINS / max(mean, 1.0)))
     return np.concatenate([draw(min(per, n - i)) for i in range(0, n, per)] or [draw(0)])
 
@@ -550,12 +552,10 @@ def crofton_cells(d: int, n: int, rng: RngStream) -> Iterator[CroftonCell]:
     if not 2 <= d <= _MAX_CELL_DIM:
         raise ValueError(f"zero cells need 2 <= d <= {_MAX_CELL_DIM}, got d = {d}")
     n = validate_count(n, "n")
-    g = rng.gen
 
     def band(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts = sample_poisson_count(2.0 * (hi - lo), rng, m)
-        total = int(counts.sum())
-        return counts, g.uniform(lo, hi, total), uniform_directions(d, total, rng)
+        counts, offsets = poisson_band(2.0 * (hi - lo), lo, hi, rng, m)
+        return counts, offsets, uniform_directions(d, offsets.size, rng)
 
     def cells() -> Iterator[CroftonCell]:
         for normals, offsets, verts, window, doublings in _windowed_cells(
@@ -605,14 +605,12 @@ def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
     """
     d, mean = _mean_pin_count(d, lam, uniform_radial_law(d), BALL)
     n = validate_count(n, "n")
-    g, law = rng.gen, depth_radial_law(d)
+    law = depth_radial_law(d)
 
     def band(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         f_lo, f_hi = law.cdf(np.array([lo, hi]))
-        counts = sample_poisson_count(mean * (f_hi - f_lo), rng, m)
-        total = int(counts.sum())
-        depths = law.inverse_cdf(f_lo + g.random(total) * (f_hi - f_lo))
-        return counts, depths, uniform_directions(d, total, rng)
+        counts, u = poisson_band(mean * (f_hi - f_lo), f_lo, f_hi, rng, m)
+        return counts, law.inverse_cdf(u), uniform_directions(d, u.size, rng)
 
     if not 2 <= d <= _MAX_CELL_DIM:
         bands = (band(0.0, 1.0, 1) for _ in range(n))
@@ -636,11 +634,10 @@ def segment_crossing_count(d: int, length: float, n: int, rng: RngStream) -> np.
     n = validate_count(n, "n")
     if not 0.0 < length < np.inf:
         raise ValueError(f"length must be finite and > 0, got {length}")
-    g, mean = rng.gen, 2.0 * length
+    mean = 2.0 * length
 
     def chunk(m: int) -> np.ndarray:
-        totals = sample_poisson_count(mean, rng, m)
-        rho = g.uniform(0.0, length, totals.sum())
+        totals, rho = poisson_band(mean, 0.0, length, rng, m)
         hit = rho <= length * np.maximum(axis_cosines(d, rho.size, rng), 0.0)
         return np.bincount(np.repeat(np.arange(m), totals)[hit], minlength=m)
     return _pooled_chunks(n, mean, chunk)
@@ -775,6 +772,7 @@ def coupling_transform(points: np.ndarray, lam: float, eps: float, rng: RngStrea
     with lam.  Otherwise the bulk is drawn and evaluated with the
     corrected centers.
     """
+    lam = validate_intensity(lam)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"the coupling is implemented for d = 2, got points of shape "
@@ -830,10 +828,9 @@ def interval_intersection_1d(lam: float, rng: RngStream) -> tuple[float, float]:
     """Intersection of [-1,1] with all intervals [c-1, c+1] for c in a
     Poisson(lam) sample on [-1, 1]; the empty sample leaves [-1, 1]."""
     lam = validate_intensity(lam)
-    n = sample_poisson_count(2.0 * lam, rng)
+    n, c = poisson_band(2.0 * lam, -1.0, 1.0, rng)
     if n == 0:
         return -1.0, 1.0
-    c = rng.gen.uniform(-1.0, 1.0, n)
     return max(-1.0, float(c.max()) - 1.0), min(1.0, float(c.min()) + 1.0)
 
 
@@ -842,11 +839,9 @@ def interval_intersection_stats(lam: float, replicates: int, rng: RngStream) -> 
     returns scaled length moments and the endpoint correlation."""
     lam = validate_intensity(lam)
     replicates = validate_count(replicates, "replicates", 2)
-    g = rng.gen
 
     def chunk(m: int) -> np.ndarray:
-        counts = sample_poisson_count(2.0 * lam, rng, m)
-        c = g.uniform(-1.0, 1.0, int(counts.sum()))
+        counts, c = poisson_band(2.0 * lam, -1.0, 1.0, rng, m)
         # empty replicates fall back to the full interval via the fills
         return np.column_stack([np.maximum(-1.0, -segmented_min(-c, counts, 2.0) - 1.0),
                                 np.minimum(1.0, segmented_min(c, counts, 2.0) + 1.0)])
@@ -887,7 +882,6 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
     if not 0 < eps < 0.25:
         raise ValueError("eps must lie in (0, 0.25)")
     replicates = validate_count(replicates, "replicates", 2)
-    g = rng.gen
     sd = unit_sphere_area(d)
     if model == "hyperplane-tess":
         counts = sample_poisson_count(2.0 * eps * lam, rng, replicates)
@@ -902,8 +896,8 @@ def meeting_count_mc(model: str, d: int, lam: float, eps: float, replicates: int
     mean = lam * (unit_ball_volume(d) * (hi_d - lo_d))
 
     def chunk(m: int) -> np.ndarray:
-        counts = sample_poisson_count(mean, rng, m)
-        radii = (lo_d + g.random(int(counts.sum())) * (hi_d - lo_d)) ** (1.0 / d)
+        counts, vols = poisson_band(mean, lo_d, hi_d, rng, m)
+        radii = vols ** (1.0 / d)
         hit = np.abs(radii - 1.0) < eps if model == "sphere-tess" else radii < 1.0 + eps
         return np.bincount(np.repeat(np.arange(m), counts)[hit], minlength=m)
     per = _pooled_chunks(replicates, mean, chunk).astype(float)

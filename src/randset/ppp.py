@@ -3,6 +3,9 @@
 Counter-based random streams (Philox) keyed by (seed, stream_id) so that
 replicates are independent and reproducible byte for byte regardless of
 execution order.  Radial laws are carried around as CDF/inverse pairs.
+Every Poisson sample of the package, on a band of radii, depths, offsets
+or positions, is a Poisson count and iid uniform marks drawn by
+poisson_band, each sampler then mapping the marks through its own law.
 """
 from __future__ import annotations
 
@@ -193,6 +196,28 @@ def sample_poisson_count(mean: float, rng: RngStream, size: int | None = None):
     return rng.gen.poisson(mean, size)
 
 
+# one replicate's marks, and the radii, directions or offsets made from
+# them, are held whole: past this mean they would take gigabytes
+_MAX_BAND_POINTS = 1e8
+
+
+def poisson_band(mean: float, lo: float, hi: float, rng: RngStream, size: int | None = None):
+    """A Poisson(mean) number of iid marks uniform on [lo, hi), a Poisson
+    process on the band that the caller maps through its own law: (count,
+    marks) for one replicate, or (counts, marks) for `size` replicates,
+    their marks joined in replicate order.  Every count is drawn first
+    (sample_poisson_count), then every mark as lo + U (hi - lo) with U from
+    rng.gen.random, bit for bit what Generator.uniform draws.  A mean past
+    _MAX_BAND_POINTS points per replicate is rejected."""
+    mean = validate_poisson_mean(mean)
+    if mean > _MAX_BAND_POINTS:
+        raise ValueError(f"a Poisson band of mean {mean:.4g} exceeds "
+                         f"the cap of {_MAX_BAND_POINTS:.0e} points per replicate")
+    counts = sample_poisson_count(mean, rng, size)
+    total = counts if size is None else int(counts.sum())
+    return counts, lo + rng.gen.random(total) * (hi - lo)
+
+
 def uniform_directions(d: int, n: int, rng: RngStream) -> np.ndarray:
     """n iid uniform unit vectors, shape (n, d)."""
     d = validate_dimension(d)
@@ -248,18 +273,18 @@ class ProcessSample:
 def _sample_band(d: int, lam: float, lo: float, hi: float, rng: RngStream) -> np.ndarray:
     """Homogeneous Poisson(lam) points on the band lo < |x| < hi, shape (n, d).
 
-    Draws the count (mean lam * omega_d * (hi^d - lo^d)), then the radii by
-    inverting the radial CDF (r^d - lo^d) / (hi^d - lo^d), then uniform
-    directions; every ball and shell sample goes through here.
+    One poisson_band draw in the volume coordinate r^d (mean lam * omega_d *
+    (hi^d - lo^d), marks uniform on [lo^d, hi^d)), whose d-th roots are the
+    radii, then uniform directions; every ball and shell sample goes
+    through here.
     """
     d = validate_dimension(d)
     lam = validate_intensity(lam)
     if not 0.0 <= lo < hi < np.inf:
         raise ValueError(f"need 0 <= lo < hi < inf, got lo = {lo}, hi = {hi}")
     lo_d, hi_d = lo**d, hi**d
-    n = sample_poisson_count(lam * (unit_ball_volume(d) * (hi_d - lo_d)), rng)
-    radii = (lo_d + rng.gen.random(n) * (hi_d - lo_d)) ** (1.0 / d)
-    return radii[:, None] * uniform_directions(d, n, rng)
+    n, vols = poisson_band(lam * (unit_ball_volume(d) * (hi_d - lo_d)), lo_d, hi_d, rng)
+    return (vols ** (1.0 / d))[:, None] * uniform_directions(d, n, rng)
 
 
 def sample_shell(d: int, lam: float, eps: float, side: str, rng: RngStream) -> ProcessSample:

@@ -402,6 +402,21 @@ class TestEndToEnd:
         assert "config error: Poisson mean must be finite and in [0, 9.223e+18]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("experiment, lam", [("warmup-1d", "1e12"),
+                                                 ("meeting-counts", "1e13")])
+    def test_band_past_the_point_cap_exit_2(self, experiment, lam, tmp_path, capsys,
+                                            monkeypatch):
+        # one replicate's band would take terabytes; the config error names
+        # the cap, where numpy raised a memory error with a traceback
+        monkeypatch.setenv("RANDSET_THREADS", "1")
+        code = main([experiment, "--lambda", lam, "--replicates", "2",
+                     "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "config error: a Poisson band of mean" in err
+        assert "exceeds the cap of 1e+08 points per replicate" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("lam, top", [("1e15", "1e+15"), ("1e17", "1e+17"),
                                           ("10,1e13", "1e+13")])
     def test_radius_lambda_bound_exit_2(self, lam, top, tmp_path, capsys, monkeypatch):

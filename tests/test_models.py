@@ -271,6 +271,9 @@ _INTENSITY_ENTRY_POINTS = (
     lambda lam, rng: interval_intersection_1d(lam, rng),
     lambda lam, rng: interval_intersection_stats(lam, 4, rng),
     lambda lam, rng: meeting_count_mc("boolean", 2, lam, 0.01, 4, rng),
+    lambda lam, rng: list(windowed_ball_pins(2, lam, 4, rng)),
+    lambda lam, rng: coupling_transform(sample_shell(2, 50.0, 0.1, "both", rng).points,
+                                        lam, 0.1, rng, direction_grid(2, 16)),
 )
 _LAM_ABOVE_ONE_ENTRY_POINTS = (
     lambda lam, rng: coupon_bound(6, 1.0 / 6.0, lam),
@@ -294,6 +297,26 @@ _HUGE_MEAN_CALLS = {
 @pytest.mark.parametrize("call", _HUGE_MEAN_CALLS.values(), ids=_HUGE_MEAN_CALLS.keys())
 def test_poisson_mean_past_numpy_limit(call, rng):
     with pytest.raises(ValueError, match=r"Poisson mean must be finite and in \[0, 9\.223e\+18\]"):
+        call(rng)
+
+
+# every sampler that holds one replicate's band whole, at a mean within
+# numpy's limit but past the cap: each names the mean and the cap, where
+# numpy would have tried to allocate terabytes
+_HUGE_BAND_CALLS = {
+    "interval_intersection_stats": lambda rng: interval_intersection_stats(1e12, 4, rng),
+    "meeting_count_mc-boolean": lambda rng: meeting_count_mc("boolean", 2, 1e13, 0.01, 4, rng),
+    "segment_crossing_count": lambda rng: segment_crossing_count(2, 1e12, 4, rng),
+    "sample_intersection_model": lambda rng: sample_intersection_model(
+        2, 1e12, uniform_radial_law(2), BALL, rng),
+    "sample_ball_uniform": lambda rng: sample_ball_uniform(2, 1e12, rng),
+}
+
+
+@pytest.mark.parametrize("call", _HUGE_BAND_CALLS.values(), ids=_HUGE_BAND_CALLS.keys())
+def test_band_past_the_point_cap(call, rng):
+    with pytest.raises(ValueError, match=r"a Poisson band of mean \S+ exceeds the cap of "
+                                         r"1e\+08 points per replicate"):
         call(rng)
 
 
@@ -1495,6 +1518,16 @@ class TestShellContainment:
         # at lam = e^2 the margin 2 log(lam)^2 / lam = 8 / e^2 exceeds 1
         grid = direction_grid(2, 16)
         assert shell_containment_indicator(2, np.e ** 2, rng.spawn("wide"), grid) is True
+
+    def test_block_wide_margin(self, rng):
+        # at lam = 5 the margin is 1.036: the coupling block counts every
+        # replicate contained without drawing pins, as the shell route does
+        n = 16  # a power of 2, so the standard error 1/n is exact
+        cfg = ExperimentConfig(experiment="coupling", lambda_grid=(5.0,), replicates=n)
+        rows = {m: (v, se) for m, v, se in expcli._block_coupling(cfg, 5.0, rng.spawn("b"))}
+        assert rows["containment_fraction"] == (1.0, 1.0 / n)
+        grid = direction_grid(2, 16)
+        assert shell_containment_indicator(2, 5.0, rng.spawn("shell"), grid) is True
 
     def test_domain(self, rng):
         grid = direction_grid(2, 16)

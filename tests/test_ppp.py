@@ -17,6 +17,7 @@ from randset.ppp import (
     coupon_bound,
     coupon_empirical,
     depth_radial_law,
+    poisson_band,
     poisson_log_tail_check,
     poisson_tail_crossover,
     poisson_total_variation,
@@ -127,6 +128,31 @@ class TestPoissonCount:
         for mean in (np.nextafter(limit, np.inf), 1e300, np.inf):
             with pytest.raises(ValueError, match=r"Poisson mean .* 9\.223e\+18\]"):
                 sample_poisson_count(mean, rng, 3)
+
+
+class TestPoissonBand:
+    @pytest.mark.parametrize("mean, lo, hi, size", [
+        (7.5, 0.0, 1.0, None), (40.0, -1.0, 1.0, None), (3.0, 0.25, 0.75, 50),
+        (2.0, 10.0, 20.0, 1), (0.0, 0.0, 3.0, 6), (0.0, 0.0, 3.0, None)],
+        ids=["scalar", "scalar-signed", "pooled", "pooled-one", "pooled-zero", "scalar-zero"])
+    def test_stream_layout(self, mean, lo, hi, size):
+        # every count first, then every mark as lo + U (hi - lo), on one stream
+        counts, marks = poisson_band(mean, lo, hi, RngStream(11, 4), size)
+        g = RngStream(11, 4).gen
+        expected = g.poisson(mean, size)
+        total = int(np.sum(expected))
+        assert np.array_equal(counts, expected)
+        assert isinstance(counts, int) if size is None else counts.shape == (size,)
+        assert np.array_equal(marks, lo + g.random(total) * (hi - lo))
+        assert marks.shape == (total,)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (-1.0, 1.0), (10.0, 20.0), (1e-5, 3e-5)])
+    def test_uniform_is_the_scaled_random(self, lo, hi):
+        # numpy's Generator.uniform is lo + (hi - lo) U bit for bit, which is
+        # what keeps the offset and position draws that used it unmoved
+        a = RngStream(3, 8).gen.uniform(lo, hi, 10_000)
+        b = lo + RngStream(3, 8).gen.random(10_000) * (hi - lo)
+        assert np.array_equal(a, b)
 
 
 class TestProductProcess:
