@@ -637,7 +637,9 @@ def main(argv: list[str] | None = None) -> int:
             write_records(records, cfg.output_path, cfg.format)
         except OSError as e:
             raise ConfigError(f"cannot write {cfg.output_path}: {e}") from None
-    except ValueError as e:  # ConfigError and input checks of the library
+    # ConfigError, input checks of the library, and sizes numpy refuses to
+    # allocate (an array of 1e13 replicates or directions)
+    except (ValueError, MemoryError) as e:
         print(f"randset: config error: {e}", file=sys.stderr)
         return 2
     except (NumericalFailure, models.UnboundedCellError) as e:

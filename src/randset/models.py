@@ -151,25 +151,55 @@ def exit_distance(shape: ShapeKind, p, cos):
     return _cone_exit(p, cos, shape.beta)
 
 
+def _pin_bound(shape: ShapeKind) -> tuple[float, float]:
+    """The lower bound b(p) = b0 + slope * p on every exit distance of a pin
+    at radius p, as (b0, slope); a bound b is reached at p = (b - b0) / slope.
+
+    The ball B(c, 1) holds B(0, 1 - p), the half-space lies at distance p,
+    and the cone's sides pass at p sin(beta) from the point p along its
+    axis (the sine rule of _cone_exit with sin(gamma - beta) <= 1).
+    """
+    if shape.kind == "ball":
+        return 1.0, -1.0
+    if shape.kind == "half-space":
+        return 0.0, 1.0
+    return 0.0, float(np.sin(shape.beta))
+
+
 def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.ndarray,
                         dirs: np.ndarray, rmax: float = 1.0) -> np.ndarray:
     """Radial exit distance along each unit direction of the ball of radius
     rmax intersected with the copies of `shape` pinned at p_i * Theta_i.
 
-    Ball pins must lie in the closed unit ball, half-space offsets must be
-    positive.  Directions no copy closes off, and every direction when
-    there are no pins, stay at rmax.
+    pin_radii, pin_dirs and dirs have shapes (n,), (n, d) and (m, d); the
+    pin directions must be finite.  Ball pins must lie in [0, 1], half-space
+    and cone offsets must be positive.  Directions no copy closes off, and
+    every direction when there are no pins, stay at rmax.  No exit of a pin
+    falls below its bound b(p) (_pin_bound), so only the pins whose bound
+    is at most the largest radius are evaluated (_binding_min): the radii
+    are those of every pin, bit for bit.
     """
+    if not rmax > 0:
+        raise ValueError("rmax must be > 0")
+    rmax = float(rmax)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    p = np.asarray(pin_radii, dtype=float)
-    if shape.kind == "ball" and not np.all(p * p <= 1.0 + 1e-9):
-        raise ValueError("ball model centers must lie in the unit ball")
-    if shape.kind == "half-space" and not np.all(p > 0.0):
+    p = np.atleast_1d(np.asarray(pin_radii, dtype=float))
+    th = np.atleast_2d(np.asarray(pin_dirs, dtype=float))
+    if p.ndim != 1 or th.shape != (p.size, dirs.shape[1]):
+        raise ValueError(f"pin radii of shape {p.shape}, pin directions of shape {th.shape} "
+                         f"and directions of shape {dirs.shape} do not match")
+    if shape.kind == "ball" and not np.all((p >= 0.0) & (p * p <= 1.0 + 1e-9)):
+        raise ValueError("ball pin radii must lie in [0, 1]")
+    if shape.kind != "ball" and not np.all(p > 0.0):
         raise ValueError("offsets must be positive (origin strictly inside)")
+    if not np.all(np.isfinite(th)):
+        raise ValueError("pin directions must be finite")
     if p.size == 0:
-        return np.full(dirs.shape[0], float(rmax))
-    t = exit_distance(shape, p, dirs @ np.atleast_2d(np.asarray(pin_dirs, dtype=float)).T)
-    return np.clip(np.min(t, axis=1), 0.0, float(rmax))
+        return np.full(dirs.shape[0], rmax)
+    b0, slope = _pin_bound(shape)
+    t = _binding_min(lambda cos, q: exit_distance(shape, q, cos), th, p, b0 + slope * p,
+                     dirs, rmax)
+    return np.clip(t, 0.0, rmax)
 
 
 def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -177,10 +207,9 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
     rather than their (p_i, Theta_i) pairs, for callers that hold centers.
 
     centers must lie in the closed unit ball.  No centers means the unit
-    ball itself, radius 1.  B(c, 1) holds B(0, 1 - |c|), so no exit of a
-    center falls below its slack 1 - |c|, and only the centers whose slack
-    is at most the largest radius are evaluated (_binding_min): the radii
-    are those of every center, bit for bit.
+    ball itself, radius 1.  Only the centers whose bound b(|c|) = 1 - |c|
+    (_pin_bound) is at most the largest radius are evaluated
+    (_binding_min): the radii are those of every center, bit for bit.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     centers = np.asarray(centers, dtype=float)
@@ -190,7 +219,8 @@ def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarra
     s2 = _squared_norms(centers)
     if not np.all(s2 <= 1.0 + 1e-9):
         raise ValueError("ball model centers must lie in the unit ball")
-    t = _binding_min(_ball_exit, centers, s2, 1.0 - np.sqrt(s2), dirs, 1.0)
+    b0, slope = _pin_bound(BALL)
+    t = _binding_min(_ball_exit, centers, s2, b0 + slope * np.sqrt(s2), dirs, 1.0)
     return np.clip(t, 0.0, 1.0)
 
 
@@ -208,46 +238,50 @@ def _squared_norms(centers: np.ndarray) -> np.ndarray:
     return s2
 
 
-def _binding_min(exit_, centers: np.ndarray, s2: np.ndarray, bound: np.ndarray,
+def _binding_min(exit_, vecs: np.ndarray, params: np.ndarray, bound: np.ndarray,
                  dirs: np.ndarray, cap: float) -> np.ndarray:
-    """Minimum of exit_(<dir, c>, |c|^2) over the centers along each
-    direction, evaluated only on the centers that can bind.
+    """Minimum of exit_(<dir, v>, q) over the pins (v, q) along each
+    direction, evaluated only on the pins that can bind.
 
-    No exit of a center falls below its bound.  The first pass evaluates
-    the centers whose bound is among the _CULL_KEEP smallest (ties
-    included); R, the largest radius they give, capped at cap where the
-    caller clips, leaves out every center with bound > R + margin, since
-    such a center lowers no radius.  If that leaves out a center the first
-    pass skipped, the second pass evaluates every center with bound <=
-    R + margin; more centers only lower the radii, so that pass certifies
-    itself.  The margin, 1e-12 in units of max(1, |c|^2), covers rounding
-    in the bounds and the exits.  The dot products are elementwise, so a
-    center's exits do not depend on which other centers are evaluated with
-    it, and the result equals the full evaluation bit for bit.
+    A pin is a row v of vecs with its parameter q in params: a center c
+    with q = |c|^2 for ball_intersection_radius and first_circle_crossing,
+    a unit direction Theta with its radius q = p for intersection_radius.
+    No exit of a pin falls below its bound.  The first pass evaluates the
+    pins whose bound is among the _CULL_KEEP smallest (ties included); R,
+    the largest radius they give, capped at cap where the caller clips,
+    leaves out every pin with bound > R + margin, since such a pin lowers
+    no radius.  If that leaves out a pin the first pass skipped, the second
+    pass evaluates every pin with bound <= R + margin; more pins only lower
+    the radii, so that pass certifies itself.  The margin, 1e-12 in units
+    of max(1, q), covers rounding in the bounds and the exits, which scale
+    with q (zero-cell offsets reach the window, 80).  The dot products are
+    elementwise, so a pin's exits do not depend on which other pins are
+    evaluated with it, and the result equals the full evaluation bit for
+    bit.
 
-    The exits are held center-major, one row per center and one column per
+    The exits are held pin-major, one row per pin and one column per
     direction, so the minimum runs down the short axis as a few row-wise
     passes over the long, contiguous direction axis; a minimum along each
     short row costs several times more in numpy.  The products and their
     sum over the coordinates are the same in either layout.
     """
-    if dirs.shape[1] != centers.shape[1]:
-        raise ValueError(f"centers of dimension {centers.shape[1]} and directions of "
+    if dirs.shape[1] != vecs.shape[1]:
+        raise ValueError(f"centers of dimension {vecs.shape[1]} and directions of "
                          f"dimension {dirs.shape[1]} do not match")
 
     dirs_t = np.ascontiguousarray(dirs.T)
 
     def evaluate(mask) -> np.ndarray:
-        c = centers[mask]
-        dot = c[:, 0, None] * dirs_t[0]
-        for j in range(1, c.shape[1]):
-            dot += c[:, j, None] * dirs_t[j]
-        return np.min(exit_(dot, s2[mask][:, None]), axis=0)
+        v = vecs[mask]
+        dot = v[:, 0, None] * dirs_t[0]
+        for j in range(1, v.shape[1]):
+            dot += v[:, j, None] * dirs_t[j]
+        return np.min(exit_(dot, params[mask][:, None]), axis=0)
 
     k = min(_CULL_KEEP, bound.size) - 1
     first = bound <= np.partition(bound, k)[k]
     t = evaluate(first)
-    margin = _CULL_MARGIN * max(1.0, float(np.max(s2)))
+    margin = _CULL_MARGIN * max(1.0, float(np.max(params)))
     # fmin: a NaN radius (from a NaN direction) reaches the cap
     second = bound <= float(np.fmin(np.max(t, initial=0.0), cap)) + margin
     return evaluate(second) if np.any(second & ~first) else t
@@ -302,21 +336,6 @@ def _pooled_chunks(n: int, mean: float, draw: Callable[[int], np.ndarray]) -> np
     by rejecting means past ppp._MAX_BAND_POINTS."""
     per = max(1, int(_CHUNK_PINS / max(mean, 1.0)))
     return np.concatenate([draw(min(per, n - i)) for i in range(0, n, per)] or [draw(0)])
-
-
-def _pin_bound(shape: ShapeKind) -> tuple[float, float]:
-    """The lower bound b(p) = b0 + slope * p on every exit distance of a pin
-    at radius p, as (b0, slope); a bound b is reached at p = (b - b0) / slope.
-
-    The ball B(c, 1) holds B(0, 1 - p), the half-space lies at distance p,
-    and the cone's sides pass at p sin(beta) from the point p along its
-    axis (the sine rule of _cone_exit with sin(gamma - beta) <= 1).
-    """
-    if shape.kind == "ball":
-        return 1.0, -1.0
-    if shape.kind == "half-space":
-        return 0.0, 1.0
-    return 0.0, float(np.sin(shape.beta))
 
 
 def sample_axis_radii(d: int, lam: float, mu: RadialMeasure, shape: ShapeKind,

@@ -417,6 +417,23 @@ class TestEndToEnd:
         assert "exceeds the cap of 1e+08 points per replicate" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("args", [
+        ["crofton", "--replicates", "10000000000000"],
+        ["coupling", "--replicates", "10000000000000"],
+        ["coupling", "--grid-size", "10000000000000"],
+    ], ids=["crofton-replicates", "coupling-replicates", "coupling-grid-size"])
+    def test_unallocatable_size_exit_2(self, args, threads, tmp_path, capsys, monkeypatch):
+        # numpy refuses an array of 1e13 float64 (72.8 TiB) before allocating
+        # anything; that memory error, serial or from a pool worker, is a
+        # config error with numpy's message
+        monkeypatch.setenv("RANDSET_THREADS", threads)
+        code = main([*args, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "config error: Unable to allocate 72.8 TiB" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("lam, top", [("1e15", "1e+15"), ("1e17", "1e+17"),
                                           ("10,1e13", "1e+13")])
     def test_radius_lambda_bound_exit_2(self, lam, top, tmp_path, capsys, monkeypatch):

@@ -361,6 +361,12 @@ _OUT_OF_RANGE_CALLS = {
         BALL, [np.nan], [[1.0, 0.0]], [[1.0, 0.0]]),
     "intersection_radius-half-space": lambda: intersection_radius(
         HALF_SPACE, [np.nan], [[1.0, 0.0]], [[1.0, 0.0]]),
+    "intersection_radius-cone": lambda: intersection_radius(
+        cone(1.0), [np.nan], [[1.0, 0.0]], [[1.0, 0.0]]),
+    "intersection_radius-pin-direction": lambda: intersection_radius(
+        BALL, [0.5], [[np.nan, 0.0]], [[1.0, 0.0]]),
+    "intersection_radius-rmax": lambda: intersection_radius(
+        BALL, [0.5], [[1.0, 0.0]], [[1.0, 0.0]], rmax=np.nan),
     "ball_intersection_radius": lambda: ball_intersection_radius([[np.nan, 0.0]], [[1.0, 0.0]]),
     "first_circle_crossing": lambda: first_circle_crossing([[np.nan, 0.0]], [[1.0, 0.0]]),
     "first_circle_crossing-inf": lambda: first_circle_crossing([[np.inf, 0.0]], [[1.0, 0.0]]),
@@ -393,6 +399,24 @@ _GUARD_CALLS = {
     "band-bounds": (lambda rng: _sample_band(2, 1.0, 0.5, 0.5, rng), "need 0 <= lo < hi"),
     "ball-rmax": (lambda rng: sample_ball_uniform(2, 1.0, rng, rmax=0.0),
                   "rmax must be > 0"),
+    "pins-rmax": (lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0]], [[1.0, 0.0]],
+                                                  rmax=-1.0), "rmax must be > 0"),
+    # one radius, two directions: not two pins of radius 0.5
+    "pins-fewer-radii": (
+        lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0]]),
+        r"pin radii of shape \(1,\), pin directions of shape \(2, 2\) .* do not match"),
+    "pins-more-radii": (
+        lambda rng: intersection_radius(HALF_SPACE, [0.5, 0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]],
+                                        [[1.0, 0.0]]),
+        r"pin radii of shape \(3,\), pin directions of shape \(2, 2\) .* do not match"),
+    "pins-dimension": (
+        lambda rng: intersection_radius(HALF_SPACE, [0.5], [[1.0, 0.0, 0.0]],
+                                        direction_grid(2, 8).points),
+        r"pin directions of shape \(1, 3\) and directions of shape \(8, 2\) do not match"),
+    # the ball's bound 1 - p holds only for p >= 0
+    "pins-negative-ball-radius": (
+        lambda rng: intersection_radius(BALL, [-0.5], [[1.0, 0.0]], [[1.0, 0.0]]),
+        r"ball pin radii must lie in \[0, 1\]"),
     "empty-direction-grid": (lambda rng: DirectionGrid(2, np.empty((0, 2))), "nonempty"),
     "quadrature-radius": (lambda rng: halfspace_miss_quadrature(3, 1.5),
                           r"r must lie in \[0, 1\]"),
@@ -524,6 +548,20 @@ def symmetric_copies(a, b):
                     + [(x * b, y * a) for x in (1, -1) for y in (1, -1)], dtype=float)
 
 
+PIN_SHAPES = [BALL, HALF_SPACE, cone(np.pi / 3.0), cone(2.0 * np.pi / 3.0)]
+PIN_SHAPE_IDS = ["ball", "half-space", "cone-pi/3", "cone-2pi/3"]
+
+
+def pin_reference(shape, pins, dirs, rmax=1.0):
+    """Every pin's exits, direction-major, from the same products summed in
+    the same order as intersection_radius: its radii bit for bit."""
+    p, th = pins
+    dot = dirs[:, 0, None] * th[:, 0]
+    for j in range(1, dirs.shape[1]):
+        dot += dirs[:, j, None] * th[:, j]
+    return np.clip(np.min(exit_distance(shape, p, dot), axis=1), 0.0, rmax)
+
+
 class TestCulledKernels:
     """ball_intersection_radius and first_circle_crossing evaluate only the
     centers whose bound (1 - |c| for balls, |1 - |c|| for circles) is at
@@ -644,6 +682,116 @@ class TestCulledKernels:
         culled = verdicts()
         monkeypatch.setattr(models, "_CULL_KEEP", 10**9)
         assert culled == verdicts()
+
+    # intersection_radius culls pins by their bound b(p) = b0 + slope * p
+    # (_pin_bound): 1 - p for balls, p for half-spaces, p sin(beta) for cones
+
+    def assert_pins_exact(self, shape, pins, dirs, rmax=1.0):
+        culled = intersection_radius(shape, *pins, dirs, rmax=rmax)
+        assert np.array_equal(culled, pin_reference(shape, pins, dirs, rmax))
+        kernel = partial(intersection_radius, shape, rmax=rmax)
+        assert np.array_equal(culled, full_evaluation(lambda pins, dirs: kernel(*pins, dirs),
+                                                      pins, dirs))
+        return culled
+
+    @pytest.mark.parametrize("shape", PIN_SHAPES, ids=PIN_SHAPE_IDS)
+    def test_pins_fewer_than_kept(self, shape, rng):
+        g = rng.spawn("cull-pins-few").gen
+        k = models._CULL_KEEP - 5
+        pins = pin_arrays(list(zip(g.uniform(0.2, 0.9, k), g.uniform(0.0, 2.0 * np.pi, k))))
+        self.assert_pins_exact(shape, pins, self.GRID)
+
+    @pytest.mark.parametrize("shape", PIN_SHAPES, ids=PIN_SHAPE_IDS)
+    def test_pins_ties_at_the_threshold(self, shape, rng):
+        # bound ranks 1-4 share one radius, then groups of 8, so the 32nd
+        # smallest bound is tied across ranks 29 to 36
+        rank = np.repeat([0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [4, 8, 8, 8, 8, 8, 8])
+        p = 1.0 - rank if shape.kind == "ball" else rank
+        b0, slope = models._pin_bound(shape)
+        bound = b0 + slope * p
+        kth = np.sort(bound)[models._CULL_KEEP - 1]
+        assert np.count_nonzero(bound == kth) == 8 and np.count_nonzero(bound > kth) > 0
+        g = rng.spawn("cull-pins-ties").gen
+        angles = g.uniform(0.0, 2.0 * np.pi, p.size)
+        self.assert_pins_exact(shape, pin_arrays(list(zip(p, angles))), self.GRID)
+
+    @pytest.mark.parametrize("shape", PIN_SHAPES, ids=PIN_SHAPE_IDS)
+    def test_pins_need_the_second_pass(self, shape, rng):
+        # 40 pins of least bound facing +e1 leave the directions around -e1
+        # open, to 20 pins of larger bound facing -e1 that the first pass
+        # (the 32 smallest bounds) does not evaluate
+        g = rng.spawn("cull-pins-wide").gen
+        a, b = g.uniform(-0.3, 0.3, 40), g.uniform(-0.3, 0.3, 20)
+        near = pin_arrays([(0.999 if shape.kind == "ball" else 0.001, x) for x in a])
+        deep = pin_arrays([(0.5, np.pi + x) for x in b])
+        pins = tuple(np.concatenate(pair) for pair in zip(near, deep))
+        culled = self.assert_pins_exact(shape, pins, self.GRID)
+        assert not np.array_equal(culled, pin_reference(shape, near, self.GRID))
+
+    @pytest.mark.parametrize("shape", PIN_SHAPES[:3], ids=PIN_SHAPE_IDS[:3])
+    def test_pins_bound_is_reached(self, shape):
+        # the 32 pins of the first pass face three ways; one more pin, whose
+        # least exit is 0.999 R, is turned to reach it where their largest
+        # radius R is reached, so a bound larger by 0.001 R would leave out
+        # a pin that binds (the obtuse cone's exits stay above its bound
+        # p sin(beta), so it has no such pin)
+        k = models._CULL_KEEP
+        first = pin_arrays([(0.9 if shape.kind == "ball" else 0.1, i % 3 * 2.0 * np.pi / 3.0)
+                            for i in range(k)])
+        r = intersection_radius(shape, *first, self.GRID)
+        i = np.argmax(r)
+        # the pin radius of least exit v, reached along -Theta for balls,
+        # along Theta for half-spaces and at pi/2 - beta from Theta for cones
+        v = 0.999 * r[i]
+        if shape.kind == "ball":
+            p, turn = 1.0 - v, np.pi
+        elif shape.kind == "half-space":
+            p, turn = v, 0.0
+        else:
+            p, turn = v / np.sin(shape.beta), np.pi / 2.0 - shape.beta
+        # each first-pass pin exits below v, so its bound lies below the new pin's
+        assert np.min(pin_reference(shape, (first[0][:1], first[1][:1]), self.GRID)) < v
+        extra = pin_arrays([(p, np.arctan2(self.GRID[i, 1], self.GRID[i, 0]) + turn)])
+        pins = tuple(np.concatenate(pair) for pair in zip(first, extra))
+        assert self.assert_pins_exact(shape, pins, self.GRID)[i] < r[i]
+
+    @pytest.mark.parametrize("shape", PIN_SHAPES[:2], ids=PIN_SHAPE_IDS[:2])
+    def test_pins_in_three_dimensions(self, shape, rng):
+        g = rng.spawn("cull-pins-3d").gen
+        u = g.standard_normal((200, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        self.assert_pins_exact(shape, (g.uniform(0.05, 0.999, 200), u),
+                               direction_grid(3, 1000).points)
+
+    @pytest.mark.parametrize("d, dirs", [(2, GRID), (3, direction_grid(3, 1000).points)])
+    def test_zero_cell_window(self, d, dirs, rng):
+        # offsets up to the window, clipped at rmax = window
+        for cell in models.crofton_cells(d, 10, rng.spawn("cull-cells", d)):
+            r = self.assert_pins_exact(HALF_SPACE, (cell.offsets, cell.normals), dirs,
+                                       cell.window)
+            assert np.max(cell.offsets) > 1.0 and np.max(r) < cell.window
+
+    @pytest.mark.parametrize("shape", PIN_SHAPES, ids=PIN_SHAPE_IDS)
+    def test_full_model(self, shape, rng, monkeypatch):
+        # at lam = 1000, about 3200 ball pins and 9900 half-space or cone
+        # pins; the cull evaluates a few dozen per call
+        evaluated, given = [], 0
+        exit_distance_ = models.exit_distance
+
+        def counted(s, p, cos):
+            evaluated.append(cos.shape[0])
+            return exit_distance_(s, p, cos)
+
+        for i in range(10):
+            m = sample_intersection_model(2, 1000.0, uniform_radial_law(2), shape,
+                                          rng.spawn("cull-full", i))
+            pins = (m.pin_radii, m.pin_dirs)
+            with monkeypatch.context() as mp:
+                mp.setattr(models, "exit_distance", counted)
+                culled = intersection_radius(shape, *pins, self.GRID)
+            given += m.count
+            assert np.array_equal(culled, pin_reference(shape, pins, self.GRID))
+        assert given > 10 * 3000 and sum(evaluated) < 10 * 80
 
 
 SHAPES = st.one_of(st.sampled_from([BALL, HALF_SPACE]),
