@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .geomcore import (
     lune_fraction,
@@ -85,6 +85,7 @@ def halfspace_miss_quadrature(d: int, r: float) -> float:
         return 2.0 * r
     front = _halfspace_front(d, "quadrature", _MAX_QUADRATURE_DIM)
     depth_cdf = depth_radial_law(d).cdf
+    from scipy import integrate
 
     def f(a):
         return depth_cdf(r * np.cos(a)) * np.sin(a) ** (d - 2)
@@ -264,6 +265,7 @@ def expected_volume_quadrature(d: int, lam: float, miss_fn=None) -> float:
         return unit_ball_volume(d)
     miss_fn, slope = _miss_weight(d, miss_fn)
     wd = unit_ball_volume(d)
+    from scipy import integrate
 
     def g(r):
         return d * wd * r ** (d - 1) * np.exp(-lam * wd * np.asarray(miss_fn(r), dtype=float))

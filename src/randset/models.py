@@ -156,14 +156,15 @@ def _pin_bound(shape: ShapeKind) -> tuple[float, float]:
     at radius p, as (b0, slope); a bound b is reached at p = (b - b0) / slope.
 
     The ball B(c, 1) holds B(0, 1 - p), the half-space lies at distance p,
-    and the cone's sides pass at p sin(beta) from the point p along its
-    axis (the sine rule of _cone_exit with sin(gamma - beta) <= 1).
+    and the cone's exits p sin(beta) / sin(gamma - beta) (_cone_exit) are
+    at least p sin(beta), or p, reached along Theta, for beta > pi/2, where
+    gamma - beta <= pi - beta < pi/2.
     """
     if shape.kind == "ball":
         return 1.0, -1.0
     if shape.kind == "half-space":
         return 0.0, 1.0
-    return 0.0, float(np.sin(shape.beta))
+    return 0.0, float(np.sin(min(shape.beta, np.pi / 2.0)))
 
 
 def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.ndarray,
@@ -174,10 +175,12 @@ def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.nd
     pin_radii, pin_dirs and dirs have shapes (n,), (n, d) and (m, d); the
     pin directions must be finite.  Ball pins must lie in [0, 1], half-space
     and cone offsets must be positive.  Directions no copy closes off, and
-    every direction when there are no pins, stay at rmax.  No exit of a pin
-    falls below its bound b(p) (_pin_bound), so only the pins whose bound
-    is at most the largest radius are evaluated (_binding_min): the radii
-    are those of every pin, bit for bit.
+    every direction when there are no pins, stay at rmax.  Ball pins are
+    evaluated from their centers p * Theta (_ball_exit), the others from
+    <dir, Theta> (exit_distance).  No exit of a pin falls below its bound
+    b(p) (_pin_bound), so only the pins whose bound is at most the largest
+    radius are evaluated (_binding_min): the radii are those of every pin,
+    bit for bit.
     """
     if not rmax > 0:
         raise ValueError("rmax must be > 0")
@@ -197,31 +200,20 @@ def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.nd
     if p.size == 0:
         return np.full(dirs.shape[0], rmax)
     b0, slope = _pin_bound(shape)
-    t = _binding_min(lambda cos, q: exit_distance(shape, q, cos), th, p, b0 + slope * p,
-                     dirs, rmax)
+    if shape.kind == "ball":
+        c = p[:, None] * th
+        t = _binding_min(_ball_exit, c, _squared_norms(c), b0 + slope * p, dirs, rmax)
+    else:
+        t = _binding_min(lambda cos, q: exit_distance(shape, q, cos), th, p, b0 + slope * p,
+                         dirs, rmax)
     return np.clip(t, 0.0, rmax)
 
 
-def ball_intersection_radius(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """intersection_radius(BALL, ...) from the centers c_i = p_i * Theta_i
-    rather than their (p_i, Theta_i) pairs, for callers that hold centers.
-
-    centers must lie in the closed unit ball.  No centers means the unit
-    ball itself, radius 1.  Only the centers whose bound b(|c|) = 1 - |c|
-    (_pin_bound) is at most the largest radius are evaluated
-    (_binding_min): the radii are those of every center, bit for bit.
-    """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    centers = np.asarray(centers, dtype=float)
-    if centers.size == 0:
-        return np.ones(dirs.shape[0])
-    centers = np.atleast_2d(centers)
-    s2 = _squared_norms(centers)
-    if not np.all(s2 <= 1.0 + 1e-9):
-        raise ValueError("ball model centers must lie in the unit ball")
-    b0, slope = _pin_bound(BALL)
-    t = _binding_min(_ball_exit, centers, s2, b0 + slope * np.sqrt(s2), dirs, 1.0)
-    return np.clip(t, 0.0, 1.0)
+def _center_pins(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ball pins (|c|, c / |c|) of the rows c of `centers`; a center at
+    the origin takes the zero direction, which gives the same exits."""
+    s = np.sqrt(_squared_norms(centers))
+    return s, np.divide(centers, s[:, None], out=np.zeros_like(centers), where=s[:, None] > 0.0)
 
 
 _CULL_KEEP = 32
@@ -244,8 +236,8 @@ def _binding_min(exit_, vecs: np.ndarray, params: np.ndarray, bound: np.ndarray,
     direction, evaluated only on the pins that can bind.
 
     A pin is a row v of vecs with its parameter q in params: a center c
-    with q = |c|^2 for ball_intersection_radius and first_circle_crossing,
-    a unit direction Theta with its radius q = p for intersection_radius.
+    with q = |c|^2 for intersection_radius's balls and first_circle_crossing,
+    a unit direction Theta with its radius q = p for the other shapes.
     No exit of a pin falls below its bound.  The first pass evaluates the
     pins whose bound is among the _CULL_KEEP smallest (ties included); R,
     the largest radius they give, capped at cap where the caller clips,
@@ -780,16 +772,17 @@ def coupling_transform(points: np.ndarray, lam: float, eps: float, rng: RngStrea
     intersection of the corrected points plus bulk, which bounds their
     Hausdorff distance (both sets are star-shaped about the origin).
 
-    Both radius arrays come from certified culls: no exit of a center
-    falls below its bound (slack 1 - |c| for the balls, |1 - |c|| for the
-    circles), so the kernels evaluate only the centers whose bound is at
-    most the largest radius.  Every bulk center has slack at least eps, so
-    when the corrected centers alone give radii below eps - _CULL_MARGIN,
-    no bulk center can lower one and the bulk is not drawn: its stream
-    feeds nothing else, so the output is the same, bit for bit, as with
-    the bulk drawn and evaluated, and a replicate's work does not grow
-    with lam.  Otherwise the bulk is drawn and evaluated with the
-    corrected centers.
+    The balls are pins: (1 - w, sign * theta), whose centers are the
+    corrected points bit for bit (the sign flip is exact), and (|x|, x/|x|)
+    for the bulk.  Both radius arrays come from certified culls: no exit
+    of a center falls below its bound (slack 1 - |c| for the balls,
+    |1 - |c|| for the circles), so the kernels evaluate only the centers
+    whose bound is at most the largest radius.  Every bulk center has
+    slack at least eps, so when the corrected centers alone give radii
+    below eps - _CULL_MARGIN, no bulk center can lower one and the bulk is
+    not drawn: its stream feeds nothing else, so the output is the same,
+    bit for bit, as with the bulk drawn and evaluated, and a replicate's
+    work does not grow with lam.  Otherwise the bulk is drawn too.
     """
     lam = validate_intensity(lam)
     pts = np.asarray(points, dtype=float)
@@ -801,19 +794,18 @@ def coupling_transform(points: np.ndarray, lam: float, eps: float, rng: RngStrea
     depth = np.abs(s - 1.0)
     if not np.all(depth <= eps + 1e-12):
         raise ValueError(f"the points must lie in the annulus |1 - |c|| <= eps = {eps}")
-    th = pts / s[:, None]
     sign = np.where(s > 1.0, -1.0, 1.0)
-    w = np.asarray(depth_laws.transport(np.minimum(depth, eps)), dtype=float)
-    corrected = (sign * (1.0 - w))[:, None] * th
+    p = 1.0 - np.asarray(depth_laws.transport(np.minimum(depth, eps)), dtype=float)
+    pin_dirs = sign[:, None] * (pts / s[:, None])
 
     cell = sphere_tessellation_cell_2d(pts, grid)
-    inter_radii = ball_intersection_radius(corrected, grid.points)
+    inter_radii = intersection_radius(BALL, p, pin_dirs, grid.points)
     if np.max(inter_radii) + _CULL_MARGIN >= eps:
-        bulk = sample_ball_uniform(2, lam, rng, rmax=1.0 - eps)
-        inter_radii = ball_intersection_radius(np.vstack([corrected, bulk.points]),
-                                               grid.points)
+        bulk_p, bulk_dirs = _center_pins(sample_ball_uniform(2, lam, rng, rmax=1.0 - eps).points)
+        inter_radii = intersection_radius(BALL, np.concatenate([p, bulk_p]),
+                                          np.vstack([pin_dirs, bulk_dirs]), grid.points)
     h = float(np.max(np.abs(inter_radii - cell.radii)))
-    return CouplingOutput(corrected, cell, lam * h)
+    return CouplingOutput(p[:, None] * pin_dirs, cell, lam * h)
 
 
 def shell_containment_indicator(d: int, lam: float, rng: RngStream,
@@ -823,11 +815,11 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
 
     Only sample points with slack 1 - |c| below the margin can certify or
     refute containment, so the process is sampled on that shell alone; the
-    verdict agrees with the full model exactly.  Of the shell's points
-    (about 790 at lam = 3000), ball_intersection_radius evaluates only
-    those whose slack is at most the largest radius that the 32 of
-    smallest slack give, a certificate that leaves the radii bit for bit
-    unchanged.
+    verdict agrees with the full model exactly.  The shell's points x
+    (about 790 at lam = 3000) go to intersection_radius as ball pins
+    (|x|, x / |x|), which evaluates only those whose slack is at most the
+    largest radius that the 32 of smallest slack give, a certificate that
+    leaves the radii bit for bit unchanged.
     """
     d = validate_dimension(d)
     if not 1.0 < lam < np.inf:
@@ -836,7 +828,8 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
     if margin >= 1.0:
         return True
     shell = sample_shell(d, lam, margin, "inner", rng)
-    return bool(np.max(ball_intersection_radius(shell.points, grid.points)) <= margin)
+    radii = intersection_radius(BALL, *_center_pins(shell.points), grid.points)
+    return bool(np.max(radii) <= margin)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,13 @@ def sample_ball_uniform(d: int, lam: float, rng: RngStream, rmax: float = 1.0) -
     return ProcessSample(_sample_band(d, lam, 0.0, rmax, rng))
 
 
+def _annulus_mass(w, d: int):
+    """(1 + w)^d - (1 - w)^d, the volume of the shell |1 - |x|| <= w over
+    omega_d, for 0 <= w < 1, as a difference of expm1 terms so that small
+    depths keep their relative precision."""
+    return np.expm1(d * np.log1p(w)) - np.expm1(d * np.log1p(-w))
+
+
 class ShellDepthCdfs:
     """Depth laws on a shell of width eps, written in the depth variable
     w = |1 - |x|| in (0, eps) so both CDFs run from 0 at w=0 to 1 at w=eps.
@@ -328,7 +335,7 @@ class ShellDepthCdfs:
         self.d = validate_dimension(d)
         self._depth = depth_radial_law(d)
         self._den_inner = self._depth.cdf(self.eps)
-        self._den_folded = self._folded_mass(self.eps)
+        self._den_folded = _annulus_mass(self.eps, self.d)
 
     def _check_depth(self, w):
         arr = np.asarray(w, dtype=float)
@@ -350,14 +357,9 @@ class ShellDepthCdfs:
         u = self._check_quantile(u)
         return self._depth.inverse_cdf(u * self._den_inner)
 
-    def _folded_mass(self, w):
-        """(1 + w)^d - (1 - w)^d, as a difference of expm1 terms so that
-        small depths keep their relative precision."""
-        return np.expm1(self.d * np.log1p(w)) - np.expm1(self.d * np.log1p(-w))
-
     def folded(self, w):
         w = self._check_depth(w)
-        return self._folded_mass(w) / self._den_folded
+        return _annulus_mass(w, self.d) / self._den_folded
 
     def transport(self, w):
         """Monotone transport of a folded-law depth onto the inner law.
@@ -461,7 +463,7 @@ def poisson_log_tail_check(lam: float, d: int = 2) -> tuple[float, bool]:
     if not 1.0 < lam < np.inf:
         raise ValueError(f"lam must be finite and exceed 1, got {lam}")
     eps = np.log(lam) ** 2 / lam
-    vol = unit_ball_volume(d) * ((1.0 + eps) ** d - (1.0 - eps) ** d)
+    vol = unit_ball_volume(d) * _annulus_mass(eps, d)
     threshold = np.log(lam)
     prob = float(special.pdtr(np.ceil(threshold) - 1.0, vol * lam))
     return prob, prob < 1.0 / lam

@@ -37,8 +37,8 @@ from randset.models import (
     CroftonCell,
     ShapeKind,
     UnboundedCellError,
+    _center_pins,
     _zero_cell_polytope,
-    ball_intersection_radius,
     cone,
     count_scale,
     coupling_transform,
@@ -57,6 +57,7 @@ from randset.models import (
     windowed_ball_pins,
 )
 from randset.ppp import (
+    ProcessSample,
     RngStream,
     ShellDepthCdfs,
     _sample_band,
@@ -116,30 +117,37 @@ class TestCountScale:
             4.0 * np.pi / 3.0)
 
 
+def ball_pin_radius(centers, dirs):
+    """intersection_radius(BALL, ...) of the unit balls centered at the rows
+    of `centers`, passed as pins (|c|, c / |c|) as the library passes them."""
+    return intersection_radius(BALL, *_center_pins(np.asarray(centers, dtype=float)), dirs)
+
+
 class TestBallRadius:
     def test_no_centers(self):
         dirs = direction_grid(2, 8).points
-        assert np.array_equal(ball_intersection_radius(np.empty((0, 2)), dirs),
+        assert np.array_equal(intersection_radius(BALL, np.empty(0), np.empty((0, 2)), dirs),
                               np.ones(8))
+        assert np.array_equal(ball_pin_radius(np.empty((0, 2)), dirs), np.ones(8))
 
     def test_pinned_values(self):
-        c = np.array([[0.5, 0.0]])
         e1 = np.array([[1.0, 0.0]])
-        assert ball_intersection_radius(c, e1)[0] == pytest.approx(1.0)
-        assert ball_intersection_radius(c, -e1)[0] == pytest.approx(0.5)
-        assert ball_intersection_radius(np.zeros((1, 2)), e1)[0] == 1.0
+        assert intersection_radius(BALL, [0.5], e1, e1)[0] == pytest.approx(1.0)
+        assert intersection_radius(BALL, [0.5], e1, -e1)[0] == pytest.approx(0.5)
+        # a center at the origin: pin radius 0, with any direction or none
+        assert intersection_radius(BALL, [0.0], e1, e1)[0] == 1.0
+        assert ball_pin_radius(np.zeros((1, 2)), e1)[0] == 1.0
 
     def test_center_outside_rejected(self):
-        with pytest.raises(ValueError):
-            ball_intersection_radius(np.array([[1.2, 0.0]]),
-                                     np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"ball pin radii must lie in \[0, 1\]"):
+            intersection_radius(BALL, [1.2], [[1.0, 0.0]], [[1.0, 0.0]])
 
     def test_scan_oracle(self, rng):
         g = rng.spawn("ball-scan").gen
         c = 0.9 * g.standard_normal((5, 2))
         c /= np.maximum(1.0, np.linalg.norm(c, axis=1))[:, None] * 1.1
         dirs = direction_grid(2, 8).points
-        r = ball_intersection_radius(c, dirs)
+        r = ball_pin_radius(c, dirs)
         t = np.linspace(0.0, 1.0, 10_001)
         for k in range(8):
             pts = t[:, None] * dirs[k]
@@ -367,7 +375,6 @@ _OUT_OF_RANGE_CALLS = {
         BALL, [0.5], [[np.nan, 0.0]], [[1.0, 0.0]]),
     "intersection_radius-rmax": lambda: intersection_radius(
         BALL, [0.5], [[1.0, 0.0]], [[1.0, 0.0]], rmax=np.nan),
-    "ball_intersection_radius": lambda: ball_intersection_radius([[np.nan, 0.0]], [[1.0, 0.0]]),
     "first_circle_crossing": lambda: first_circle_crossing([[np.nan, 0.0]], [[1.0, 0.0]]),
     "first_circle_crossing-inf": lambda: first_circle_crossing([[np.inf, 0.0]], [[1.0, 0.0]]),
     "DirectionGrid": lambda: DirectionGrid(2, np.array([[np.nan, 0.0]])),
@@ -392,9 +399,11 @@ _GUARD_CALLS = {
     "zero-cell-no-half-spaces": (
         lambda rng: _zero_cell_polytope(3, np.empty((0, 3)), np.empty(0), 10.0),
         lambda out: out is None),
+    # intersection_radius checks the pin dimension itself (pins-dimension),
+    # so the circles are the one route into _binding_min's own check
     "binding-min-dimensions": (
-        lambda rng: ball_intersection_radius([[0.5, 0.0, 0.0]], [[1.0, 0.0]]),
-        "do not match"),
+        lambda rng: first_circle_crossing([[0.5, 0.0, 0.0]], [[1.0, 0.0]]),
+        "centers of dimension 3 and directions of dimension 2 do not match"),
     "axis-cosines-line": (lambda rng: axis_cosines(1, 4000, rng), _fair_signs),
     "band-bounds": (lambda rng: _sample_band(2, 1.0, 0.5, 0.5, rng), "need 0 <= lo < hi"),
     "ball-rmax": (lambda rng: sample_ball_uniform(2, 1.0, rng, rmax=0.0),
@@ -529,7 +538,7 @@ class TestSampleModel:
         dirs = direction_grid(2, 128).points
         prev = np.ones(128)
         for k in range(1, 9):
-            cur = ball_intersection_radius(c[:k], dirs)
+            cur = ball_pin_radius(c[:k], dirs)
             assert np.all(cur <= prev + 1e-12)
             prev = cur
 
@@ -554,22 +563,29 @@ PIN_SHAPE_IDS = ["ball", "half-space", "cone-pi/3", "cone-2pi/3"]
 
 def pin_reference(shape, pins, dirs, rmax=1.0):
     """Every pin's exits, direction-major, from the same products summed in
-    the same order as intersection_radius: its radii bit for bit."""
+    the same order as intersection_radius: its radii bit for bit.  Ball
+    pins go through their centers c = p * Theta, <dir, c> and |c|^2, as
+    intersection_radius takes them; the other shapes through <dir, Theta>."""
     p, th = pins
-    dot = dirs[:, 0, None] * th[:, 0]
+    vecs = p[:, None] * th if shape.kind == "ball" else th
+    dot = dirs[:, 0, None] * vecs[:, 0]
     for j in range(1, dirs.shape[1]):
-        dot += dirs[:, j, None] * th[:, j]
-    return np.clip(np.min(exit_distance(shape, p, dot), axis=1), 0.0, rmax)
+        dot += dirs[:, j, None] * vecs[:, j]
+    if shape.kind == "ball":
+        exits = models._ball_exit(dot, np.sum(vecs * vecs, axis=1))
+    else:
+        exits = exit_distance(shape, p, dot)
+    return np.clip(np.min(exits, axis=1), 0.0, rmax)
 
 
 class TestCulledKernels:
-    """ball_intersection_radius and first_circle_crossing evaluate only the
-    centers whose bound (1 - |c| for balls, |1 - |c|| for circles) is at
-    most the largest radius; the result must be the full evaluation's, bit
-    for bit."""
+    """intersection_radius's ball pins and first_circle_crossing evaluate
+    only the centers whose bound (1 - |c| for balls, |1 - |c|| for circles)
+    is at most the largest radius; the result must be the full
+    evaluation's, bit for bit."""
 
     GRID = direction_grid(2, 1024).points
-    KERNELS = [ball_intersection_radius, first_circle_crossing]
+    KERNELS = [ball_pin_radius, first_circle_crossing]
 
     def assert_exact(self, kernel, centers):
         culled = kernel(centers, self.GRID)
@@ -589,7 +605,7 @@ class TestCulledKernels:
         centers = np.vstack([symmetric_copies(0.7, 0.7)[:4]]
                             + [symmetric_copies(0.9 - 0.1 * k, 0.2) for k in range(6)])
         s = np.linalg.norm(centers, axis=1)
-        bound = 1.0 - s if kernel is ball_intersection_radius else np.abs(1.0 - s)
+        bound = 1.0 - s if kernel is ball_pin_radius else np.abs(1.0 - s)
         kth = np.sort(bound)[models._CULL_KEEP - 1]
         assert np.count_nonzero(bound == kth) == 8 and np.count_nonzero(bound > kth) > 0
         self.assert_exact(kernel, centers)
@@ -637,18 +653,22 @@ class TestCulledKernels:
         culled = kernel(centers, grid)
         assert np.array_equal(culled, full_evaluation(kernel, centers, grid))
         # direction-major reference: the same products summed in the same
-        # order, so the same radii bit for bit
+        # order, so the same radii bit for bit; the balls' centers are
+        # those of their pins, p * Theta
+        if kernel is ball_pin_radius:
+            assert np.array_equal(culled, pin_reference(BALL, _center_pins(centers), grid))
+            return
         dot = grid[:, 0, None] * centers[:, 0]
         for j in range(1, 3):
             dot += grid[:, j, None] * centers[:, j]
         s2 = np.sum(centers * centers, axis=1)
-        exit_ = models._ball_exit if kernel is ball_intersection_radius else models._circle_exit
-        assert np.array_equal(culled, np.min(exit_(dot, s2), axis=1))
+        assert np.array_equal(culled, np.min(models._circle_exit(dot, s2), axis=1))
 
     def test_seeded_shells(self, rng, monkeypatch):
         # at lam = 3000: shell_containment_indicator's shell (about 790
-        # centers) and the coupling block's tessellation sample (about 200);
-        # the cull evaluates a few dozen centers per call
+        # centers, as the pins it passes) and the coupling block's
+        # tessellation sample (about 200); the cull evaluates a few dozen
+        # centers per call
         lam = 3000.0
         margin = 2.0 * np.log(lam) ** 2 / lam
         eps = np.log(lam) ** 2 / (2.0 * lam)
@@ -661,16 +681,15 @@ class TestCulledKernels:
 
         for i in range(200):
             r = rng.spawn("cull-shells", i)
-            shell = sample_shell(2, lam, margin, "inner", r.spawn("contain")).points
+            shell = _center_pins(sample_shell(2, lam, margin, "inner", r.spawn("contain")).points)
             tess = sample_shell(2, lam / 2.0, eps, "both", r.spawn("tess")).points
             with monkeypatch.context() as mp:
                 mp.setattr(models, "_ball_exit", counted)
-                culled = ball_intersection_radius(shell, self.GRID)
-            given += shell.shape[0]
-            assert np.array_equal(culled, full_evaluation(ball_intersection_radius, shell,
-                                                          self.GRID))
+                culled = intersection_radius(BALL, *shell, self.GRID)
+            given += shell[0].size
+            assert np.array_equal(culled, self.assert_pins_exact(BALL, shell, self.GRID))
             self.assert_exact(first_circle_crossing, tess)
-        assert given > 200 * 700 and sum(evaluated) < 200 * 40
+        assert given > 200 * 700 and len(evaluated) >= 200 and sum(evaluated) < 200 * 40
 
     def test_containment_verdict(self, rng, monkeypatch):
         grid = direction_grid(2, 1024)
@@ -728,24 +747,24 @@ class TestCulledKernels:
         culled = self.assert_pins_exact(shape, pins, self.GRID)
         assert not np.array_equal(culled, pin_reference(shape, near, self.GRID))
 
-    @pytest.mark.parametrize("shape", PIN_SHAPES[:3], ids=PIN_SHAPE_IDS[:3])
+    @pytest.mark.parametrize("shape", PIN_SHAPES, ids=PIN_SHAPE_IDS)
     def test_pins_bound_is_reached(self, shape):
         # the 32 pins of the first pass face three ways; one more pin, whose
         # least exit is 0.999 R, is turned to reach it where their largest
         # radius R is reached, so a bound larger by 0.001 R would leave out
-        # a pin that binds (the obtuse cone's exits stay above its bound
-        # p sin(beta), so it has no such pin)
+        # a pin that binds
         k = models._CULL_KEEP
         first = pin_arrays([(0.9 if shape.kind == "ball" else 0.1, i % 3 * 2.0 * np.pi / 3.0)
                             for i in range(k)])
         r = intersection_radius(shape, *first, self.GRID)
         i = np.argmax(r)
         # the pin radius of least exit v, reached along -Theta for balls,
-        # along Theta for half-spaces and at pi/2 - beta from Theta for cones
+        # along Theta for half-spaces and obtuse cones, and at pi/2 - beta
+        # from Theta for acute cones
         v = 0.999 * r[i]
         if shape.kind == "ball":
             p, turn = 1.0 - v, np.pi
-        elif shape.kind == "half-space":
+        elif shape.kind == "half-space" or shape.beta > np.pi / 2.0:
             p, turn = v, 0.0
         else:
             p, turn = v / np.sin(shape.beta), np.pi / 2.0 - shape.beta
@@ -774,24 +793,27 @@ class TestCulledKernels:
     @pytest.mark.parametrize("shape", PIN_SHAPES, ids=PIN_SHAPE_IDS)
     def test_full_model(self, shape, rng, monkeypatch):
         # at lam = 1000, about 3200 ball pins and 9900 half-space or cone
-        # pins; the cull evaluates a few dozen per call
+        # pins; the cull evaluates a few dozen per call, counted where it
+        # evaluates them: _ball_exit(dot, s2) for balls, exit_distance(shape,
+        # p, cos) for the others, each with one row per evaluated pin
         evaluated, given = [], 0
-        exit_distance_ = models.exit_distance
+        name = "_ball_exit" if shape.kind == "ball" else "exit_distance"
+        kernel = getattr(models, name)
 
-        def counted(s, p, cos):
-            evaluated.append(cos.shape[0])
-            return exit_distance_(s, p, cos)
+        def counted(*args):
+            evaluated.append(np.shape(args[-1])[0])
+            return kernel(*args)
 
         for i in range(10):
             m = sample_intersection_model(2, 1000.0, uniform_radial_law(2), shape,
                                           rng.spawn("cull-full", i))
             pins = (m.pin_radii, m.pin_dirs)
             with monkeypatch.context() as mp:
-                mp.setattr(models, "exit_distance", counted)
+                mp.setattr(models, name, counted)
                 culled = intersection_radius(shape, *pins, self.GRID)
             given += m.count
             assert np.array_equal(culled, pin_reference(shape, pins, self.GRID))
-        assert given > 10 * 3000 and sum(evaluated) < 10 * 80
+        assert given > 10 * 3000 and len(evaluated) >= 10 and sum(evaluated) < 10 * 80
 
 
 SHAPES = st.one_of(st.sampled_from([BALL, HALF_SPACE]),
@@ -835,23 +857,23 @@ class TestExitKernelProperties:
     @KERNEL_SETTINGS
     @given(shape=SHAPES, pins=PINS)
     def test_axis_route_matches_vector_route(self, shape, pins):
-        # along e1 the kernel only needs cos = Theta_1; the ball's vector
-        # route goes through the centers instead
+        # along e1 the kernel only needs cos = Theta_1; the vector route
+        # forms <e1, Theta>, and for balls <e1, c> of the centers c = p Theta
         p, th = pin_arrays(pins)
         axis = np.clip(np.min(exit_distance(shape, p, th[:, 0])), 0.0, 1.0)
-        e1 = np.array([[1.0, 0.0]])
-        if shape.kind == "ball":
-            vector = ball_intersection_radius(p[:, None] * th, e1)[0]
-        else:
-            vector = model_radius(shape, pins, e1)[0]
+        vector = model_radius(shape, pins, np.array([[1.0, 0.0]]))[0]
         assert abs(axis - vector) <= 1e-12
 
     @KERNEL_SETTINGS
     @given(pins=PINS)
     def test_ball_pin_route_matches_center_route(self, pins):
+        # the grid route takes the balls' centers p * Theta; the axis form
+        # exit_distance(BALL, p, cos) takes p and <dir, Theta>, direction by
+        # direction
         p, th = pin_arrays(pins)
-        by_pins = intersection_radius(BALL, p, th, self.DIRS)
-        by_centers = ball_intersection_radius(p[:, None] * th, self.DIRS)
+        by_centers = intersection_radius(BALL, p, th, self.DIRS)
+        by_pins = np.array([np.clip(np.min(exit_distance(BALL, p, th @ u)), 0.0, 1.0)
+                            for u in self.DIRS])
         assert np.max(np.abs(by_pins - by_centers)) <= 1e-12
 
 
@@ -1633,32 +1655,85 @@ class TestCouplingTransform:
         # evaluates it with the corrected centers gives the same radii and
         # distance bit for bit, whether or not the bulk is drawn
         grid = direction_grid(2, 1024)
-        drawn, radii = [], []
-        kernel, bulk_sampler = models.ball_intersection_radius, models.sample_ball_uniform
+        drawn, calls = [], []
+        kernel, bulk_sampler = models.intersection_radius, models.sample_ball_uniform
 
         def kept_radii(*args):
-            radii.append(kernel(*args))
-            return radii[-1]
+            calls.append((args, kernel(*args)))
+            return calls[-1][1]
 
         def counted_bulk(*args, **kwargs):
             drawn.append(i)
             return bulk_sampler(*args, **kwargs)
 
-        monkeypatch.setattr(models, "ball_intersection_radius", kept_radii)
+        monkeypatch.setattr(models, "intersection_radius", kept_radii)
         monkeypatch.setattr(models, "sample_ball_uniform", counted_bulk)
         for i in range(200):
             r = rng.spawn("bulk-cert", lam, i)
             eps, points = self.block_input(lam, r)
+            start = len(calls)
             out = coupling_transform(points, lam, eps, r.spawn("bulk"), grid)
-            bulk = bulk_sampler(2, lam, r.spawn("bulk"), rmax=1.0 - eps).points
-            ref = kernel(np.vstack([out.corrected_points, bulk]), grid.points)
-            assert np.array_equal(radii[-1], ref)
+            # the first call holds the corrected pins alone
+            shape, p, th, _ = calls[start][0]
+            assert shape == BALL and np.array_equal(p[:, None] * th, out.corrected_points)
+            bulk_p, bulk_th = _center_pins(
+                bulk_sampler(2, lam, r.spawn("bulk"), rmax=1.0 - eps).points)
+            ref = kernel(BALL, np.concatenate([p, bulk_p]), np.vstack([th, bulk_th]),
+                         grid.points)
+            assert np.array_equal(calls[-1][1], ref)
             assert out.hausdorff_scaled == lam * float(np.max(np.abs(
                 ref - out.tess_cell.radii)))
         if lam < 10.0:
             assert 0 < len(drawn) < 200
         else:
             assert drawn == []
+
+    def test_radii_are_those_of_the_corrected_centers(self, rng, monkeypatch):
+        # at lam = 3000 no bulk is drawn, so the intersection radii are
+        # every corrected center's _ball_exit, evaluated direction-major,
+        # bit for bit: the pins (1 - w, sign * theta) give the centers
+        # (sign (1 - w)) theta exactly, as the sign flip is exact
+        lam, grid = 3000.0, direction_grid(2, 1024)
+        radii, kernel = [], models.intersection_radius
+
+        def kept_radii(*args):
+            radii.append(kernel(*args))
+            return radii[-1]
+
+        monkeypatch.setattr(models, "intersection_radius", kept_radii)
+        for i in range(20):
+            r = rng.spawn("corrected-centers", i)
+            eps, points = self.block_input(lam, r)
+            out = coupling_transform(points, lam, eps, r.spawn("bulk"), grid)
+            s = np.linalg.norm(points, axis=1)
+            w = ShellDepthCdfs(eps, 2).transport(np.minimum(np.abs(s - 1.0), eps))
+            folded = np.where(s > 1.0, -1.0, 1.0) * (1.0 - w)
+            assert np.array_equal(out.corrected_points, folded[:, None] * (points / s[:, None]))
+            c, u = out.corrected_points, grid.points
+            dot = u[:, 0, None] * c[:, 0] + u[:, 1, None] * c[:, 1]
+            ref = np.clip(np.min(models._ball_exit(dot, c[:, 0] * c[:, 0] + c[:, 1] * c[:, 1]),
+                                 axis=1), 0.0, 1.0)
+            assert len(radii) == i + 1 and np.array_equal(radii[-1], ref)
+            assert out.hausdorff_scaled == lam * float(np.max(np.abs(ref - out.tess_cell.radii)))
+
+    def test_bulk_point_at_the_origin(self, rng, monkeypatch):
+        # a bulk center at the origin is the pin (0, 0), the unit ball, and
+        # not a NaN direction that intersection_radius would reject; with
+        # no shell points the radii are 1 and the bulk is always drawn
+        bulk_sampler, drawn = models.sample_ball_uniform, []
+
+        def with_origin(*args, **kwargs):
+            drawn.append(bulk_sampler(*args, **kwargs).points)
+            return ProcessSample(np.vstack([np.zeros((1, 2)), drawn[-1]]))
+
+        monkeypatch.setattr(models, "sample_ball_uniform", with_origin)
+        grid = direction_grid(2, 256)
+        out = coupling_transform(np.empty((0, 2)), 5.0, 0.1, rng.spawn("origin"), grid)
+        ref = intersection_radius(BALL, *_center_pins(drawn[0]), grid.points)
+        assert len(drawn) == 1 and out.hausdorff_scaled == 5.0 * float(np.max(np.abs(
+            ref - out.tess_cell.radii)))
+        s, th = _center_pins(np.array([[0.0, 0.0], [3.0, -4.0]]))
+        assert np.array_equal(s, [0.0, 5.0]) and np.array_equal(th, [[0.0, 0.0], [0.6, -0.8]])
 
 
 class TestShellContainment:

@@ -431,16 +431,28 @@ class TestPoissonBounds:
         assert poisson_tail_crossover(mu, delta) == (
             stats.poisson.cdf(m, mu) - stats.poisson.cdf(m, mu + delta))
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # the Poisson pmf and cdf come from scipy.special, so importing the
-        # package does not pay for scipy.stats
+    @staticmethod
+    def loaded_after_import(*modules):
+        """Those of `modules` that a fresh interpreter holds after
+        `import randset`."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (str(Path(randset.__file__).resolve().parents[1]),
                         os.environ.get("PYTHONPATH")) if p))
-        code = "import sys, randset; print('scipy.stats' in sys.modules)"
+        code = f"import sys, randset; print([m for m in {modules!r} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60, env=env, check=True)
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # the Poisson pmf and cdf come from scipy.special, so importing the
+        # package does not pay for scipy.stats
+        assert self.loaded_after_import("scipy.stats") == "[]"
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # the two quadratures import scipy.integrate on first use, so
+        # importing the package pays neither for it nor for scipy.spatial,
+        # which it loads; the zero cells import scipy.spatial on first use
+        assert self.loaded_after_import("scipy.integrate", "scipy.spatial") == "[]"
 
     def test_pinned_example(self):
         tv = poisson_total_variation(5.0, 0.1)
@@ -460,6 +472,18 @@ class TestPoissonBounds:
             assert route(1e16, 0.0) == 0.0
         with pytest.raises(ValueError, match="needs mu <= 1e"):
             poisson_total_variation(1.1e7, 1.0)
+
+    @pytest.mark.parametrize("lam", [1e20, 1e100])
+    def test_log_tail_check_past_the_float_spacing(self, lam):
+        # eps = log(lam)^2 / lam lies below the float spacing at 1, where
+        # (1 + eps)^d - (1 - eps)^d cancels to 0; the Poisson mean
+        # lam * omega_d * 2 d eps is 26 650 at lam = 1e20 in the plane,
+        # against a threshold of log(lam) = 46, so the tail is 0
+        for d in (2, 3):
+            eps = np.log(lam) ** 2 / lam
+            assert (1.0 + eps) ** d - (1.0 - eps) ** d == 0.0
+            prob, ok = poisson_log_tail_check(lam, d)
+            assert ok and prob == 0.0
 
     def test_log_tail_check(self):
         prob, ok = poisson_log_tail_check(1e6, 2)
