@@ -398,9 +398,10 @@ class CroftonCell:
     sampled inside the final window, in draw order, round by round, and
     enlargements counts the window's doublings; vertices are the exact
     cell corners, counter-clockwise for d = 2, and volume is their area for
-    d = 2 (the shoelace formula) or qhull's hull volume for d = 3 and 4.
-    The cell is certified to lie inside the sampling window, so deeper
-    hyperplanes cannot change it; its radii are
+    d = 2 (the shoelace formula, its terms added left to right from 0.0,
+    computed with the round's certificate) or qhull's hull volume for
+    d = 3 and 4.  The cell is certified to lie inside the sampling window,
+    so deeper hyperplanes cannot change it; its radii are
     intersection_radius(HALF_SPACE, offsets, normals, dirs, rmax=window).
     """
 
@@ -413,61 +414,154 @@ class CroftonCell:
     enlargements: int
 
 
-def _planar_zero_cell(normals: np.ndarray, offsets: np.ndarray,
-                      window: float) -> np.ndarray | None:
-    """_zero_cell_polytope for d = 2, by the polar hull in Python floats.
+# the keys of exactly collinear points differ by a few rounding errors, and
+# every key lies in [-1, 1]
+_TIE = 1e-12
+# Cramer's numerators underflow for lines parallel to within a subnormal
+# determinant (normals of about 1e-308 radians apart), so the vertex solve
+# needs a normal one
+_DET_MIN = float(np.finfo(float).tiny)
 
-    With every p_i > 0 the cell is {x : <x, q_i> <= 1}, q_i = n_i / p_i.
-    It is bounded iff the origin lies strictly inside conv{q_i}, that is
-    strictly left of every counter-clockwise edge (a, b) of that hull, and
-    then each such edge is the cell vertex where lines a and b meet.  The
-    hull is Andrew's monotone chain with collinear points popped, so the
-    vertices come back counter-clockwise, one per cell corner.  The edge
-    test is the sign of Cramer's determinant for lines a and b,
-    p_a p_b cross(q_a, q_b), so the vertex solve never divides by zero.
-    Plain floats: numpy costs more than the geometry on some 20 lines.
+
+def _polar_hulls(qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counter-clockwise convex hulls of the rows of points (qx, qy), by one
+    Jarvis march over all rows.
+
+    Each row starts at its least (x, y, column) and each step takes the
+    point of least turn from the last edge, the first edge turning from
+    -e2, and of the points exactly collinear with that one the farthest:
+    the vertices and order of Andrew's monotone chain with collinear points
+    popped.  Returns the hull's columns, the start repeated at the end, and
+    the number of vertices of each row (0 if the march did not close).
     """
-    p = offsets.tolist()
-    if len(p) < 3 or min(p) <= 0.0:
-        return None
-    nx, ny = normals.T.tolist()
-    q = sorted((x / s, y / s, i) for i, (x, y, s) in enumerate(zip(nx, ny, p)))
+    rows, k = qx.shape
+    least = qx == qx.min(axis=1, keepdims=True)
+    least &= qy == np.where(least, qy, np.inf).min(axis=1, keepdims=True)
+    start = np.argmax(least, axis=1)
+    hull = np.zeros((rows, k + 1), dtype=np.intp)
+    hull[:, 0] = start
+    length = np.zeros(rows, dtype=np.intp)
+    live = np.arange(rows)
+    cur, ex, ey = start, np.zeros(rows), np.full(rows, -1.0)
+    for step in range(1, k + 1):
+        if not live.size:
+            break
+        at = np.arange(live.size)
+        cx, cy = qx[live, cur], qy[live, cur]
+        dx, dy = qx[live], qy[live]
+        dx -= cx[:, None]
+        dy -= cy[:, None]
+        # a point left of the last edge e turns from it by an angle that
+        # along / spread, spread = |<e, v>| + cross(e, v), ranks: 1 straight
+        # on, -1 straight back, which the current point (v = 0) is given
+        along = ex[:, None] * dx
+        along += ey[:, None] * dy
+        along[at, cur] = -1.0
+        across = ex[:, None] * dy
+        across -= ey[:, None] * dx
+        spread = np.abs(along)
+        spread += across
+        key = np.divide(along, spread, out=spread)
+        nxt = np.argmax(key, axis=1)
+        # rows that picked a copy of the current point (key NaN) or a point
+        # right of e, which only rounding puts there and whose key above is
+        # not its turn: rank every point by its full turn, right of e below
+        # all points left of it
+        odd = np.flatnonzero(np.isnan(key[at, nxt]) | (across[at, nxt] < 0.0))
+        if odd.size:
+            a, c = along[odd], across[odd]
+            turn = a / (np.abs(a) + np.abs(c))
+            turn = np.where(c < 0.0, -2.0 - turn, turn)
+            key[odd] = np.where(np.isnan(turn), -np.inf, turn)
+            nxt[odd] = np.argmax(key[odd], axis=1)
+        # rows where another point's key is within rounding of the best:
+        # of the points exactly collinear with the chosen one, the farthest
+        best = key[at, nxt]
+        tied = np.flatnonzero(np.count_nonzero(key >= (best - _TIE)[:, None], axis=1) > 1)
+        if tied.size:
+            tx, ty, pick = dx[tied], dy[tied], (np.arange(tied.size), nxt[tied])
+            vx, vy = tx[pick][:, None], ty[pick][:, None]
+            ahead = (vx * ty == vy * tx) & (vx * tx + vy * ty > 0.0)
+            nxt[tied] = np.argmax(np.where(ahead, tx * tx + ty * ty, -1.0), axis=1)
+        hull[live, step] = nxt
+        closed = nxt == start[live]
+        length[live[closed]] = step
+        going = ~closed
+        ex, ey = (qx[live, nxt] - cx)[going], (qy[live, nxt] - cy)[going]
+        live, cur = live[going], nxt[going]
+    return hull, length
 
-    def chain(points) -> list:
-        hull = []
-        for c in points:
-            while len(hull) >= 2:
-                (ax, ay, _), (bx, by, _) = hull[-2], hull[-1]
-                if (bx - ax) * (c[1] - ay) - (by - ay) * (c[0] - ax) > 0.0:
-                    break
-                hull.pop()
-            hull.append(c)
-        return hull[:-1]
 
-    hull = [i for _, _, i in chain(q) + chain(reversed(q))]
-    if len(hull) < 3:
-        return None
-    verts, w2 = [], window * window
-    for a, b in zip(hull, hull[1:] + hull[:1]):
-        det = nx[a] * ny[b] - ny[a] * nx[b]
-        if det <= 0.0:
-            return None
-        x = (p[a] * ny[b] - p[b] * ny[a]) / det
-        y = (p[b] * nx[a] - p[a] * nx[b]) / det
-        if x * x + y * y >= w2:
-            return None
-        verts.append((x, y))
-    return np.array(verts)
+def _planar_zero_cells(normals: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
+                       window: float) -> tuple[list, list]:
+    """_zero_cells for d = 2: the polar hulls of every row at once, as arrays.
+
+    With every p_i > 0 a row's cell is {x : <x, q_i> <= 1}, q_i = n_i / p_i.
+    It is bounded iff the origin lies strictly inside conv{q_i}, and then
+    each counter-clockwise edge (a, b) of that hull is the cell vertex where
+    lines a and b meet.  The rows' q are padded with the origin to one
+    column more than the longest row, and _polar_hulls marches on all of
+    them together, so the vertices come back counter-clockwise, one per
+    cell corner.  The edge test is the sign of Cramer's determinant for
+    lines a and b, p_a p_b cross(q_a, q_b), so the vertex solve never
+    divides by zero; a subnormal one is not certified (_DET_MIN).  A row
+    whose hull holds a pad has the origin outside or on it, and the pad's
+    zero normal fails the edge test; nor is a row of fewer than 3 lines or
+    with an offset <= 0 certified.  The
+    areas are the shoelace sums over the vertices, added left to right from
+    0.0, so their bits do not depend on how an interpreter sums.  Overflows
+    give inf, as plain floats do.
+    """
+    m = counts.size
+    found, areas = [None] * m, [None] * m
+    row = np.repeat(np.arange(m), counts)
+    ok = counts >= 3
+    ok[row[offsets <= 0.0]] = False
+    rows = np.flatnonzero(ok)
+    if rows.size == 0:
+        return found, areas
+    lines = ok[row]
+    size = counts[rows]
+    k = int(size.max()) + 1  # every row has a pad
+    real = np.arange(k) < size[:, None]
+    nx, ny, p = np.zeros((rows.size, k)), np.zeros((rows.size, k)), np.ones((rows.size, k))
+    nx[real], ny[real], p[real] = normals[lines, 0], normals[lines, 1], offsets[lines]
+    with np.errstate(all="ignore"):
+        hull, length = _polar_hulls(nx / p, ny / p)
+        done = np.flatnonzero(length >= 3)
+        if done.size == 0:
+            return found, areas
+        n_edges = length[done]
+        h = hull[done, :int(n_edges.max()) + 1] + done[:, None] * k  # flat indices
+        a, b = h[:, :-1], h[:, 1:]
+        on = np.arange(a.shape[1]) < n_edges[:, None]
+        nxa, nya, pa, nxb, nyb, pb = (arr.ravel()[cols] for cols in (a, b) for arr in (nx, ny, p))
+        det = nxa * nyb - nya * nxb
+        x = (pa * nyb - pb * nya) / det
+        y = (pb * nxa - pa * nxb) / det
+        inside = (det >= _DET_MIN) & ~(x * x + y * y >= window * window)
+        good = np.flatnonzero(np.all(inside | ~on, axis=1))
+        x, y, n_edges, on = x[good], y[good], n_edges[good], on[good]
+        at, last = np.arange(good.size), n_edges - 1
+        area = np.zeros(good.size)
+        area += x[at, last] * y[:, 0] - x[:, 0] * y[at, last]
+        for j in range(1, x.shape[1]):
+            area += np.where(on[:, j], x[:, j - 1] * y[:, j] - x[:, j] * y[:, j - 1], 0.0)
+    corners = np.stack([x, y], axis=2)
+    for corner, cell, count, value in zip(corners, rows[done[good]].tolist(),
+                                          n_edges.tolist(), (0.5 * area).tolist()):
+        found[cell], areas[cell] = corner[:count], value
+    return found, areas
 
 
 def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
                         window: float) -> np.ndarray | None:
     """Exact vertices of {x : <x,n_i> <= p_i}, or None when the cell is not
     certified bounded and inside the window (no vertex at distance window
-    or more).  d = 2 takes the polar hull in plain floats
-    (_planar_zero_cell), counter-clockwise; d = 3 and 4 ask qhull."""
+    or more).  d = 2 is a one-row _planar_zero_cells, counter-clockwise;
+    d = 3 and 4 ask qhull."""
     if d == 2:
-        return _planar_zero_cell(normals, offsets, window)
+        return _planar_zero_cells(normals, offsets, np.array([offsets.size]), window)[0][0]
     if normals.shape[0] == 0:
         return None
     from scipy.spatial import HalfspaceIntersection, QhullError
@@ -487,19 +581,49 @@ def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
         return None
 
 
+# planar rows certified in one pass: the march's arrays, rows by the longest
+# row's lines, then hold about 1 MB and stay in cache, where a chunk's 1000
+# rows at once took about 4 MB and no less time
+_PLANAR_ROWS = 256
+
+
+def _zero_cells(d: int, normals: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
+                window: float) -> tuple[list, list]:
+    """_zero_cell_polytope for a round of cells: row i holds the counts[i]
+    lines that follow row i - 1's.  Returns each row's vertices (None when
+    uncertified) and, for d = 2, its area (None for d = 3 and 4).  d = 2
+    certifies _PLANAR_ROWS rows per pass (_planar_zero_cells); d = 3 and 4
+    ask qhull row by row."""
+    rows = _PLANAR_ROWS if d == 2 else 1
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends[:-1]
+    found, areas = [], []
+    for i in range(0, counts.size, rows):
+        a, b = starts[i], ends[min(i + rows, counts.size) - 1]
+        if d == 2:
+            block = _planar_zero_cells(normals[a:b], offsets[a:b], counts[i:i + rows], window)
+        else:
+            block = [_zero_cell_polytope(d, normals[a:b], offsets[a:b], window)], [None]
+        found += block[0]
+        areas += block[1]
+    return found, areas
+
+
 def _windowed_cells(d: int, n: int,
                     band: Callable[[float, float, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
                     first: float, last: float, unit: float
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None, float, int]]:
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None, float | None,
+                                        float, int]]:
     """n independent zero cells of half-spaces {x : <x, n_i> <= p_i} whose
     offsets are drawn window by window, the open cells pooled in each round.
 
     band(lo, hi, m) draws the half-spaces with p in (lo, hi] of m cells at
     once: m Poisson counts, then all the offsets, then all the normals,
     cell after cell.  The bands are (0, first], then (hi, 2 hi] as the
-    window hi doubles up to last.  Each round draws the band of every cell
-    still open and slices it per cell by the cumulative counts, and
-    _zero_cell_polytope certifies each cell on its own lines; a cell leaves
+    window hi doubles up to last.  A chunk's lines are held as flat arrays,
+    each line with the index of its cell, appended round by round; a stable
+    sort by that index gives every open cell its lines in draw order, and
+    _zero_cells certifies all of them in one call per round.  A cell leaves
     the loop once certified bounded and inside the window, or at the window
     last.  Half-spaces past a certified window cannot change a cell, and
     the process on disjoint bands is independent across bands and across
@@ -510,27 +634,38 @@ def _windowed_cells(d: int, n: int,
     stays bounded in n, and a lone cell draws as a one-cell loop would:
     count, offsets, normals, round after round.
     Yields, cell by cell, the normals, the offsets, the vertices (None when
-    uncertified), the last window and the number of doublings.
+    uncertified), the area (d = 2 only, else None), the last window and the
+    number of doublings.
     """
     for start in range(0, n, _CHUNK_CELLS):
         m = min(_CHUNK_CELLS, n - start)
-        normals, offsets = [np.empty((0, d))] * m, [np.empty(0)] * m
+        owner, normals, offsets = np.empty(0, dtype=np.intp), np.empty((0, d)), np.empty(0)
         cells: list = [None] * m
-        open_, lo, hi, doublings = range(m), 0.0, first, 0
-        while open_:
-            counts, new_offsets, new_normals = band(lo, hi, len(open_))
-            still, a = [], 0
-            for j, b in zip(open_, np.cumsum(counts).tolist()):
-                normals[j] = np.concatenate([normals[j], new_normals[a:b]])
-                offsets[j] = np.concatenate([offsets[j], new_offsets[a:b]])
-                a = b
-                verts = _zero_cell_polytope(d, normals[j], offsets[j] / unit, hi / unit)
+        open_, lo, hi, doublings = np.arange(m), 0.0, first, 0
+        while open_.size:
+            counts, new_offsets, new_normals = band(lo, hi, open_.size)
+            owner = np.concatenate([owner, np.repeat(open_, counts)])
+            offsets = np.concatenate([offsets, new_offsets])
+            normals = np.concatenate([normals, new_normals])
+            del new_offsets, new_normals  # the joined copies hold them
+            is_open = np.zeros(m, dtype=bool)
+            is_open[open_] = True
+            mine = np.flatnonzero(is_open[owner])
+            mine = mine[np.argsort(owner[mine], kind="stable")]
+            scaled = offsets[mine]
+            scaled /= unit
+            found, areas = _zero_cells(d, normals[mine], scaled,
+                                       np.bincount(owner, minlength=m)[open_], hi / unit)
+            for j, verts, area in zip(open_.tolist(), found, areas):
                 if verts is not None or hi >= last:
-                    cells[j] = normals[j], offsets[j], verts, hi, doublings
-                else:
-                    still.append(j)
-            open_, lo, hi, doublings = still, hi, min(2.0 * hi, last), doublings + 1
-        yield from cells
+                    cells[j] = verts, area, hi, doublings
+            open_ = open_[[cells[j] is None for j in open_.tolist()]]
+            lo, hi, doublings = hi, min(2.0 * hi, last), doublings + 1
+        order = np.argsort(owner, kind="stable")
+        normals, offsets = normals[order], offsets[order]
+        ends = np.cumsum(np.bincount(owner, minlength=m)).tolist()
+        for a, b, cell in zip([0] + ends[:-1], ends, cells):
+            yield (normals[a:b], offsets[a:b], *cell)
 
 
 # a chunk's cells wait, about 1 KB each in the plane, for its last to be
@@ -555,9 +690,10 @@ def crofton_cells(d: int, n: int, rng: RngStream) -> Iterator[CroftonCell]:
     on the old ones, until each exact cell is certified bounded and inside
     it.  A cell still uncertified after _MAX_ENLARGEMENTS doublings raises
     UnboundedCellError; that signals a fault, not a rare draw.  The planar
-    area is the shoelace formula over the counter-clockwise vertices; d = 3
-    and 4 take qhull's hull volume.  The arguments are checked at the call;
-    the cells are drawn as they are taken.
+    areas come with each round's certificate (_planar_zero_cells), the
+    shoelace formula over the counter-clockwise vertices; d = 3 and 4 take
+    qhull's hull volume, cell by cell.  The arguments are checked at the
+    call; the cells are drawn as they are taken.
     """
     d = validate_dimension(d)
     if not 2 <= d <= _MAX_CELL_DIM:
@@ -569,16 +705,13 @@ def crofton_cells(d: int, n: int, rng: RngStream) -> Iterator[CroftonCell]:
         return counts, offsets, uniform_directions(d, offsets.size, rng)
 
     def cells() -> Iterator[CroftonCell]:
-        for normals, offsets, verts, window, doublings in _windowed_cells(
+        for normals, offsets, verts, vol, window, doublings in _windowed_cells(
                 d, n, band, _WINDOW_RADIUS, _WINDOW_RADIUS * 2**_MAX_ENLARGEMENTS, 1.0):
             if verts is None:
                 raise UnboundedCellError(
                     f"zero cell not certified bounded within window {window:g} after "
                     f"{_MAX_ENLARGEMENTS} enlargements")
-            if d == 2:
-                x, y = verts.T.tolist()
-                vol = 0.5 * sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(len(x)))
-            else:
+            if vol is None:
                 from scipy.spatial import ConvexHull
                 vol = float(ConvexHull(verts).volume)
             yield CroftonCell(d, normals, offsets, verts, vol, window, doublings)
@@ -628,7 +761,7 @@ def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
         return ((depths, normals, 1.0) for _, depths, normals in bands)
     first = 4.0 / mean if mean > 4.0 else 1.0
     return ((depths, normals, rho)
-            for normals, depths, _, rho, _ in _windowed_cells(d, n, band, first, 1.0, first))
+            for normals, depths, _, _, rho, _ in _windowed_cells(d, n, band, first, 1.0, first))
 
 
 def segment_crossing_count(d: int, length: float, n: int, rng: RngStream) -> np.ndarray:
@@ -678,13 +811,17 @@ class TessellationCell:
 def _circle_exit(dot, s2):
     """First positive root of t^2 - 2 t dot + s2 = 1, the first crossing
     with the unit circle centered at c, with dot = <dir, c> and s2 = |c|^2;
-    +inf when the ray meets none."""
-    disc = dot * dot + 1.0 - s2
-    valid = disc >= 0.0
-    sq = np.sqrt(np.where(valid, disc, 0.0))
-    r1 = dot - sq
-    r2 = dot + sq
-    return np.where(valid & (r1 > _TINY), r1, np.where(valid & (r2 > _TINY), r2, np.inf))
+    +inf when the ray meets none.  A negative discriminant, or a NaN
+    direction, makes both roots NaN, which no comparison passes."""
+    t = np.asarray(dot * dot)
+    t += 1.0
+    t -= s2
+    with np.errstate(invalid="ignore"):
+        np.sqrt(t, out=t)
+    r1 = dot - t
+    t += dot
+    r = np.where(r1 > _TINY, r1, t)
+    return np.where(r > _TINY, r, np.inf)
 
 
 def first_circle_crossing(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:

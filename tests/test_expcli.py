@@ -354,7 +354,8 @@ class TestEndToEnd:
     def test_numerical_failure_exit(self, tmp_path, capsys, monkeypatch):
         # the patch does not reach pool workers, so run serially
         monkeypatch.setenv("RANDSET_THREADS", "1")
-        monkeypatch.setattr(models, "_zero_cell_polytope", lambda *args: None)
+        monkeypatch.setattr(models, "_zero_cells", lambda d, normals, offsets, counts, window:
+                            ([None] * counts.size,) * 2)
         code = main(["crofton", "--replicates", "3", "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 """Intersection models, tessellation cells, coupling, meeting counts."""
+import math
 import warnings
 from functools import partial
 
@@ -39,10 +40,12 @@ from randset.models import (
     UnboundedCellError,
     _center_pins,
     _zero_cell_polytope,
+    _zero_cells,
     cone,
     count_scale,
     coupling_transform,
     crofton_cell,
+    crofton_cells,
     exit_distance,
     first_circle_crossing,
     interval_intersection_1d,
@@ -892,10 +895,70 @@ def qhull_zero_cell(d, normals, offsets, window):
     except QhullError:
         return None
     verts = hs.intersections
-    if (np.any(hs.dual_equations[:, -1] >= 0) or not np.all(np.isfinite(verts))
-            or np.max(np.linalg.norm(verts, axis=1)) >= window):
-        return None
+    # a huge finite vertex overflows its norm to inf, past any window
+    with np.errstate(over="ignore"):
+        if (np.any(hs.dual_equations[:, -1] >= 0) or not np.all(np.isfinite(verts))
+                or np.max(np.linalg.norm(verts, axis=1)) >= window):
+            return None
     return verts
+
+
+def andrew_zero_cell(normals, offsets, window):
+    """The planar certificate one cell at a time in plain floats, the
+    reference for _planar_zero_cells' bits: the polar hull by Andrew's
+    monotone chain with collinear points popped, Cramer's rule at each
+    counter-clockwise edge, and the shoelace area added left to right.
+    Returns (vertices, area), or None when the cell is not certified."""
+    p = offsets.tolist()
+    if len(p) < 3 or min(p) <= 0.0:
+        return None
+    nx, ny = normals.T.tolist()
+    q = sorted((x / s, y / s, i) for i, (x, y, s) in enumerate(zip(nx, ny, p)))
+
+    def chain(points):
+        hull = []
+        for c in points:
+            while len(hull) >= 2:
+                (ax, ay, _), (bx, by, _) = hull[-2], hull[-1]
+                if (bx - ax) * (c[1] - ay) - (by - ay) * (c[0] - ax) > 0.0:
+                    break
+                hull.pop()
+            hull.append(c)
+        return hull[:-1]
+
+    hull = [i for _, _, i in chain(q) + chain(reversed(q))]
+    if len(hull) < 3:
+        return None
+    verts = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        det = nx[a] * ny[b] - ny[a] * nx[b]
+        if det <= 0.0:
+            return None
+        x = (p[a] * ny[b] - p[b] * ny[a]) / det
+        y = (p[b] * nx[a] - p[a] * nx[b]) / det
+        if x * x + y * y >= window * window:
+            return None
+        verts.append((x, y))
+    area = 0.0
+    for i in range(len(verts)):
+        area += verts[i - 1][0] * verts[i][1] - verts[i][0] * verts[i - 1][1]
+    return np.array(verts), 0.5 * area
+
+
+def round_certificate(certify):
+    """A round certificate, as models._zero_cells, that asks the one-cell
+    certificate certify(d, normals, offsets, window) row by row and leaves
+    the areas to qhull."""
+    def certify_round(d, normals, offsets, counts, window):
+        ends = np.cumsum(counts)
+        found = [certify(d, normals[a:b], offsets[a:b], window)
+                 for a, b in zip(ends - counts, ends)]
+        return found, [None] * len(found)
+    return certify_round
+
+
+def never_certified(d, normals, offsets, counts, window):
+    return [None] * counts.size, [None] * counts.size
 
 
 class TestWindowedPins:
@@ -1028,7 +1091,7 @@ class TestWindowedPins:
         # the loop draws the same bands: the same depths, normals and rho,
         # bit for bit
         planar = list(windowed_ball_pins(2, lam, 200, rng.spawn("planar-certificate", lam)))
-        monkeypatch.setattr(models, "_zero_cell_polytope", qhull_zero_cell)
+        monkeypatch.setattr(models, "_zero_cells", round_certificate(qhull_zero_cell))
         qhull = windowed_ball_pins(2, lam, 200, rng.spawn("planar-certificate", lam))
         for (depths, normals, rho), (depths0, normals0, rho0) in zip(planar, qhull, strict=True):
             assert rho == rho0
@@ -1257,6 +1320,22 @@ class TestCroftonCell:
             certified += _zero_cell_polytope(2, normals, offsets, window) is not None
         assert 500 <= certified <= 1500
 
+    def test_planar_area_is_a_left_to_right_sum(self, rng):
+        # the shoelace terms are added one by one from 0.0, as a plain float
+        # loop adds them, whatever the interpreter's sum() does; a correctly
+        # rounded sum (math.fsum, or Python 3.12's compensated sum())
+        # differs in the last bits on some cells, so the test can tell
+        rounded = 0
+        for cell in crofton_cells(2, 300, rng.spawn("area-bits")):
+            x, y = cell.vertices.T.tolist()
+            terms = [x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(len(x))]
+            total = 0.0
+            for term in terms:
+                total += term
+            assert cell.volume == 0.5 * total
+            rounded += cell.volume != 0.5 * math.fsum(terms)
+        assert rounded > 0
+
     def test_area_dual_route(self, rng):
         # the planar area is the shoelace over the counter-clockwise
         # vertices; qhull's hull of the same vertices is the second route
@@ -1313,7 +1392,7 @@ class TestCroftonCell:
 
     def test_unbounded_raises(self, rng, monkeypatch):
         # a cell never certified raises after the enlargement cap
-        monkeypatch.setattr(models, "_zero_cell_polytope", lambda *args: None)
+        monkeypatch.setattr(models, "_zero_cells", never_certified)
         with pytest.raises(UnboundedCellError, match="window 80 after 3 enlargements"):
             crofton_cell(2, rng.spawn("starved"))
 
@@ -1321,6 +1400,135 @@ class TestCroftonCell:
         for d in (1, 5):
             with pytest.raises(ValueError, match="2 <= d <= 4"):
                 crofton_cell(d, rng)
+
+
+def planar_round(rows):
+    """The lines of a round, cell after cell, from rows of (normals,
+    offsets), and the counts of lines per cell."""
+    counts = np.array([len(offsets) for _, offsets in rows], dtype=np.intp)
+    normals = np.vstack([np.reshape(normals, (-1, 2)) for normals, _ in rows])
+    offsets = np.concatenate([np.asarray(offsets, dtype=float) for _, offsets in rows])
+    return normals, offsets, counts
+
+
+def assert_round_as_one_cell_routes(rows, window):
+    """_zero_cells certifies each row of a round as the one-cell routes
+    certify it alone: bit for bit as the plain-float Andrew chain (vertices
+    and area) and as the one-row certificate, with qhull's verdict and
+    vertex set.  Returns the round's vertices."""
+    found, areas = _zero_cells(2, *planar_round(rows), window)
+    assert len(found) == len(areas) == len(rows)
+    for (normals, offsets), verts, area in zip(rows, found, areas):
+        normals, offsets = np.reshape(normals, (-1, 2)), np.asarray(offsets, dtype=float)
+        reference = andrew_zero_cell(normals, offsets, window)
+        alone = _zero_cell_polytope(2, normals, offsets, window)
+        assert (verts is None) == (reference is None) == (alone is None) == (area is None)
+        if verts is not None:
+            assert verts.tolist() == reference[0].tolist() == alone.tolist()
+            assert area == reference[1]
+        assert_same_planar_cell(normals, offsets, window)
+    return found
+
+
+# lines through (1, 0), (0, 1) and (1, 1): q = (1, 0), (0, 1), (0.5, 0.5),
+# exactly collinear, and (-1, -1), so the origin lies inside
+COLLINEAR = (np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, -1.0]]),
+             np.array([1.0, 2.0, 1.0, 1.0]))
+
+
+class TestPlanarRounds:
+    """_zero_cells certifies a round of planar cells in one pass over
+    arrays; every row must come out as the cell certified alone."""
+
+    @pytest.mark.parametrize("window", [10.0, 20.0, 80.0])
+    def test_random_rounds(self, window, rng):
+        # rate-2 rows of mixed lengths, as _windowed_cells hands them over,
+        # with a few rows of 0, 1 and 2 lines mixed in
+        r = rng.spawn("planar-rounds", window)
+        counts = sample_poisson_count(2.0 * window, r, 300)
+        counts[::37] = np.arange(counts[::37].size) % 3
+        rows = [(uniform_directions(2, c, r), r.gen.uniform(0.0, window, c)) for c in counts]
+        found = assert_round_as_one_cell_routes(rows, window)
+        certified = sum(verts is not None for verts in found)
+        assert 0.9 * len(rows) <= certified < len(rows)
+
+    def test_exactly_collinear_polar_points(self):
+        # the middle point of three exactly collinear q is passed over and
+        # the farthest taken, in any line order and in the first step of
+        # the march (the mirrored cell), as Andrew's chain pops it
+        normals, offsets = COLLINEAR
+        rows = [(normals[order], offsets[order])
+                for order in ([0, 1, 2, 3], [1, 0, 3, 2], [3, 2, 1, 0], [2, 3, 0, 1])]
+        rows += [(-normals[order], offsets[order]) for order in ([0, 1, 2, 3], [1, 2, 3, 0])]
+        found = assert_round_as_one_cell_routes(rows, 10.0)
+        for verts in found[:4]:
+            assert verts.tolist() == [[1.0, -2.0], [1.0, 1.0], [-2.0, 1.0]]
+        for verts in found[4:]:
+            assert verts.tolist() == [[-1.0, -1.0], [2.0, -1.0], [-1.0, 2.0]]
+        assert _zero_cells(2, *planar_round(rows[:1]), 10.0)[1] == [4.5]
+
+    def test_duplicate_and_degenerate_rows(self):
+        # duplicate lines leave one vertex per corner; fewer than 3 lines,
+        # fans and slabs (unbounded) and offsets <= 0 are not certified.  In
+        # the quarter fan the origin, a pad, sits between the lines with
+        # normals (1, 0) and (0, -1) on the hull, and both corners it makes
+        # are 0/0: only the determinant turns them down
+        def fan(degrees):
+            ang = np.radians(degrees)
+            return np.column_stack([np.cos(ang), np.sin(ang)])
+
+        twice = (np.vstack([SQUARE, SQUARE]), np.ones(8))
+        slab = (np.array([[1.0, 0.0], [-1.0, 0.0]] * 2), np.array([1.0, 2.0, 1.0, 3.0]))
+        rows = [twice, (SQUARE[:0], []), (SQUARE[:1], [1.0]), (SQUARE[:2], [1.0, 1.0]),
+                (fan((0, 60, 120)), np.ones(3)), (fan((0, 45, 90, 135)), np.ones(4)),
+                slab, (SQUARE, [1.0, 1.0, 1.0, 0.0]), (SQUARE, [1.0, 1.0, 1.0, -1.0]),
+                (np.array([[1.0, 0.0], [0.6, -0.8], [0.0, -1.0]]), np.ones(3)),
+                (fan((0, 120, 240)), np.ones(3)), twice]
+        found = assert_round_as_one_cell_routes(rows, 10.0)
+        assert [verts is not None for verts in found] == [True] + [False] * 9 + [True, True]
+        assert found[0].tolist() == found[-1].tolist() == [
+            [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+
+    def test_vertex_on_the_window(self):
+        # the corners (+-3, +-4) lie at distance exactly 5; the round's one
+        # window of 5 holds the unit square but not them, the next float up
+        # holds both
+        rows = [(SQUARE, [3.0, 4.0, 3.0, 4.0]), (SQUARE, np.ones(4))]
+        assert [v is None for v in assert_round_as_one_cell_routes(rows, 5.0)] == [True, False]
+        found = assert_round_as_one_cell_routes(rows, np.nextafter(5.0, np.inf))
+        assert found[0].tolist() == [[-3.0, -4.0], [3.0, -4.0], [3.0, 4.0], [-3.0, 4.0]]
+
+    def test_subnormal_determinant_uncertified(self):
+        # the lines x = 0.5 and x + 5e-324 y = 0.5 meet at (0.5, 0), but
+        # Cramer's numerators underflow and would give the corner (0, 0);
+        # such a cell is not certified, and a square beside it still is
+        normals = np.array([[np.cos(2.0), np.sin(2.0)], [0.0, -1.0], [1.0, 0.0], [1.0, 5e-324]])
+        rows = [(normals, np.array([1.0, 0.25, 0.5, 0.5])), (SQUARE, np.ones(4))]
+        found, _ = _zero_cells(2, *planar_round(rows), 3.0)
+        assert found[0] is None and found[1] is not None
+        assert _zero_cell_polytope(2, *rows[0], 3.0) is None
+
+    def test_empty_round(self):
+        assert _zero_cells(2, np.empty((0, 2)), np.empty(0), np.empty(0, dtype=np.intp),
+                           10.0) == ([], [])
+
+    @settings(KERNEL_SETTINGS, max_examples=200)
+    @given(rounds=st.lists(LINES, min_size=1, max_size=5), window=WINDOWS)
+    def test_rounds_match_qhull(self, rounds, window):
+        # hypothesis rounds hold near-parallel lines (angles 0 and 1e-30),
+        # where the plain-float chain and the march may keep different
+        # corners of one cell; the verdict and the vertex set are qhull's,
+        # and a row's cell does not depend on the others in its round
+        rows = [pin_arrays(lines)[::-1] if lines else (np.empty((0, 2)), np.empty(0))
+                for lines in rounds]
+        found, areas = _zero_cells(2, *planar_round(rows), window)
+        for (normals, offsets), verts, area in zip(rows, found, areas):
+            alone = _zero_cell_polytope(2, normals, offsets, window)
+            assert (verts is None) == (alone is None)
+            if verts is not None:
+                assert verts.tolist() == alone.tolist()
+                assert area == pytest.approx(ConvexHull(verts).volume, rel=1e-9)
+            assert_same_planar_cell(normals, offsets, window)
 
 
 def per_cell_reference(d, band, first, last, unit):
@@ -1368,11 +1576,12 @@ class StubBand:
     in round r has normal (j, r) and offset 100 j + 10 r + k.  schedule[j]
     is the round in which cell j is certified (None: never), so the band
     knows which cells are open in each round and checks their number, and
-    its certificate checks that a cell sees exactly its own lines."""
+    its round certificate checks that it gets the open cells in order, each
+    with exactly its own lines in draw order."""
 
     def __init__(self, schedule, first, unit):
         self.schedule, self.first, self.unit = schedule, first, unit
-        self.chunks, self.windows, self.certified = [], [], []
+        self.chunks, self.windows, self.certified, self.open_, self.calls = [], [], [], [], []
 
     @staticmethod
     def lines(j, r):
@@ -1395,20 +1604,28 @@ class StubBand:
         open_ = [j for j in range(start, start + self.chunks[-1])
                  if self.schedule[j] is None or self.schedule[j] >= r]
         assert m == len(open_)
+        self.open_.append(open_)
         lines = [line for j in open_ for line in self.lines(j, r)]
         counts = np.array([len(self.lines(j, r)) for j in open_])
         normals = np.array([[j, r] for j, r, _ in lines], dtype=float).reshape(-1, 2)
         offsets = np.array([100.0 * j + 10.0 * r + k for j, r, k in lines])
         return counts, offsets, normals
 
-    def certify(self, d, normals, offsets, window):
-        # the certificate sees offsets and window in units of `unit`
-        j, r = int(normals[0, 0]), self.round_of(window * self.unit)
-        lines = self.lines_to(j, r)
-        assert normals.tolist() == [[j, q] for j, q, _ in lines]
-        assert (offsets * self.unit).tolist() == [100.0 * j + 10.0 * q + k for j, q, k in lines]
-        self.certified.append((j, r))
-        return np.array([[j, r]], dtype=float) if self.schedule[j] == r else None
+    def certify(self, d, normals, offsets, counts, window):
+        # one call per round, after its band; row i holds counts[i] lines,
+        # and the certificate sees offsets and window in units of `unit`
+        r = self.round_of(window * self.unit)
+        self.calls.append(r)
+        assert (len(self.open_), len(counts)) == (len(self.calls), len(self.open_[-1]))
+        found, ends = [], np.cumsum(counts)
+        for j, a, b in zip(self.open_[-1], ends - counts, ends):
+            lines = self.lines_to(j, r)
+            assert normals[a:b].tolist() == [[j, q] for j, q, _ in lines]
+            assert (offsets[a:b] * self.unit).tolist() == [
+                100.0 * j + 10.0 * q + k for j, q, k in lines]
+            self.certified.append((j, r))
+            found.append(np.array([[j, r]], dtype=float) if self.schedule[j] == r else None)
+        return found, [None] * len(found)
 
 
 class TestPooledCells:
@@ -1422,21 +1639,23 @@ class TestPooledCells:
     def run(self, monkeypatch, chunk=None):
         first, last, unit = 1.0, 4.0, 2.0
         stub = StubBand(self.SCHEDULE, first, unit)
-        monkeypatch.setattr(models, "_zero_cell_polytope", stub.certify)
+        monkeypatch.setattr(models, "_zero_cells", stub.certify)
         if chunk is not None:
             monkeypatch.setattr(models, "_CHUNK_CELLS", chunk)
         cells = list(models._windowed_cells(2, len(self.SCHEDULE), stub, first, last, unit))
         assert len(cells) == len(self.SCHEDULE)
-        for j, (normals, offsets, verts, window, doublings) in enumerate(cells):
+        for j, (normals, offsets, verts, area, window, doublings) in enumerate(cells):
             rounds = 2 if self.SCHEDULE[j] is None else self.SCHEDULE[j]
             lines = stub.lines_to(j, rounds)
             assert normals.tolist() == [[j, r] for j, r, _ in lines]
             assert offsets.tolist() == [100.0 * j + 10.0 * r + k for j, r, k in lines]
             assert (window, doublings) == (first * 2**rounds, rounds)
-            assert (verts is None) == (self.SCHEDULE[j] is None)
+            assert (verts is None) == (self.SCHEDULE[j] is None) and area is None
             if verts is not None:
                 assert verts.tolist() == [[j, rounds]]
-        # each cell is certified once in each round it is open
+        # one certificate call per round, and each cell is certified once in
+        # each round it is open
+        assert stub.calls == [stub.round_of(hi) for _, hi in stub.windows]
         assert sorted(stub.certified) == sorted(
             (j, r) for j, last_round in enumerate(self.SCHEDULE)
             for r in range(3 if last_round is None else last_round + 1))
