@@ -554,33 +554,6 @@ def _planar_zero_cells(normals: np.ndarray, offsets: np.ndarray, counts: np.ndar
     return found, areas
 
 
-def _zero_cell_polytope(d: int, normals: np.ndarray, offsets: np.ndarray,
-                        window: float) -> np.ndarray | None:
-    """Exact vertices of {x : <x,n_i> <= p_i}, or None when the cell is not
-    certified bounded and inside the window (no vertex at distance window
-    or more).  d = 2 is a one-row _planar_zero_cells, counter-clockwise;
-    d = 3 and 4 ask qhull."""
-    if d == 2:
-        return _planar_zero_cells(normals, offsets, np.array([offsets.size]), window)[0][0]
-    if normals.shape[0] == 0:
-        return None
-    from scipy.spatial import HalfspaceIntersection, QhullError
-
-    halfspaces = np.column_stack([normals, -offsets])
-    try:
-        hs = HalfspaceIntersection(halfspaces, np.zeros(d))
-        # the origin lies strictly inside the dual hull iff the normals
-        # positively span R^d, that is iff the cell is bounded
-        if not np.all(hs.dual_equations[:, -1] < 0):
-            return None
-        verts = hs.intersections
-        if not np.all(np.isfinite(verts)) or np.max(np.linalg.norm(verts, axis=1)) >= window:
-            return None
-        return verts
-    except QhullError:
-        return None
-
-
 # planar rows certified in one pass: the march's arrays, rows by the longest
 # row's lines, then hold about 1 MB and stay in cache, where a chunk's 1000
 # rows at once took about 4 MB and no less time
@@ -589,24 +562,43 @@ _PLANAR_ROWS = 256
 
 def _zero_cells(d: int, normals: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
                 window: float) -> tuple[list, list]:
-    """_zero_cell_polytope for a round of cells: row i holds the counts[i]
-    lines that follow row i - 1's.  Returns each row's vertices (None when
-    uncertified) and, for d = 2, its area (None for d = 3 and 4).  d = 2
-    certifies _PLANAR_ROWS rows per pass (_planar_zero_cells); d = 3 and 4
-    ask qhull row by row."""
-    rows = _PLANAR_ROWS if d == 2 else 1
+    """Exact vertices of the cells {x : <x,n_i> <= p_i} of a round: row i
+    holds the counts[i] lines that follow row i - 1's.  Returns each row's
+    vertices, None when the cell is not certified bounded and inside the
+    window (no vertex at distance window or more), and, for d = 2, its area
+    (None for d = 3 and 4).  d = 2 certifies _PLANAR_ROWS rows per pass
+    (_planar_zero_cells), the vertices counter-clockwise; d = 3 and 4 ask
+    qhull row by row."""
     ends = np.cumsum(counts).tolist()
     starts = [0] + ends[:-1]
-    found, areas = [], []
-    for i in range(0, counts.size, rows):
-        a, b = starts[i], ends[min(i + rows, counts.size) - 1]
-        if d == 2:
-            block = _planar_zero_cells(normals[a:b], offsets[a:b], counts[i:i + rows], window)
-        else:
-            block = [_zero_cell_polytope(d, normals[a:b], offsets[a:b], window)], [None]
-        found += block[0]
-        areas += block[1]
-    return found, areas
+    if d == 2:
+        found, areas = [], []
+        for i in range(0, counts.size, _PLANAR_ROWS):
+            a, b = starts[i], ends[min(i + _PLANAR_ROWS, counts.size) - 1]
+            block = _planar_zero_cells(normals[a:b], offsets[a:b],
+                                       counts[i:i + _PLANAR_ROWS], window)
+            found += block[0]
+            areas += block[1]
+        return found, areas
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
+    found = [None] * counts.size
+    for i, (a, b) in enumerate(zip(starts, ends)):
+        # qhull raises ValueError, not QhullError, on no half-spaces
+        if a == b:
+            continue
+        try:
+            hs = HalfspaceIntersection(np.column_stack([normals[a:b], -offsets[a:b]]),
+                                       np.zeros(d))
+        except QhullError:
+            continue
+        verts = hs.intersections
+        # the origin lies strictly inside the dual hull iff the normals
+        # positively span R^d, that is iff the cell is bounded
+        if (np.all(hs.dual_equations[:, -1] < 0) and np.all(np.isfinite(verts))
+                and np.max(np.linalg.norm(verts, axis=1)) < window):
+            found[i] = verts
+    return found, [None] * counts.size
 
 
 def _windowed_cells(d: int, n: int,
@@ -620,14 +612,16 @@ def _windowed_cells(d: int, n: int,
     band(lo, hi, m) draws the half-spaces with p in (lo, hi] of m cells at
     once: m Poisson counts, then all the offsets, then all the normals,
     cell after cell.  The bands are (0, first], then (hi, 2 hi] as the
-    window hi doubles up to last.  A chunk's lines are held as flat arrays,
-    each line with the index of its cell, appended round by round; a stable
-    sort by that index gives every open cell its lines in draw order, and
-    _zero_cells certifies all of them in one call per round.  A cell leaves
-    the loop once certified bounded and inside the window, or at the window
-    last.  Half-spaces past a certified window cannot change a cell, and
-    the process on disjoint bands is independent across bands and across
-    cells, so every cell is exact in law and the cells are independent.
+    window hi doubles up to last.  A chunk's arrays hold the open cells'
+    lines only, cell after cell and each cell's in draw order: a round
+    inserts every open cell's new lines behind its earlier ones, and
+    _zero_cells certifies the arrays as they are, in one call.  A cell
+    leaves the loop, taking its slices of the arrays, once certified
+    bounded and inside the window, or at the window last; the other cells'
+    lines are then compacted.  Half-spaces past a certified window cannot
+    change a cell, and the process on disjoint bands is independent across
+    bands and across cells, so every cell is exact in law and the cells are
+    independent.
     The certificate sees the offsets and the window in units of `unit`, a
     cell of size about 1, since qhull's tolerances (d = 3 and 4) are
     absolute.  The cells are drawn in chunks of _CHUNK_CELLS, so memory
@@ -639,33 +633,29 @@ def _windowed_cells(d: int, n: int,
     """
     for start in range(0, n, _CHUNK_CELLS):
         m = min(_CHUNK_CELLS, n - start)
-        owner, normals, offsets = np.empty(0, dtype=np.intp), np.empty((0, d)), np.empty(0)
+        normals, offsets, counts = np.empty((0, d)), np.empty(0), np.zeros(m, dtype=np.intp)
         cells: list = [None] * m
         open_, lo, hi, doublings = np.arange(m), 0.0, first, 0
         while open_.size:
-            counts, new_offsets, new_normals = band(lo, hi, open_.size)
-            owner = np.concatenate([owner, np.repeat(open_, counts)])
-            offsets = np.concatenate([offsets, new_offsets])
-            normals = np.concatenate([normals, new_normals])
-            del new_offsets, new_normals  # the joined copies hold them
-            is_open = np.zeros(m, dtype=bool)
-            is_open[open_] = True
-            mine = np.flatnonzero(is_open[owner])
-            mine = mine[np.argsort(owner[mine], kind="stable")]
-            scaled = offsets[mine]
-            scaled /= unit
-            found, areas = _zero_cells(d, normals[mine], scaled,
-                                       np.bincount(owner, minlength=m)[open_], hi / unit)
-            for j, verts, area in zip(open_.tolist(), found, areas):
+            new, new_offsets, new_normals = band(lo, hi, open_.size)
+            behind = np.repeat(np.cumsum(counts), new)
+            offsets = np.insert(offsets, behind, new_offsets)
+            normals = np.insert(normals, behind, new_normals, axis=0)
+            del new_offsets, new_normals  # the merged copies hold them
+            counts = counts + new
+            found, areas = _zero_cells(d, normals, offsets / unit, counts, hi / unit)
+            ends = np.cumsum(counts).tolist()
+            stays = np.ones(open_.size, dtype=bool)
+            for i, (j, a, b, verts, area) in enumerate(zip(
+                    open_.tolist(), [0] + ends[:-1], ends, found, areas)):
                 if verts is not None or hi >= last:
-                    cells[j] = verts, area, hi, doublings
-            open_ = open_[[cells[j] is None for j in open_.tolist()]]
+                    cells[j] = normals[a:b], offsets[a:b], verts, area, hi, doublings
+                    stays[i] = False
+            held = np.repeat(stays, counts)
+            normals, offsets = normals[held], offsets[held]
+            counts, open_ = counts[stays], open_[stays]
             lo, hi, doublings = hi, min(2.0 * hi, last), doublings + 1
-        order = np.argsort(owner, kind="stable")
-        normals, offsets = normals[order], offsets[order]
-        ends = np.cumsum(np.bincount(owner, minlength=m)).tolist()
-        for a, b, cell in zip([0] + ends[:-1], ends, cells):
-            yield (normals[a:b], offsets[a:b], *cell)
+        yield from cells
 
 
 # a chunk's cells wait, about 1 KB each in the plane, for its last to be

@@ -39,7 +39,6 @@ from randset.models import (
     ShapeKind,
     UnboundedCellError,
     _center_pins,
-    _zero_cell_polytope,
     _zero_cells,
     cone,
     count_scale,
@@ -400,7 +399,7 @@ _GUARD_CALLS = {
     # qhull raises ValueError("No points given") on no half-spaces, not
     # QhullError, so the guard before it is what returns None
     "zero-cell-no-half-spaces": (
-        lambda rng: _zero_cell_polytope(3, np.empty((0, 3)), np.empty(0), 10.0),
+        lambda rng: zero_cell(3, np.empty((0, 3)), np.empty(0), 10.0),
         lambda out: out is None),
     # intersection_radius checks the pin dimension itself (pins-dimension),
     # so the circles are the one route into _binding_min's own check
@@ -880,8 +879,13 @@ class TestExitKernelProperties:
         assert np.max(np.abs(by_pins - by_centers)) <= 1e-12
 
 
+def zero_cell(d, normals, offsets, window):
+    """One cell's vertices by _zero_cells, in a round of one row."""
+    return _zero_cells(d, normals, offsets, np.array([offsets.size]), window)[0][0]
+
+
 def qhull_zero_cell(d, normals, offsets, window):
-    """The reference route to _zero_cell_polytope: qhull's vertices of
+    """The reference route to zero_cell: qhull's vertices of
     {x : <x, n_i> <= p_i}, or None when qhull does not certify the cell
     bounded (the origin strictly inside the dual hull) and inside the
     window."""
@@ -1215,7 +1219,7 @@ class TestConvexity:
 def assert_same_planar_cell(normals, offsets, window):
     """The planar polar hull and qhull give the same verdict and, on a
     certified cell, the same vertex set and the same area."""
-    verts = _zero_cell_polytope(2, normals, offsets, window)
+    verts = zero_cell(2, normals, offsets, window)
     reference = qhull_zero_cell(2, normals, offsets, window)
     assert (verts is None) == (reference is None)
     if verts is None:
@@ -1238,25 +1242,48 @@ class TestCroftonCell:
     def test_square_polytope(self):
         # the planar vertices come back counter-clockwise
         normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        verts = _zero_cell_polytope(2, normals, np.ones(4), 10.0)
+        verts = zero_cell(2, normals, np.ones(4), 10.0)
         vol = ConvexHull(verts).volume
         assert vol == pytest.approx(4.0, abs=1e-12)
         assert verts.tolist() == [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
     def test_cube_polytope(self):
         normals = np.vstack([np.eye(3), -np.eye(3)])
-        verts = _zero_cell_polytope(3, normals, np.ones(6), 10.0)
+        verts = zero_cell(3, normals, np.ones(6), 10.0)
         vol = ConvexHull(verts).volume
         assert vol == pytest.approx(8.0, abs=1e-9)
         assert verts.shape[0] == 8
+
+    def test_qhull_round_rows(self):
+        # a round of d = 3 rows, each row cut out of the round's arrays:
+        # every row comes out as qhull certifies it alone, the empty and
+        # the unbounded row between two bounded cells too
+        s = np.sqrt(0.5)
+        cone_normals = np.array([[s, 0, s], [-s, 0, s], [0, s, s], [0, -s, s], [0, 0, 1.0]])
+        simplex = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                            [-1.0, -1.0, 1.0]]) / np.sqrt(3.0)
+        rows = [(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
+                (np.empty((0, 3)), np.empty(0)),
+                (cone_normals, np.ones(5)),
+                (simplex, np.full(4, 0.5))]
+        found, areas = _zero_cells(3, np.vstack([normals for normals, _ in rows]),
+                                   np.concatenate([offsets for _, offsets in rows]),
+                                   np.array([offsets.size for _, offsets in rows]), 10.0)
+        assert [verts is None for verts in found] == [False, True, True, False]
+        assert areas == [None] * len(rows)
+        for (normals, offsets), verts in zip(rows, found):
+            alone = qhull_zero_cell(3, normals, offsets, 10.0)
+            assert (verts is None) == (alone is None)
+            if verts is not None:
+                assert np.array_equal(verts, alone)
 
     def test_uncertified_returns_none(self):
         # a slab is unbounded: must not be certified at any window, however
         # many parallel lines bound it
         normals = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert _zero_cell_polytope(2, normals, np.ones(2), 10.0) is None
+        assert zero_cell(2, normals, np.ones(2), 10.0) is None
         slab = np.vstack([normals, normals])
-        assert _zero_cell_polytope(2, slab, np.array([1.0, 2.0, 1.0, 3.0]), 10.0) is None
+        assert zero_cell(2, slab, np.array([1.0, 2.0, 1.0, 3.0]), 10.0) is None
 
     def test_unbounded_cells_uncertified(self):
         # normals inside a closed half-space leave an unbounded cell, though
@@ -1266,12 +1293,12 @@ class TestCroftonCell:
             return np.column_stack([np.cos(ang), np.sin(ang)])
 
         for degrees in ((0, 60, 120), (0, 45, 90, 135), (10, 100, 170)):
-            assert _zero_cell_polytope(2, fan(degrees), np.ones(len(degrees)), 10.0) is None
+            assert zero_cell(2, fan(degrees), np.ones(len(degrees)), 10.0) is None
             assert_same_planar_cell(fan(degrees), np.ones(len(degrees)), 10.0)
         s = np.sqrt(0.5)
         cone_normals = np.array([[s, 0, s], [-s, 0, s], [0, s, s], [0, -s, s], [0, 0, 1.0]])
-        assert _zero_cell_polytope(3, cone_normals, np.ones(5), 10.0) is None
-        verts = _zero_cell_polytope(2, fan((0, 120, 240)), np.ones(3), 10.0)
+        assert zero_cell(3, cone_normals, np.ones(5), 10.0) is None
+        verts = zero_cell(2, fan((0, 120, 240)), np.ones(3), 10.0)
         vol = ConvexHull(verts).volume
         assert vol == pytest.approx(3.0 * np.sqrt(3.0), rel=1e-12)
         assert verts.shape[0] == 3
@@ -1280,16 +1307,16 @@ class TestCroftonCell:
     def test_planar_degenerate_inputs(self):
         # fewer than 3 lines bound nothing
         for k in range(3):
-            assert _zero_cell_polytope(2, SQUARE[:k], np.ones(k), 10.0) is None
+            assert zero_cell(2, SQUARE[:k], np.ones(k), 10.0) is None
         # the origin must lie strictly inside: a zero or negative offset
         # is not certified (qhull raises on it)
         for bad in (0.0, -1.0):
             offsets = np.array([1.0, 1.0, 1.0, bad])
-            assert _zero_cell_polytope(2, SQUARE, offsets, 10.0) is None
+            assert zero_cell(2, SQUARE, offsets, 10.0) is None
             assert_same_planar_cell(SQUARE, offsets, 10.0)
         # duplicate lines leave one vertex per corner
         twice = np.vstack([SQUARE, SQUARE])
-        verts = _zero_cell_polytope(2, twice, np.ones(8), 10.0)
+        verts = zero_cell(2, twice, np.ones(8), 10.0)
         assert verts.tolist() == [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
         assert_same_planar_cell(twice, np.ones(8), 10.0)
 
@@ -1297,8 +1324,8 @@ class TestCroftonCell:
         # the corners (+-3, +-4) lie at distance exactly 5: a window of 5
         # does not hold them, the next float up does
         offsets = np.array([3.0, 4.0, 3.0, 4.0])
-        assert _zero_cell_polytope(2, SQUARE, offsets, 5.0) is None
-        verts = _zero_cell_polytope(2, SQUARE, offsets, np.nextafter(5.0, np.inf))
+        assert zero_cell(2, SQUARE, offsets, 5.0) is None
+        verts = zero_cell(2, SQUARE, offsets, np.nextafter(5.0, np.inf))
         assert verts.tolist() == [[-3.0, -4.0], [3.0, -4.0], [3.0, 4.0], [-3.0, 4.0]]
 
     @settings(KERNEL_SETTINGS, max_examples=300)
@@ -1317,7 +1344,7 @@ class TestCroftonCell:
             n = sample_poisson_count(2.0 * window, r)
             normals, offsets = uniform_directions(2, n, r), r.gen.uniform(0.0, window, n)
             assert_same_planar_cell(normals, offsets, window)
-            certified += _zero_cell_polytope(2, normals, offsets, window) is not None
+            certified += zero_cell(2, normals, offsets, window) is not None
         assert 500 <= certified <= 1500
 
     def test_planar_area_is_a_left_to_right_sum(self, rng):
@@ -1421,7 +1448,7 @@ def assert_round_as_one_cell_routes(rows, window):
     for (normals, offsets), verts, area in zip(rows, found, areas):
         normals, offsets = np.reshape(normals, (-1, 2)), np.asarray(offsets, dtype=float)
         reference = andrew_zero_cell(normals, offsets, window)
-        alone = _zero_cell_polytope(2, normals, offsets, window)
+        alone = zero_cell(2, normals, offsets, window)
         assert (verts is None) == (reference is None) == (alone is None) == (area is None)
         if verts is not None:
             assert verts.tolist() == reference[0].tolist() == alone.tolist()
@@ -1506,7 +1533,7 @@ class TestPlanarRounds:
         rows = [(normals, np.array([1.0, 0.25, 0.5, 0.5])), (SQUARE, np.ones(4))]
         found, _ = _zero_cells(2, *planar_round(rows), 3.0)
         assert found[0] is None and found[1] is not None
-        assert _zero_cell_polytope(2, *rows[0], 3.0) is None
+        assert zero_cell(2, *rows[0], 3.0) is None
 
     def test_empty_round(self):
         assert _zero_cells(2, np.empty((0, 2)), np.empty(0), np.empty(0, dtype=np.intp),
@@ -1523,7 +1550,7 @@ class TestPlanarRounds:
                 for lines in rounds]
         found, areas = _zero_cells(2, *planar_round(rows), window)
         for (normals, offsets), verts, area in zip(rows, found, areas):
-            alone = _zero_cell_polytope(2, normals, offsets, window)
+            alone = zero_cell(2, normals, offsets, window)
             assert (verts is None) == (alone is None)
             if verts is not None:
                 assert verts.tolist() == alone.tolist()
@@ -1540,7 +1567,7 @@ def per_cell_reference(d, band, first, last, unit):
         new_normals, new_offsets = band(lo, hi)
         normals = np.vstack([normals, new_normals])
         offsets = np.concatenate([offsets, new_offsets])
-        verts = _zero_cell_polytope(d, normals, offsets / unit, hi / unit)
+        verts = zero_cell(d, normals, offsets / unit, hi / unit)
         if verts is not None or hi >= last:
             return normals, offsets, verts, hi, doublings
         lo, hi, doublings = hi, min(2.0 * hi, last), doublings + 1
