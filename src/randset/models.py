@@ -172,8 +172,8 @@ def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.nd
     """Radial exit distance along each unit direction of the ball of radius
     rmax intersected with the copies of `shape` pinned at p_i * Theta_i.
 
-    pin_radii, pin_dirs and dirs have shapes (n,), (n, d) and (m, d); the
-    pin directions must be finite.  Ball pins must lie in [0, 1], half-space
+    pin_radii, pin_dirs and dirs have shapes (n,), (n, d) and (m, d), and
+    all directions must be finite.  Ball pins must lie in [0, 1], half-space
     and cone offsets must be positive.  Directions no copy closes off, and
     every direction when there are no pins, stay at rmax.  Ball pins are
     evaluated from their centers p * Theta (_ball_exit), the others from
@@ -197,6 +197,8 @@ def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.nd
         raise ValueError("offsets must be positive (origin strictly inside)")
     if not np.all(np.isfinite(th)):
         raise ValueError("pin directions must be finite")
+    if not np.all(np.isfinite(dirs)):
+        raise ValueError("directions must be finite")
     if p.size == 0:
         return np.full(dirs.shape[0], rmax)
     b0, slope = _pin_bound(shape)
@@ -274,8 +276,7 @@ def _binding_min(exit_, vecs: np.ndarray, params: np.ndarray, bound: np.ndarray,
     first = bound <= np.partition(bound, k)[k]
     t = evaluate(first)
     margin = _CULL_MARGIN * max(1.0, float(np.max(params)))
-    # fmin: a NaN radius (from a NaN direction) reaches the cap
-    second = bound <= float(np.fmin(np.max(t, initial=0.0), cap)) + margin
+    second = bound <= min(float(np.max(t, initial=0.0)), cap) + margin
     return evaluate(second) if np.any(second & ~first) else t
 
 
@@ -493,34 +494,29 @@ def _polar_hulls(qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _planar_zero_cells(normals: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
-                       window: float) -> tuple[list, list]:
-    """_zero_cells for d = 2: the polar hulls of every row at once, as arrays.
+                       ok: np.ndarray, window: float) -> tuple[list, list]:
+    """_zero_cells for d = 2 on the rows that pass its row rule (ok): the
+    polar hulls of every such row at once, as arrays.
 
-    With every p_i > 0 a row's cell is {x : <x, q_i> <= 1}, q_i = n_i / p_i.
-    It is bounded iff the origin lies strictly inside conv{q_i}, and then
-    each counter-clockwise edge (a, b) of that hull is the cell vertex where
-    lines a and b meet.  The rows' q are padded with the origin to one
-    column more than the longest row, and _polar_hulls marches on all of
-    them together, so the vertices come back counter-clockwise, one per
-    cell corner.  The edge test is the sign of Cramer's determinant for
-    lines a and b, p_a p_b cross(q_a, q_b), so the vertex solve never
-    divides by zero; a subnormal one is not certified (_DET_MIN).  A row
-    whose hull holds a pad has the origin outside or on it, and the pad's
-    zero normal fails the edge test; nor is a row of fewer than 3 lines or
-    with an offset <= 0 certified.  The
-    areas are the shoelace sums over the vertices, added left to right from
-    0.0, so their bits do not depend on how an interpreter sums.  Overflows
-    give inf, as plain floats do.
+    Each counter-clockwise edge (a, b) of the polar hull conv{q_i} is the
+    cell vertex where lines a and b meet.  The rows' q are padded with the
+    origin to one column more than the longest row, and _polar_hulls
+    marches on all of them together, so the vertices come back
+    counter-clockwise, one per cell corner.  The edge test is the sign of
+    Cramer's determinant for lines a and b, p_a p_b cross(q_a, q_b), so the
+    vertex solve never divides by zero; a subnormal one is not certified
+    (_DET_MIN).  A row whose hull holds a pad has the origin outside or on
+    it, and the pad's zero normal fails the edge test.  The areas are the
+    shoelace sums over the vertices, added left to right from 0.0, so their
+    bits do not depend on how an interpreter sums.  Overflows give inf, as
+    plain floats do.
     """
     m = counts.size
     found, areas = [None] * m, [None] * m
-    row = np.repeat(np.arange(m), counts)
-    ok = counts >= 3
-    ok[row[offsets <= 0.0]] = False
     rows = np.flatnonzero(ok)
     if rows.size == 0:
         return found, areas
-    lines = ok[row]
+    lines = np.repeat(ok, counts)
     size = counts[rows]
     k = int(size.max()) + 1  # every row has a pad
     real = np.arange(k) < size[:, None]
@@ -566,38 +562,42 @@ def _zero_cells(d: int, normals: np.ndarray, offsets: np.ndarray, counts: np.nda
     holds the counts[i] lines that follow row i - 1's.  Returns each row's
     vertices, None when the cell is not certified bounded and inside the
     window (no vertex at distance window or more), and, for d = 2, its area
-    (None for d = 3 and 4).  d = 2 certifies _PLANAR_ROWS rows per pass
+    (None for d = 3 and 4).  With every p_i > 0 the cell is the polar of
+    conv{q_i}, q_i = n_i / p_i: bounded iff the origin lies strictly inside
+    that hull, with the vertex -a / b for each of its facets <a, y> + b = 0
+    (b < 0).  So a row of fewer than d + 1 lines, or with an offset <= 0,
+    is not certified.  d = 2 marches on _PLANAR_ROWS rows per pass
     (_planar_zero_cells), the vertices counter-clockwise; d = 3 and 4 ask
-    qhull row by row."""
+    qhull for each row's hull, whose triangulated facets repeat a vertex
+    where more than d facets of the cell meet."""
     ends = np.cumsum(counts).tolist()
     starts = [0] + ends[:-1]
+    ok = counts > d
+    ok[np.repeat(np.arange(counts.size), counts)[offsets <= 0.0]] = False
     if d == 2:
         found, areas = [], []
         for i in range(0, counts.size, _PLANAR_ROWS):
             a, b = starts[i], ends[min(i + _PLANAR_ROWS, counts.size) - 1]
-            block = _planar_zero_cells(normals[a:b], offsets[a:b],
-                                       counts[i:i + _PLANAR_ROWS], window)
+            block = _planar_zero_cells(normals[a:b], offsets[a:b], counts[i:i + _PLANAR_ROWS],
+                                       ok[i:i + _PLANAR_ROWS], window)
             found += block[0]
             areas += block[1]
         return found, areas
-    from scipy.spatial import HalfspaceIntersection, QhullError
+    from scipy.spatial import ConvexHull, QhullError
 
     found = [None] * counts.size
-    for i, (a, b) in enumerate(zip(starts, ends)):
-        # qhull raises ValueError, not QhullError, on no half-spaces
-        if a == b:
-            continue
-        try:
-            hs = HalfspaceIntersection(np.column_stack([normals[a:b], -offsets[a:b]]),
-                                       np.zeros(d))
-        except QhullError:
-            continue
-        verts = hs.intersections
-        # the origin lies strictly inside the dual hull iff the normals
-        # positively span R^d, that is iff the cell is bounded
-        if (np.all(hs.dual_equations[:, -1] < 0) and np.all(np.isfinite(verts))
-                and np.max(np.linalg.norm(verts, axis=1)) < window):
-            found[i] = verts
+    # q of a row left out, or a vertex of a facet through or near the
+    # origin, may divide by zero or overflow; such a vertex fails the window
+    with np.errstate(all="ignore"):
+        q = normals / offsets[:, None]
+        for i in np.flatnonzero(ok).tolist():
+            try:
+                eq = ConvexHull(q[starts[i]:ends[i]]).equations
+            except QhullError:
+                continue
+            verts = eq[:, :-1] / -eq[:, -1:]
+            if np.all(eq[:, -1] < 0) and np.max(np.linalg.norm(verts, axis=1)) < window:
+                found[i] = verts
     return found, [None] * counts.size
 
 
@@ -801,8 +801,8 @@ class TessellationCell:
 def _circle_exit(dot, s2):
     """First positive root of t^2 - 2 t dot + s2 = 1, the first crossing
     with the unit circle centered at c, with dot = <dir, c> and s2 = |c|^2;
-    +inf when the ray meets none.  A negative discriminant, or a NaN
-    direction, makes both roots NaN, which no comparison passes."""
+    +inf when the ray meets none.  A negative discriminant makes both roots
+    NaN, which no comparison passes."""
     t = np.asarray(dot * dot)
     t += 1.0
     t -= s2
@@ -818,16 +818,18 @@ def first_circle_crossing(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Distance along each unit direction to the first crossing with any of
     the unit circles centered at `centers`, or +inf when a ray meets none.
 
-    Centers must be finite and may lie inside or outside the unit sphere.
-    Roots of t^2 - 2 t <dir,c> + |c|^2 - 1 = 0 give the crossings; circles
-    around interior centers enclose the origin and always provide one
-    positive root, exterior ones contribute only when hit tangentially or
-    better.  Every point of the circle lies at least |1 - |c|| from the
-    origin, so only the centers with |1 - |c|| at most the largest crossing
-    are evaluated (_binding_min): the distances are those of every center,
-    bit for bit.
+    Centers and directions must be finite; the centers may lie inside or
+    outside the unit sphere.  Roots of t^2 - 2 t <dir,c> + |c|^2 - 1 = 0
+    give the crossings; circles around interior centers enclose the origin
+    and always provide one positive root, exterior ones contribute only
+    when hit tangentially or better.  Every point of the circle lies at
+    least |1 - |c|| from the origin, so only the centers with |1 - |c|| at
+    most the largest crossing are evaluated (_binding_min): the distances
+    are those of every center, bit for bit.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if not np.all(np.isfinite(dirs)):
+        raise ValueError("directions must be finite")
     centers = np.asarray(centers, dtype=float)
     if centers.size == 0:
         return np.full(dirs.shape[0], np.inf)

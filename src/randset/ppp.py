@@ -130,19 +130,13 @@ def invert_increasing(fn, y, lo: float, hi: float, slope=None) -> np.ndarray | f
     fhi = float(np.asarray(fn(hi), dtype=float))
     if not np.all((y >= flo - 1e-12) & (y <= fhi + 1e-12)):
         raise ValueError("target outside the range of fn on [lo, hi]")
-    x = np.where(y < fhi, float(lo), float(hi))
+    root = np.where(y < fhi, float(lo), float(hi))
     inner = (y > flo) & (y < fhi)
-    if np.any(inner):
-        x[inner] = _newton_bisect(fn, y[inner], float(lo), float(hi), flo, slope)
-    return float(x[0]) if scalar else x
-
-
-def _newton_bisect(fn, y: np.ndarray, lo: float, hi: float, flo: float,
-                   slope) -> np.ndarray:
-    """invert_increasing's loop over the targets strictly inside the range,
-    from x = lo with fn(lo) = flo."""
-    a = np.full(y.shape, lo)
-    b = np.full(y.shape, hi)
+    if not np.any(inner):
+        return float(root[0]) if scalar else root
+    y = y[inner]
+    a = np.full(y.shape, float(lo))
+    b = np.full(y.shape, float(hi))
     x, fx = a, np.full(y.shape, flo)
     for _ in range(_ROOT_MAX_ITER):
         below = fx < y
@@ -162,7 +156,8 @@ def _newton_bisect(fn, y: np.ndarray, lo: float, hi: float, flo: float,
         if np.max(size) < _ROOT_TOL:
             break
         fx = np.asarray(fn(x), dtype=float)
-    return x
+    root[inner] = x
+    return float(root[0]) if scalar else root
 
 
 def radial_law_from_cdf(name: str, cdf: Callable) -> RadialMeasure:

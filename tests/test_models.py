@@ -67,6 +67,7 @@ from randset.ppp import (
     coupon_bound,
     coupon_empirical,
     depth_radial_law,
+    poisson_band,
     poisson_log_tail_check,
     radial_law_from_cdf,
     sample_ball_uniform,
@@ -379,6 +380,18 @@ _OUT_OF_RANGE_CALLS = {
         BALL, [0.5], [[1.0, 0.0]], [[1.0, 0.0]], rmax=np.nan),
     "first_circle_crossing": lambda: first_circle_crossing([[np.nan, 0.0]], [[1.0, 0.0]]),
     "first_circle_crossing-inf": lambda: first_circle_crossing([[np.inf, 0.0]], [[1.0, 0.0]]),
+    "intersection_radius-direction": lambda: intersection_radius(
+        BALL, [0.5], [[1.0, 0.0]], [[np.nan, 0.0]]),
+    "intersection_radius-direction-inf": lambda: intersection_radius(
+        HALF_SPACE, [0.5], [[1.0, 0.0]], [[np.inf, 0.0]]),
+    "intersection_radius-direction-no-pins": lambda: intersection_radius(
+        cone(1.0), [], np.empty((0, 2)), [[np.nan, 0.0]]),
+    "first_circle_crossing-direction": lambda: first_circle_crossing(
+        [[0.5, 0.0]], [[np.nan, 0.0]]),
+    "first_circle_crossing-direction-inf": lambda: first_circle_crossing(
+        [[0.5, 0.0]], [[-np.inf, 0.0]]),
+    "first_circle_crossing-direction-no-centers": lambda: first_circle_crossing(
+        np.empty((0, 2)), [[np.inf, 0.0]]),
     "DirectionGrid": lambda: DirectionGrid(2, np.array([[np.nan, 0.0]])),
 }
 
@@ -396,8 +409,8 @@ def _fair_signs(u) -> bool:
 # branches no other test reaches: a call and what it must give, either a
 # check of its result or the message of the ValueError it raises
 _GUARD_CALLS = {
-    # qhull raises ValueError("No points given") on no half-spaces, not
-    # QhullError, so the guard before it is what returns None
+    # a row of fewer than d + 1 lines fails _zero_cells' row rule before
+    # any hull is asked for
     "zero-cell-no-half-spaces": (
         lambda rng: zero_cell(3, np.empty((0, 3)), np.empty(0), 10.0),
         lambda out: out is None),
@@ -1273,6 +1286,29 @@ class TestCroftonCell:
         assert areas == [None] * len(rows)
         for (normals, offsets), verts in zip(rows, found):
             alone = qhull_zero_cell(3, normals, offsets, 10.0)
+            assert (verts is None) == (alone is None)
+            if verts is not None:
+                assert np.array_equal(verts, alone)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_polar_hull_round_as_qhull(self, d, rng):
+        # a round of first-window rate-2 rows, then the open row
+        # {x_i <= 1, -x_1 <= 1}, whose dual hull has facets through the
+        # origin: every row is certified as qhull's halfspace intersection
+        # certifies it alone, bit for bit, and the open row warns of no
+        # division by zero
+        root = rng.spawn("polar-hull-round", d)
+        counts, offsets = poisson_band(20.0, 0.0, 10.0, root, 300)
+        normals = uniform_directions(d, offsets.size, root)
+        normals = np.vstack([normals, np.eye(d), -np.eye(d)[:1]])
+        offsets = np.concatenate([offsets, np.ones(d + 1)])
+        counts = np.append(counts, d + 1)
+        found, areas = _zero_cells(d, normals, offsets, counts, 10.0)
+        assert found[-1] is None and areas == [None] * counts.size
+        assert sum(verts is not None for verts in found) > 30
+        ends = np.cumsum(counts)
+        for verts, a, b in zip(found, ends - counts, ends):
+            alone = qhull_zero_cell(d, normals[a:b], offsets[a:b], 10.0)
             assert (verts is None) == (alone is None)
             if verts is not None:
                 assert np.array_equal(verts, alone)
