@@ -40,6 +40,16 @@ def validate_count(n, name: str, minimum: int = 0) -> int:
     return int(n)
 
 
+def validate_unit_rows(points: np.ndarray, name: str) -> None:
+    """Check that every row of points is finite and of unit length to
+    within 1e-9."""
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"{name} must be finite")
+    with np.errstate(over="ignore"):  # a finite row's norm may overflow to inf
+        if not np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-9):
+            raise ValueError(f"{name} must be unit vectors")
+
+
 _MAX_BALL_DIM = 341
 
 
@@ -152,9 +162,7 @@ class DirectionGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, dim) array")
-        norms = np.linalg.norm(pts, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):
-            raise ValueError("grid rows must be unit vectors")
+        validate_unit_rows(pts, "grid rows")
         object.__setattr__(self, "points", pts)
 
     @property

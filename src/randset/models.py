@@ -20,6 +20,7 @@ from .geomcore import (
     validate_count,
     validate_dimension,
     validate_intensity,
+    validate_unit_rows,
 )
 from .ppp import (
     RadialMeasure,
@@ -172,15 +173,15 @@ def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.nd
     """Radial exit distance along each unit direction of the ball of radius
     rmax intersected with the copies of `shape` pinned at p_i * Theta_i.
 
-    pin_radii, pin_dirs and dirs have shapes (n,), (n, d) and (m, d), and
-    all directions must be finite.  Ball pins must lie in [0, 1], half-space
-    and cone offsets must be positive.  Directions no copy closes off, and
-    every direction when there are no pins, stay at rmax.  Ball pins are
-    evaluated from their centers p * Theta (_ball_exit), the others from
-    <dir, Theta> (exit_distance).  No exit of a pin falls below its bound
-    b(p) (_pin_bound), so only the pins whose bound is at most the largest
-    radius are evaluated (_binding_min): the radii are those of every pin,
-    bit for bit.
+    pin_radii, pin_dirs and dirs have shapes (n,), (n, d) and (m, d), all
+    directions must be finite and dirs unit.  Ball pins must lie in [0, 1],
+    half-space and cone offsets must be positive.  Directions no copy closes
+    off, and every direction when there are no pins, stay at rmax.  Ball
+    pins are evaluated from their centers p * Theta (_ball_exit), the others
+    from <dir, Theta> (exit_distance).  No exit of a pin falls below its
+    bound b(p) (_pin_bound), so only the pins whose bound is at most the
+    largest radius are evaluated (_binding_min): the radii are those of
+    every pin, bit for bit.
     """
     if not rmax > 0:
         raise ValueError("rmax must be > 0")
@@ -197,8 +198,7 @@ def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.nd
         raise ValueError("offsets must be positive (origin strictly inside)")
     if not np.all(np.isfinite(th)):
         raise ValueError("pin directions must be finite")
-    if not np.all(np.isfinite(dirs)):
-        raise ValueError("directions must be finite")
+    validate_unit_rows(dirs, "directions")
     if p.size == 0:
         return np.full(dirs.shape[0], rmax)
     b0, slope = _pin_bound(shape)
@@ -416,7 +416,7 @@ class CroftonCell:
 
 
 # the keys of exactly collinear points differ by a few rounding errors, and
-# every key lies in [-1, 1]
+# every key lies in [-3, 1] or is -inf
 _TIE = 1e-12
 # Cramer's numerators underflow for lines parallel to within a subnormal
 # determinant (normals of about 1e-308 radians apart), so the vertex solve
@@ -429,11 +429,15 @@ def _polar_hulls(qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Jarvis march over all rows.
 
     Each row starts at its least (x, y, column) and each step takes the
-    point of least turn from the last edge, the first edge turning from
+    point of least turn from the last edge e, the first edge turning from
     -e2, and of the points exactly collinear with that one the farthest:
     the vertices and order of Andrew's monotone chain with collinear points
-    popped.  Returns the hull's columns, the start repeated at the end, and
-    the number of vertices of each row (0 if the march did not close).
+    popped.  One key per step ranks every point v by its full turn from e:
+    along / (|along| + |across|) of v - cur left of e, from 1 straight on
+    to -1 straight back, -2 minus that right of e, where only rounding puts
+    a point, and -inf for a copy of the current point (0/0).  Returns the
+    hull's columns, the start repeated at the end, and the number of
+    vertices of each row (0 if the march did not close).
     """
     rows, k = qx.shape
     least = qx == qx.min(axis=1, keepdims=True)
@@ -447,37 +451,23 @@ def _polar_hulls(qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for step in range(1, k + 1):
         if not live.size:
             break
-        at = np.arange(live.size)
         cx, cy = qx[live, cur], qy[live, cur]
         dx, dy = qx[live], qy[live]
         dx -= cx[:, None]
         dy -= cy[:, None]
-        # a point left of the last edge e turns from it by an angle that
-        # along / spread, spread = |<e, v>| + cross(e, v), ranks: 1 straight
-        # on, -1 straight back, which the current point (v = 0) is given
         along = ex[:, None] * dx
         along += ey[:, None] * dy
-        along[at, cur] = -1.0
         across = ex[:, None] * dy
         across -= ey[:, None] * dx
-        spread = np.abs(along)
-        spread += across
-        key = np.divide(along, spread, out=spread)
+        key = np.abs(along)
+        key += np.abs(across)
+        np.divide(along, key, out=key)
+        np.subtract(-2.0, key, out=key, where=across < 0.0)
+        np.fmax(key, -np.inf, out=key)  # a copy of the current point's 0/0
         nxt = np.argmax(key, axis=1)
-        # rows that picked a copy of the current point (key NaN) or a point
-        # right of e, which only rounding puts there and whose key above is
-        # not its turn: rank every point by its full turn, right of e below
-        # all points left of it
-        odd = np.flatnonzero(np.isnan(key[at, nxt]) | (across[at, nxt] < 0.0))
-        if odd.size:
-            a, c = along[odd], across[odd]
-            turn = a / (np.abs(a) + np.abs(c))
-            turn = np.where(c < 0.0, -2.0 - turn, turn)
-            key[odd] = np.where(np.isnan(turn), -np.inf, turn)
-            nxt[odd] = np.argmax(key[odd], axis=1)
         # rows where another point's key is within rounding of the best:
         # of the points exactly collinear with the chosen one, the farthest
-        best = key[at, nxt]
+        best = key[np.arange(live.size), nxt]
         tied = np.flatnonzero(np.count_nonzero(key >= (best - _TIE)[:, None], axis=1) > 1)
         if tied.size:
             tx, ty, pick = dx[tied], dy[tied], (np.arange(tied.size), nxt[tied])
@@ -499,17 +489,19 @@ def _planar_zero_cells(normals: np.ndarray, offsets: np.ndarray, counts: np.ndar
     polar hulls of every such row at once, as arrays.
 
     Each counter-clockwise edge (a, b) of the polar hull conv{q_i} is the
-    cell vertex where lines a and b meet.  The rows' q are padded with the
-    origin to one column more than the longest row, and _polar_hulls
-    marches on all of them together, so the vertices come back
-    counter-clockwise, one per cell corner.  The edge test is the sign of
-    Cramer's determinant for lines a and b, p_a p_b cross(q_a, q_b), so the
-    vertex solve never divides by zero; a subnormal one is not certified
-    (_DET_MIN).  A row whose hull holds a pad has the origin outside or on
-    it, and the pad's zero normal fails the edge test.  The areas are the
-    shoelace sums over the vertices, added left to right from 0.0, so their
-    bits do not depend on how an interpreter sums.  Overflows give inf, as
-    plain floats do.
+    cell vertex where lines a and b meet.  Rows shorter than the longest
+    are padded with the origin, and _polar_hulls marches on all of them
+    together, so the vertices come back counter-clockwise, one per cell
+    corner.  The only test of boundedness is each edge's sign of Cramer's
+    determinant for lines a and b, p_a p_b cross(q_a, q_b): the origin lies
+    strictly inside the hull of a row's own q iff every edge has
+    cross(q_a, q_b) > 0, the plane's form of the b < 0 rule of _zero_cells.
+    A pad thus never decides: inside the hull it is passed over, and an
+    edge at its zero normal has determinant 0.  The vertex solve never
+    divides by zero; a subnormal determinant is not certified (_DET_MIN).
+    The areas are the shoelace sums over the vertices, added left to right
+    from 0.0, so their bits do not depend on how an interpreter sums.
+    Overflows give inf, as plain floats do.
     """
     m = counts.size
     found, areas = [None] * m, [None] * m
@@ -518,7 +510,7 @@ def _planar_zero_cells(normals: np.ndarray, offsets: np.ndarray, counts: np.ndar
         return found, areas
     lines = np.repeat(ok, counts)
     size = counts[rows]
-    k = int(size.max()) + 1  # every row has a pad
+    k = int(size.max())
     real = np.arange(k) < size[:, None]
     nx, ny, p = np.zeros((rows.size, k)), np.zeros((rows.size, k)), np.ones((rows.size, k))
     nx[real], ny[real], p[real] = normals[lines, 0], normals[lines, 1], offsets[lines]
@@ -818,18 +810,17 @@ def first_circle_crossing(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Distance along each unit direction to the first crossing with any of
     the unit circles centered at `centers`, or +inf when a ray meets none.
 
-    Centers and directions must be finite; the centers may lie inside or
-    outside the unit sphere.  Roots of t^2 - 2 t <dir,c> + |c|^2 - 1 = 0
-    give the crossings; circles around interior centers enclose the origin
-    and always provide one positive root, exterior ones contribute only
-    when hit tangentially or better.  Every point of the circle lies at
+    Centers and directions must be finite, the directions unit; the centers
+    may lie inside or outside the unit sphere.  Roots of
+    t^2 - 2 t <dir,c> + |c|^2 - 1 = 0 give the crossings; circles around
+    interior centers enclose the origin and always provide one positive
+    root, exterior ones contribute only when hit tangentially or better.  Every point of the circle lies at
     least |1 - |c|| from the origin, so only the centers with |1 - |c|| at
     most the largest crossing are evaluated (_binding_min): the distances
     are those of every center, bit for bit.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if not np.all(np.isfinite(dirs)):
-        raise ValueError("directions must be finite")
+    validate_unit_rows(dirs, "directions")
     centers = np.asarray(centers, dtype=float)
     if centers.size == 0:
         return np.full(dirs.shape[0], np.inf)

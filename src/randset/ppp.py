@@ -389,7 +389,7 @@ def coupon_bound(k: int, a_star: float, lam: float) -> float:
 def coupon_empirical(k: int, probs, t: int, replicates: int, rng: RngStream) -> float:
     """Monte Carlo estimate of P(some category unseen after t draws)."""
     p = np.asarray(probs, dtype=float)
-    if p.shape != (k,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if p.shape != (k,) or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError("probs must be a length-k probability vector")
     t = validate_count(t, "t", 1)
     replicates = validate_count(replicates, "replicates", 1)

@@ -39,6 +39,7 @@ from randset.models import (
     ShapeKind,
     UnboundedCellError,
     _center_pins,
+    _polar_hulls,
     _zero_cells,
     cone,
     count_scale,
@@ -441,6 +442,19 @@ _GUARD_CALLS = {
     "pins-negative-ball-radius": (
         lambda rng: intersection_radius(BALL, [-0.5], [[1.0, 0.0]], [[1.0, 0.0]]),
         r"ball pin radii must lie in \[0, 1\]"),
+    # a direction of norm 3 would scale the exits and one of norm 1e200
+    # overflow them; the check itself takes the norm without a warning
+    "pins-direction-norm-3": (
+        lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0]], [[3.0, 0.0]], rmax=10.0),
+        "directions must be unit vectors"),
+    "pins-direction-norm-1e200": (
+        lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0]], [[1e200, 0.0]]),
+        "directions must be unit vectors"),
+    "circles-direction-norm-3": (lambda rng: first_circle_crossing([[0.5, 0.0]], [[3.0, 0.0]]),
+                                 "directions must be unit vectors"),
+    "circles-direction-norm-1e200": (
+        lambda rng: first_circle_crossing([[0.5, 0.0]], [[1e200, 0.0]]),
+        "directions must be unit vectors"),
     "empty-direction-grid": (lambda rng: DirectionGrid(2, np.empty((0, 2))), "nonempty"),
     "quadrature-radius": (lambda rng: halfspace_miss_quadrature(3, 1.5),
                           r"r must lie in \[0, 1\]"),
@@ -1532,10 +1546,11 @@ class TestPlanarRounds:
 
     def test_duplicate_and_degenerate_rows(self):
         # duplicate lines leave one vertex per corner; fewer than 3 lines,
-        # fans and slabs (unbounded) and offsets <= 0 are not certified.  In
-        # the quarter fan the origin, a pad, sits between the lines with
-        # normals (1, 0) and (0, -1) on the hull, and both corners it makes
-        # are 0/0: only the determinant turns them down
+        # fans and slabs (unbounded) and offsets <= 0 are not certified.  The
+        # quarter fan is padded with the origin to the round's longest row,
+        # and the pad sits on its hull between the lines with normals (1, 0)
+        # and (0, -1); both corners it makes divide by a zero determinant,
+        # which turns them down
         def fan(degrees):
             ang = np.radians(degrees)
             return np.column_stack([np.cos(ang), np.sin(ang)])
@@ -1551,6 +1566,35 @@ class TestPlanarRounds:
         assert [verts is not None for verts in found] == [True] + [False] * 9 + [True, True]
         assert found[0].tolist() == found[-1].tolist() == [
             [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+
+    def test_rows_that_meet_copies_and_rounding(self):
+        # exact copies of lines give copies of the current point (0/0), and
+        # near-parallel lines put points right of the last edge by rounding;
+        # the full-turn key ranks both, alone (no pad) and in one round
+        def lines(angles, offsets):
+            ang = np.asarray(angles)
+            return np.column_stack([np.cos(ang), np.sin(ang)]), np.asarray(offsets)
+
+        copies = lines([4.0, 4.0, 0.0, 2.0, 2.0], [0.5, 0.5, 2.0, 2.0, 2.0])
+        near = lines([np.pi / 2, 2.0, 0.0, 2.3e-30, np.pi / 2, 3 * np.pi / 2],
+                     [0.5, 2.0, 2.0, 0.5, 0.5, 0.5])
+        for rows in ([copies], [near], [copies, near]):
+            found = assert_round_as_one_cell_routes(rows, 10.0)
+            assert all(verts is not None for verts in found)
+
+    def test_longest_row_unbounded(self):
+        # the longest row's q = n, at 0, 20, ..., 140 degrees, lie on one
+        # side of the origin, and the row has no pad: its march closes on
+        # all 8, and only the determinant refuses it
+        ang = np.radians(np.arange(0.0, 160.0, 20.0))
+        fan = np.column_stack([np.cos(ang), np.sin(ang)])
+        with np.errstate(invalid="ignore"):  # the current point's key is 0/0
+            assert _polar_hulls(fan[None, :, 0], fan[None, :, 1])[1].tolist() == [8]
+        rows = [(fan, np.ones(8)), (SQUARE, np.ones(4))]
+        found = assert_round_as_one_cell_routes(rows, 10.0)
+        assert found[0] is None
+        assert found[1].tolist() == [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+        assert _zero_cells(2, *planar_round(rows), 10.0)[1] == [None, 4.0]
 
     def test_vertex_on_the_window(self):
         # the corners (+-3, +-4) lie at distance exactly 5; the round's one

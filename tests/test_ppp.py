@@ -385,6 +385,10 @@ class TestCouponBound:
             coupon_empirical(3, [0.5, 0.5], 5, 10, rng)
         with pytest.raises(ValueError):
             coupon_empirical(2, [0.7, 0.7], 5, 10, rng)
+        # NaN fails every comparison: only in-range values may pass
+        for probs in ([np.nan, np.nan], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="probability vector"):
+                coupon_empirical(2, probs, 3, 10, rng)
 
 
 class TestPoissonBounds:
