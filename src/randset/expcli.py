@@ -252,37 +252,69 @@ def _block_radius_convergence(cfg: ExperimentConfig, lam: float, rng: RngStream)
     return out
 
 
+# probes per replicate: in the planar tangent polygon P, which the set
+# nearly fills, or in a ball around P
+_POLYGON_PROBES = 128
+_BALL_PROBES = 2000
+
+
+def _polygon_probes(verts: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Points uniform in the convex polygon with counter-clockwise vertices
+    verts, one per column of the uniforms u (3 rows, overwritten), held
+    coordinate-major, and the polygon's area.  The polygon is fanned into
+    triangles from vertex 0: row 0 picks a triangle by its area, rows 1
+    and 2 give (s, t), reflected to (1 - s, 1 - t) where s + t > 1, and the
+    point v0 + s (v_j - v0) + t (v_j+1 - v0)."""
+    e = (verts[1:] - verts[0]).T
+    ex, ey = e
+    cum = (ex[:-1] * ey[1:] - ey[:-1] * ex[1:]).cumsum()  # twice the fan's areas
+    tri = cum[:-1].searchsorted(u[0] * cum[-1], side="right")
+    st = u[1:]
+    np.subtract(1.0, st, out=st, where=st[0] + st[1] > 1.0)
+    x = e.take(tri, axis=1) * st[0]
+    x += e.take(tri + 1, axis=1) * st[1]
+    x += verts[0][:, None]
+    return x, 0.5 * float(cum[-1])
+
+
 def _hit_or_miss_ball_volume(d: int, lam: float, samples: int,
                              rng: RngStream) -> tuple[float, float]:
     """Brute-force volume of the ball-model intersection I: uniform points
-    x in a ball B(0, rho) known to contain I, tested against every center
+    x in a region known to contain I, tested against every center
     c = (1 - delta) * (-n) that can shape I (models.windowed_ball_pins) by
     |x|^2 + 2 (1 - delta) <x, n> <= delta (2 - delta), which is |x - c| <= 1
     written in the depth delta, so the test keeps its precision however
-    close the centers lie to the unit sphere.  Each replicate records
-    omega_d * rho^d times its hit fraction, which is unbiased given its
-    centers.  Independent of the star-radius route, so it closes the
-    consistency triangle with the quadrature and radius-moment estimates.
-    The replicates' centers come pooled from one stream ("pins") and their
-    probes from another ("probe"), 2000 per replicate in replicate order.
-    The probes are held coordinate-major and tested one center per row and
-    one probe per column, so the test over the few centers runs along the
-    long probe axis; the probes are drawn as in the probe-major layout and
-    tested by the same inequality."""
+    close the centers lie to the unit sphere.  The region is the certified
+    tangent polytope P of the drawn centers for d = 2, _POLYGON_PROBES
+    points fanned over its triangles (_polygon_probes); for d = 3 and 4 it
+    is the ball B(0, r_P), r_P the largest vertex norm, with _BALL_PROBES
+    points; where no P is certified it is B(0, rho), with _BALL_PROBES
+    points.  I lies in P given the drawn centers, so each replicate's
+    region volume times its hit fraction is unbiased.  Independent of the
+    star-radius route, so it closes the consistency triangle with the
+    quadrature and radius-moment estimates.  The replicates' centers come
+    pooled from one stream ("pins") and their probes from another
+    ("probe"), in replicate order.  The probes are held coordinate-major
+    and tested one center per row and one probe per column, so the test
+    over the few centers runs along the long probe axis."""
     reps = max(2, samples // 10)
-    pts_per = 2000
     wd = unit_ball_volume(d)
     vols = np.empty(reps)
     g = rng.spawn("probe").gen
     pins = models.windowed_ball_pins(d, lam, reps, rng.spawn("pins"))
-    for i, (depths, normals, rho) in enumerate(pins):
-        x = np.ascontiguousarray(g.standard_normal((pts_per, d)).T)
-        x /= np.linalg.norm(x, axis=0)
-        x *= rho * g.random(pts_per) ** (1.0 / d)
-        lhs = ((1.0 - depths)[:, None] * normals) @ (2.0 * x)
-        lhs += np.sum(x * x, axis=0)
-        hits = np.all(lhs <= (depths * (2.0 - depths))[:, None], axis=0)
-        vols[i] = wd * rho**d * np.mean(hits)
+    for i, (depths, normals, rho, verts) in enumerate(pins):
+        if d == 2 and verts is not None:
+            x, region = _polygon_probes(verts, g.random((3, _POLYGON_PROBES)))
+        else:
+            r = rho if verts is None else float(np.linalg.norm(verts, axis=1).max())
+            x = np.ascontiguousarray(g.standard_normal((_BALL_PROBES, d)).T)
+            x /= np.linalg.norm(x, axis=0)
+            x *= r * g.random(_BALL_PROBES) ** (1.0 / d)
+            region = wd * r**d
+        lhs = ((2.0 - 2.0 * depths)[:, None] * normals) @ x
+        lhs += np.einsum("ij,ij->j", x, x)
+        hits = np.logical_and.reduce(lhs <= (depths * (2.0 - depths))[:, None], axis=0)
+        vols[i] = region * (np.count_nonzero(hits) / hits.size)
     return float(vols.mean()), float(vols.std(ddof=1) / np.sqrt(reps))
 
 
@@ -351,7 +383,7 @@ def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[t
             arcs = np.unique(np.minimum((ang + np.pi) * 3.0 / np.pi, 5.0).astype(int))
             occupied += arcs.size == 6
         if margin < 1.0:
-            depths, normals, rho = next(pins)
+            depths, normals, rho, _ = next(pins)
             contained += rho <= margin or bool(np.max(models.intersection_radius(
                 models.BALL, 1.0 - depths, -normals, grid.points)) <= margin)
         else:

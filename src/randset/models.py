@@ -706,10 +706,11 @@ def crofton_cell(d: int, rng: RngStream) -> CroftonCell:
 
 
 def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
-                       ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+                       ) -> Iterator[tuple[np.ndarray, np.ndarray, float, np.ndarray | None]]:
     """For n independent replicates of the ball model, drawn from one
     stream: the depths delta = 1 - |c| and normals n = -c/|c| of the
-    centers c that can shape I, and a radius rho with I inside B(0, rho).
+    centers c that can shape I, a radius rho with I inside B(0, rho), and
+    the vertices of the tangent polytope P (None where P is not certified).
 
     Each ball B(c, 1) lies in its tangent half-space {x : <x, n> <= delta},
     so I lies in the polytope P those half-spaces cut out: the zero cell of
@@ -724,10 +725,14 @@ def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
     uniform on (F(lo), F(hi)).  F and its inverse are depth_radial_law's,
     so the depths keep their relative precision at any lam.  P's
     radii are intersection_radius(HALF_SPACE, depths, normals, dirs), I's
-    are intersection_radius(BALL, 1 - depths, -normals, dirs).  Dimensions
-    outside 2..._MAX_CELL_DIM, where no zero cell is certified, draw every
-    center, one replicate at a time, with rho = 1.  The arguments are
-    checked at the call; the replicates are drawn as they are taken.
+    are intersection_radius(BALL, 1 - depths, -normals, dirs).  P's
+    vertices are the certificate's, scaled out of first-window units: for
+    d = 2 counter-clockwise, one per corner, for d = 3 and 4 one per qhull
+    facet, so a corner where more than d facets meet repeats.  Every vertex
+    lies in B(0, rho), so P does.  Dimensions outside 2..._MAX_CELL_DIM,
+    where no zero cell is certified, draw every center, one replicate at a
+    time, with rho = 1 and no vertices.  The arguments are checked at the
+    call; the replicates are drawn as they are taken.
     """
     d, mean = _mean_pin_count(d, lam, uniform_radial_law(d), BALL)
     n = validate_count(n, "n")
@@ -740,10 +745,11 @@ def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
 
     if not 2 <= d <= _MAX_CELL_DIM:
         bands = (band(0.0, 1.0, 1) for _ in range(n))
-        return ((depths, normals, 1.0) for _, depths, normals in bands)
+        return ((depths, normals, 1.0, None) for _, depths, normals in bands)
     first = 4.0 / mean if mean > 4.0 else 1.0
-    return ((depths, normals, rho)
-            for normals, depths, _, _, rho, _ in _windowed_cells(d, n, band, first, 1.0, first))
+    cells = _windowed_cells(d, n, band, first, 1.0, first)
+    return ((depths, normals, rho, None if verts is None else verts * first)
+            for normals, depths, verts, _, rho, _ in cells)
 
 
 def segment_crossing_count(d: int, length: float, n: int, rng: RngStream) -> np.ndarray:

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import randset
 from randset import analytics, expcli, models
@@ -525,9 +526,9 @@ class TestRecordSemantics:
         assert recs_small == recs_big
 
     def test_hit_or_miss_probes_in_certified_window(self, monkeypatch):
-        # the probes fill a ball certified to contain the intersection, so
-        # even 2 replicates at lam = 200 hit it, and the sigma gap is over a
-        # positive standard error
+        # the probes fill the tangent polygon certified to contain the
+        # intersection, so even 2 replicates at lam = 200 hit it, and the
+        # sigma gap is over a positive standard error
         monkeypatch.setenv("RANDSET_THREADS", "1")
         cfg = build_config("volume-sweep", {},
                            {"lambda_grid": (200.0,), "samples": 20, "seed": 12345})
@@ -536,7 +537,7 @@ class TestRecordSemantics:
         assert hm.value > 0.0 and hm.std_error > 0.0
         assert np.isfinite(recs["hit_or_miss_sigma_gap"].value)
 
-    @pytest.mark.parametrize("d, lam", [(2, 50.0), (3, 50.0), (2, 1e15)])
+    @pytest.mark.parametrize("d, lam", [(2, 50.0), (2, 200.0), (3, 50.0), (2, 1e15)])
     def test_hit_or_miss_volume_matches_quadrature(self, d, lam):
         # the probes are tested in depth form, so the volume stays unbiased
         # where the centers lie a few float spacings inside the sphere
@@ -544,28 +545,91 @@ class TestRecordSemantics:
         quad = analytics.expected_volume_quadrature(d, lam)
         assert abs(vol - quad) <= 3.0 * se, (vol, quad, se)
 
-    @pytest.mark.parametrize("d, lam", [(2, 20.0), (3, 20.0)])
-    def test_hit_or_miss_volume_matches_probe_major(self, d, lam):
-        # the probes are held coordinate-major; the probe-major form on the
-        # same streams (the samples // 10 replicates' centers pooled from
-        # the pins stream, 2000 probes each from the probe stream in
-        # replicate order) gives the same hits, so the same volume
+    @pytest.mark.parametrize("d, lam", [(2, 20.0), (3, 20.0), (2, 1.0)])
+    def test_hit_or_miss_volume_matches_reference(self, d, lam):
+        # a plain per-probe loop on the same streams: the samples // 10
+        # replicates' centers pooled from the pins stream, their probes
+        # from the probe stream in replicate order.  A certified planar P
+        # takes 128 probes, each in the triangle of the fan from vertex 0
+        # found by a linear scan of the cumulative areas, then reflected;
+        # any other replicate takes 2000 probes in B(0, r_P), or in
+        # B(0, rho) where no P is certified (most replicates at lam = 1)
         samples, rng = 400, RngStream(9)
-        vols, hits = [], 0
+        vols, routes = [], set()
         g = rng.spawn("probe").gen
         pins = models.windowed_ball_pins(d, lam, samples // 10, rng.spawn("pins"))
-        for depths, normals, rho in pins:
-            x = g.standard_normal((2000, d))
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
-            x *= rho * g.random(2000)[:, None] ** (1.0 / d)
-            lhs = np.sum(x * x, axis=1)[:, None] + 2.0 * x @ ((1.0 - depths)[:, None] * normals).T
-            hit = np.all(lhs <= depths * (2.0 - depths), axis=1)
-            hits += np.count_nonzero(hit)
-            vols.append(unit_ball_volume(d) * rho**d * np.mean(hit))
+        for depths, normals, rho, verts in pins:
+            if d == 2 and verts is not None:
+                routes.add("polygon")
+                u = g.random((3, 128))
+                v0, e = verts[0], verts[1:] - verts[0]
+                cum, total = [], 0.0
+                for a, b in zip(e[:-1], e[1:]):
+                    total += a[0] * b[1] - a[1] * b[0]
+                    cum.append(total)
+                probes = []
+                for pick, s, t in u.T:
+                    j = 0
+                    while j < len(cum) - 1 and pick * total >= cum[j]:
+                        j += 1
+                    if s + t > 1.0:
+                        s, t = 1.0 - s, 1.0 - t
+                    probes.append(e[j] * s + e[j + 1] * t + v0)
+                region = 0.5 * total
+            else:
+                routes.add("ball" if verts is None else "vertex ball")
+                r = rho if verts is None else max(np.sqrt(np.sum(v * v)) for v in verts)
+                x = g.standard_normal((2000, d))
+                x /= np.linalg.norm(x, axis=1, keepdims=True)
+                x *= r * g.random(2000)[:, None] ** (1.0 / d)
+                probes, region = list(x), unit_ball_volume(d) * r**d
+            hits = sum(bool(np.all(x @ x + 2.0 * ((1.0 - depths)[:, None] * normals) @ x
+                                   <= depths * (2.0 - depths))) for x in probes)
+            vols.append(region * (hits / len(probes)))
         vol, se = expcli._hit_or_miss_ball_volume(d, lam, samples, rng)
-        assert hits > 0
-        assert vol == float(np.mean(vols))
+        assert routes == {(2, 20.0): {"polygon"}, (3, 20.0): {"vertex ball"},
+                          (2, 1.0): {"polygon", "ball"}}[d, lam]
+        assert 0.0 < vol and vol == float(np.mean(vols))
         assert se == float(np.std(vols, ddof=1) / np.sqrt(len(vols)))
+
+
+class TestPolygonProbes:
+    """expcli._polygon_probes: points uniform in a convex polygon, by a fan
+    of triangles from vertex 0."""
+
+    POLYGONS = {
+        "hexagon": [(1.0, 0.0), (2.0, 0.5), (2.2, 2.0), (1.0, 3.0), (-0.5, 2.0), (-0.3, 0.4)],
+        "thin": [(0.0, 0.0), (10.0, 0.0), (10.0, 0.02), (0.0, 0.01)],
+    }
+
+    @pytest.mark.parametrize("name", POLYGONS)
+    def test_uniform_in_the_polygon(self, name):
+        verts = np.array(self.POLYGONS[name])
+        n = 200_000
+        x, area = expcli._polygon_probes(verts, RngStream(3).spawn(name).gen.random((3, n)))
+        assert x.shape == (2, n)
+        # inside: left of (or, to rounding, on) every counter-clockwise edge
+        edges = np.roll(verts, -1, axis=0) - verts
+        rel = x[None, :, :] - verts[:, :, None]
+        left = edges[:, 0, None] * rel[:, 1] - edges[:, 1, None] * rel[:, 0]
+        assert np.all(left >= -1e-12 * np.abs(edges).max() ** 2)
+        # the fan's triangle of each probe, by its side of the fan's spokes
+        spokes = verts[1:] - verts[0]
+        y = x - verts[0][:, None]
+        tri = np.count_nonzero(spokes[1:-1, 0, None] * y[1] - spokes[1:-1, 1, None] * y[0] > 0.0,
+                               axis=0)
+        tri_areas = 0.5 * (spokes[:-1, 0] * spokes[1:, 1] - spokes[:-1, 1] * spokes[1:, 0])
+        shoelace = 0.5 * np.sum(verts[:, 0] * np.roll(verts[:, 1], -1)
+                                - np.roll(verts[:, 0], -1) * verts[:, 1])
+        assert area == pytest.approx(shoelace, rel=1e-12)
+        counts = np.bincount(tri, minlength=tri_areas.size)
+        assert stats.chisquare(counts, n * tri_areas / tri_areas.sum()).pvalue > 1e-3
+        # the probe mean is the polygon's centroid
+        cross = verts[:, 0] * np.roll(verts[:, 1], -1) - np.roll(verts[:, 0], -1) * verts[:, 1]
+        centroid = np.sum((verts + np.roll(verts, -1, axis=0)) * cross[:, None], axis=0)
+        centroid /= 6.0 * shoelace
+        se = x.std(axis=1, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(x.mean(axis=1) - centroid) <= 4.0 * se), (x.mean(axis=1), centroid)
 
 
 CLI_ARGS = ["warmup-1d", "--d", "1", "--lambda", "60", "--replicates", "2000",

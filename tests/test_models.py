@@ -1068,7 +1068,7 @@ class TestWindowedPins:
         certified = undrawn = 0
         for i in range(40):
             r = rng.spawn("certificate", d, lam, i)
-            depths, normals, rho = next(windowed_ball_pins(d, lam, 1, r))
+            depths, normals, rho, _ = next(windowed_ball_pins(d, lam, 1, r))
             assert np.all((depths > 0.0) & (depths <= rho))
             if rho == 1.0:
                 continue
@@ -1089,7 +1089,7 @@ class TestWindowedPins:
         e1 = np.eye(d)[:1]
         root = rng.spawn("polytope-law", d)
         drawn = np.empty(n)
-        for i, (depths, normals, _) in enumerate(windowed_ball_pins(d, lam, n, root)):
+        for i, (depths, normals, _, _) in enumerate(windowed_ball_pins(d, lam, n, root)):
             drawn[i] = intersection_radius(HALF_SPACE, depths, normals, e1)[0]
         reference = sample_axis_radii(d, lam, depth_radial_law(d), HALF_SPACE, 20_000,
                                       root.spawn("reference"))
@@ -1106,7 +1106,7 @@ class TestWindowedPins:
         e1 = np.eye(d)[:1]
         root = rng.spawn("huge", d, lam)
         scaled = np.empty(500)
-        for i, (depths, normals, rho) in enumerate(windowed_ball_pins(d, lam, 500, root)):
+        for i, (depths, normals, rho, _) in enumerate(windowed_ball_pins(d, lam, 500, root)):
             assert rho < 1.0
             scaled[i] = lam * intersection_radius(HALF_SPACE, depths, normals, e1)[0]
             if i < 20:
@@ -1120,12 +1120,13 @@ class TestWindowedPins:
     def test_planar_certificate_as_qhull(self, lam, rng, monkeypatch):
         # the planar polar hull certifies in the same round as qhull, so
         # the loop draws the same bands: the same depths, normals and rho,
-        # bit for bit
+        # bit for bit, and a P wherever qhull certifies one
         planar = list(windowed_ball_pins(2, lam, 200, rng.spawn("planar-certificate", lam)))
         monkeypatch.setattr(models, "_zero_cells", round_certificate(qhull_zero_cell))
         qhull = windowed_ball_pins(2, lam, 200, rng.spawn("planar-certificate", lam))
-        for (depths, normals, rho), (depths0, normals0, rho0) in zip(planar, qhull, strict=True):
-            assert rho == rho0
+        for (depths, normals, rho, verts), (depths0, normals0, rho0, verts0) in zip(
+                planar, qhull, strict=True):
+            assert rho == rho0 and (verts is None) == (verts0 is None)
             assert np.array_equal(depths, depths0) and np.array_equal(normals, normals0)
 
     def test_pin_count_overflow(self, rng):
@@ -1133,12 +1134,40 @@ class TestWindowedPins:
         with pytest.raises(ValueError, match="mean pin count"):
             sample_axis_radii(2, 1e308, uniform_radial_law(2), BALL, 4, rng)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("lam", [10.0, 200.0, 1e100])
+    def test_vertices_are_the_tangent_polytopes(self, d, lam, rng):
+        # each yielded vertex is a corner of P inside B(0, rho): in P, and
+        # for d = 2 on two tangent lines <x, n_i> = delta_i; the planar
+        # vertices run counter-clockwise, so the fan from vertex 0 has the
+        # polygon's shoelace area
+        certified = 0
+        for depths, normals, rho, verts in windowed_ball_pins(
+                d, lam, 100, rng.spawn("tangent-vertices", d, lam)):
+            if verts is None:
+                continue
+            certified += 1
+            assert verts.ndim == 2 and verts.shape[1] == d
+            assert np.all(np.linalg.norm(verts, axis=1) < rho)
+            slack = (verts @ normals.T - depths) / rho
+            assert np.all(slack <= 1e-12)
+            if d == 2:
+                assert np.all(np.count_nonzero(np.abs(slack) <= 1e-12, axis=1) >= 2)
+                e = verts[1:] - verts[0]
+                fan = 0.5 * np.sum(e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0])
+                x, y = verts.T
+                shoelace = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+                assert fan > 0.0 and fan == pytest.approx(shoelace, rel=1e-12)
+        assert certified >= 95
+
     def test_uncertified_dimensions_draw_every_center(self, rng):
-        depths, normals, rho = next(windowed_ball_pins(1, 50.0, 1, rng.spawn("window-1d")))
+        depths, normals, rho, verts = next(windowed_ball_pins(1, 50.0, 1, rng.spawn("window-1d")))
         assert rho == 1.0 and normals.shape == (depths.size, 1) and depths.size > 50
-        assert np.all((depths >= 0.0) & (depths <= 1.0))
-        empty, normals0, rho0 = next(windowed_ball_pins(2, 0.0, 1, rng.spawn("window-empty")))
+        assert np.all((depths >= 0.0) & (depths <= 1.0)) and verts is None
+        empty, normals0, rho0, verts0 = next(
+            windowed_ball_pins(2, 0.0, 1, rng.spawn("window-empty")))
         assert rho0 == 1.0 and empty.shape == (0,) and normals0.shape == (0, 2)
+        assert verts0 is None
 
 
 class TestExactRadiusLaws:
@@ -1664,7 +1693,8 @@ def reference_crofton_cell(d, rng):
 
 
 def reference_ball_pins(d, lam, rng):
-    """One replicate's depths, normals and rho by the one-cell loop."""
+    """One replicate's depths, normals, rho and P's vertices (None when not
+    certified) by the one-cell loop."""
     mean, g = lam * unit_ball_volume(d), rng.gen
 
     def band(lo, hi):
@@ -1674,8 +1704,8 @@ def reference_ball_pins(d, lam, rng):
             depths = -np.expm1(np.log1p(-(f_lo + g.random(n) * (f_hi - f_lo))) / d)
         return uniform_directions(d, n, rng), depths
     first = min(4.0 / mean, 1.0)
-    normals, depths, _, rho, _ = per_cell_reference(d, band, first, 1.0, first)
-    return depths, normals, rho
+    normals, depths, verts, rho, _ = per_cell_reference(d, band, first, 1.0, first)
+    return depths, normals, rho, None if verts is None else verts * first
 
 
 class StubBand:
@@ -1796,10 +1826,11 @@ class TestPooledCells:
     def test_one_replicate_as_the_per_cell_loop(self, d, lam, rng):
         root = rng.spawn("one-replicate", d, lam)
         for i in range(20):
-            depths, normals, rho = next(windowed_ball_pins(d, lam, 1, root.spawn(i)))
-            depths0, normals0, rho0 = reference_ball_pins(d, lam, root.spawn(i))
+            depths, normals, rho, verts = next(windowed_ball_pins(d, lam, 1, root.spawn(i)))
+            depths0, normals0, rho0, verts0 = reference_ball_pins(d, lam, root.spawn(i))
             assert rho == rho0
             assert np.array_equal(depths, depths0) and np.array_equal(normals, normals0)
+            assert np.array_equal(verts, verts0)
 
     @pytest.mark.parametrize("d, n", [(2, 4000), (3, 600)])
     def test_pooled_law(self, d, n, rng):
