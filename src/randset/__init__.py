@@ -21,7 +21,6 @@ from .ppp import (
     poisson_log_tail_check,
     poisson_tail_crossover,
     poisson_total_variation,
-    radial_law_from_cdf,
     sample_ball_uniform,
     sample_shell,
     shell_depth_cdfs,

@@ -164,45 +164,38 @@ def miss_weight_mc(shape: ShapeKind, mu: RadialMeasure, d: int, r: float, n: int
     return scale * m, scale * se
 
 
-def _miss_weight(d: int, miss_fn):
-    """miss_fn and its slope for invert_increasing: the ball model's lune
-    weight and its closed-form derivative (1 - r^2/4)^((d-1)/2) / B(1/2,
-    (d+1)/2) when miss_fn is None (lune_fraction is looked up at each call,
-    not bound here), and no slope for any other weight."""
-    if miss_fn is not None:
-        return miss_fn, None
+def _lune_slope(d: int):
+    """The lune weight's closed-form derivative, (1 - r^2/4)^((d-1)/2) /
+    B(1/2, (d+1)/2), as the slope for invert_increasing's Newton steps."""
     inv_beta = 1.0 / special.beta(0.5, (d + 1) / 2.0)
 
     def slope(r):
         return (1.0 - np.square(r) / 4.0) ** ((d - 1) / 2.0) * inv_beta
-    return (lambda r: lune_fraction(d, r)), slope
+    return slope
 
 
-def sample_radius_exact(d: int, lam: float, n: int, rng: RngStream,
-                        miss_fn=None) -> np.ndarray:
-    """Exact sampler of the model radius law P(R > r) = exp(-lam omega_d w(r)).
+def sample_radius_exact(d: int, lam: float, n: int, rng: RngStream) -> np.ndarray:
+    """Exact sampler of the ball model's radius law P(R > r) = exp(-lam
+    omega_d w(r)), w the lune weight.
 
     Inverts the weight function against exponential draws; draws beyond
     lam * omega_d * w(1) land on the atom at R = 1 (the sample missed the
-    probe direction entirely).  Defaults to the ball model's lune weight,
-    which is inverted by Newton steps on its closed-form slope: about six
-    lune evaluations per call, and the radii keep their relative precision
-    at any lam, where they are of order 1/lam.  Any other miss_fn is
-    inverted by bisection.
+    probe direction entirely).  The lune is inverted by Newton steps on
+    its closed-form slope (_lune_slope): about six lune evaluations per
+    call, and the radii keep their relative precision at any lam, where
+    they are of order 1/lam.
     """
     d = validate_dimension(d)
     lam = validate_intensity(lam)
     n = validate_count(n, "n")
-    miss_fn, slope = _miss_weight(d, miss_fn)
     out = np.ones(n)
     if lam == 0:
         return out
-    scale = lam * unit_ball_volume(d)
-    y = rng.gen.exponential(size=n) / scale
-    top = float(np.asarray(miss_fn(1.0), dtype=float))
-    idx = y < top
+    y = rng.gen.exponential(size=n) / (lam * unit_ball_volume(d))
+    idx = y < lune_fraction(d, 1.0)
     if np.any(idx):
-        out[idx] = invert_increasing(miss_fn, y[idx], 0.0, 1.0, slope)
+        out[idx] = invert_increasing(lambda r: lune_fraction(d, r), y[idx], 0.0, 1.0,
+                                     _lune_slope(d))
     return out
 
 
@@ -213,8 +206,8 @@ class RadiusLaw:
     1 of mass exp(-lam * omega_d * w(1)).
 
     miss_fn must be increasing on [0, 1] with miss_fn(0) = 0.  None, the
-    default, stands for the ball model's lune weight.  sample_radius_exact
-    draws from the law.
+    default, stands for the ball model's lune weight, the one law that
+    sample_radius_exact draws.
     """
 
     dim: int
@@ -249,8 +242,9 @@ class RadiusLaw:
                             * self.weight(1.0)))
 
 
-def expected_volume_quadrature(d: int, lam: float, miss_fn=None) -> float:
-    """E|I| = d omega_d int_0^1 r^(d-1) exp(-lam omega_d w(r)) dr.
+def expected_volume_quadrature(d: int, lam: float) -> float:
+    """E|I| = d omega_d int_0^1 r^(d-1) exp(-lam omega_d w(r)) dr for the
+    ball model, w the lune weight.
 
     The integrand collapses onto a thin layer near 0 for large lam, so the
     integral is split where the exponent reaches 60; lam = 0 returns the
@@ -263,17 +257,16 @@ def expected_volume_quadrature(d: int, lam: float, miss_fn=None) -> float:
     lam = validate_intensity(lam)
     if lam == 0:
         return unit_ball_volume(d)
-    miss_fn, slope = _miss_weight(d, miss_fn)
     wd = unit_ball_volume(d)
     from scipy import integrate
 
     def g(r):
-        return d * wd * r ** (d - 1) * np.exp(-lam * wd * np.asarray(miss_fn(r), dtype=float))
+        return d * wd * r ** (d - 1) * np.exp(-lam * wd * lune_fraction(d, r))
 
-    top = lam * wd * float(np.asarray(miss_fn(1.0), dtype=float))
-    if top <= 60.0:
+    if lam * wd * lune_fraction(d, 1.0) <= 60.0:
         return integrate.quad(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-    split = invert_increasing(miss_fn, 60.0 / (lam * wd), 0.0, 1.0, slope)
+    split = invert_increasing(lambda r: lune_fraction(d, r), 60.0 / (lam * wd), 0.0, 1.0,
+                              _lune_slope(d))
     head, _ = integrate.quad(g, 0.0, split, epsabs=0.0, epsrel=1e-12, limit=200)
     tail, _ = integrate.quad(g, split, 1.0, epsabs=1e-13 * head, epsrel=1e-12, limit=200)
     return head + tail

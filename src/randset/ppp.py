@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -41,14 +40,22 @@ def stream_id_for(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _stream_key(value, name: str) -> int:
+    """An integer seed or stream id taken mod 2^64; a float or a bool is
+    rejected, where int() would truncate it onto another seed's stream."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value) & _MASK64
+
+
 class RngStream:
     """One independent random stream; (seed, stream_id) identifies it fully."""
 
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
+        self.seed = _stream_key(seed, "seed")
+        self.stream_id = _stream_key(stream_id, "stream_id")
         self._gen = None
 
     @property
@@ -160,12 +167,6 @@ def invert_increasing(fn, y, lo: float, hi: float, slope=None) -> np.ndarray | f
     return float(root[0]) if scalar else root
 
 
-def radial_law_from_cdf(name: str, cdf: Callable) -> RadialMeasure:
-    """Wrap an increasing CDF on [0,1]; the inverse is found by bisection."""
-    return RadialMeasure(name=name, cdf=cdf,
-                         inverse_cdf=partial(invert_increasing, cdf, lo=0.0, hi=1.0))
-
-
 # numpy's Generator.poisson rejects larger means ("lam value too large")
 _MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -244,6 +245,7 @@ def axis_cosines(d: int, n: int, rng: RngStream) -> np.ndarray:
     otherwise, with U uniform on [0, 1).
     """
     d = validate_dimension(d)
+    n = validate_count(n, "n")
     g = rng.gen
     if d == 1:
         return np.where(g.random(n) < 0.5, -1.0, 1.0)
@@ -375,8 +377,7 @@ def shell_depth_cdfs(eps: float, d: int) -> ShellDepthCdfs:
 def coupon_bound(k: int, a_star: float, lam: float) -> float:
     """Tail bound K * lam^(ln(1 - a_star)) for the coupon collector with K
     categories of minimum probability a_star, run for log(lam) draws."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError("k must be an integer >= 1")
+    k = validate_count(k, "k", 1)
     if not 0.0 < a_star <= 1.0 / k:
         raise ValueError("need 0 < a_star <= 1/k")
     if not 1.0 < lam < np.inf:
@@ -388,6 +389,7 @@ def coupon_bound(k: int, a_star: float, lam: float) -> float:
 
 def coupon_empirical(k: int, probs, t: int, replicates: int, rng: RngStream) -> float:
     """Monte Carlo estimate of P(some category unseen after t draws)."""
+    k = validate_count(k, "k", 1)
     p = np.asarray(probs, dtype=float)
     if p.shape != (k,) or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError("probs must be a length-k probability vector")

@@ -8,7 +8,7 @@ from scipy import integrate, special, stats
 from randset.analytics import (
     CroftonMoments,
     RadiusLaw,
-    _miss_weight,
+    _lune_slope,
     asymptotic_volume_constant,
     cone_uniform_weight,
     crofton_moments,
@@ -213,7 +213,7 @@ class TestInvertIncreasing:
     def test_newton_on_the_lune(self, d):
         # the exact sampler's targets at four intensities, plus y = 0 and
         # the last float below w(1)
-        weight, slope = _miss_weight(d, None)
+        weight, slope = (lambda r: lune_fraction(d, r)), _lune_slope(d)
         top = lune_fraction(d, 1.0)
         calls = []
 
@@ -234,7 +234,7 @@ class TestInvertIncreasing:
     def test_target_at_the_range_end(self, d):
         # y = w(1) is answered with 1.0 at once; iterating on it, Newton
         # steps land a rounding error past 1 and the loop bisects
-        weight, slope = _miss_weight(d, None)
+        weight, slope = (lambda r: lune_fraction(d, r)), _lune_slope(d)
         top = lune_fraction(d, 1.0)
         calls = []
 
@@ -264,13 +264,12 @@ class TestInvertIncreasing:
         r = np.linspace(0.01, 1.99, 199)
         h = 1e-6
         diff = (lune_fraction(d, r + h) - lune_fraction(d, r - h)) / (2.0 * h)
-        assert np.allclose(_miss_weight(d, None)[1](r), diff, rtol=1e-7, atol=1e-9)
+        assert np.allclose(_lune_slope(d)(r), diff, rtol=1e-7, atol=1e-9)
 
     def test_no_slope_bisects(self):
-        # a custom weight has no slope, so it is bisected to _ROOT_TOL
-        weight, slope = _miss_weight(2, lambda r: np.asarray(r) ** 2)
-        assert slope is None
-        assert invert_increasing(weight, 0.25, 0.0, 1.0, slope) == pytest.approx(0.5, abs=1e-12)
+        # without a slope every step is the midpoint, down to _ROOT_TOL
+        square = lambda r: np.asarray(r) ** 2
+        assert invert_increasing(square, 0.25, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestExactSampler:
@@ -363,19 +362,6 @@ class TestRadiusLaw:
         assert law.atom_mass() == pytest.approx(
             float(law.survival(1.0 - 1e-12)), rel=1e-6)
 
-    def test_custom_weight(self, rng):
-        # half-space depth model through the same law object, using the
-        # planar closed form of the miss series (vectorized for bisection)
-        law = RadiusLaw(2, 20.0,
-                        miss_fn=lambda r: 2.0 * np.asarray(r) / np.pi
-                        - np.asarray(r) ** 2 / 4.0)
-        n = 50_000
-        sample = sample_radius_exact(2, 20.0, n, rng.spawn("law-hs"), law.miss_fn)
-        r = 0.05
-        s = float(law.survival(r))
-        assert_close_sigma(np.mean(sample > r), s, binomial_se(s, n),
-                           label="custom weight survival")
-
     def test_domain(self):
         with pytest.raises(ValueError):
             RadiusLaw(2, -1.0)
@@ -422,12 +408,15 @@ class TestExpectedVolume:
         assert all(a > b > 0.0 for a, b in zip(vols, vols[1:]))
 
     def test_halfspace_weight_closed_form(self):
-        # with the uniform half-space weight the integral is elementary:
-        # E|I| = (4 / (lam pi)) (1 - exp(-lam pi^2 / 4)) in the plane
+        # with the uniform half-space weight the integral 2 pi int_0^1 r
+        # P(R > r) dr is elementary: E|I| = (4 / (lam pi)) (1 - exp(-lam
+        # pi^2 / 4)) in the plane, the formula of volume-sweep's
+        # hs_scaled_volume_closed row
         for lam in (1.0, 10.0, 100.0):
             closed = 4.0 / (lam * np.pi) * (1.0 - np.exp(-lam * np.pi**2 / 4.0))
-            quad = expected_volume_quadrature(
-                2, lam, miss_fn=lambda r: halfspace_uniform_weight(2, r))
+            law = RadiusLaw(2, lam, miss_fn=lambda r: halfspace_uniform_weight(2, r))
+            quad, _ = integrate.quad(lambda r: 2.0 * np.pi * r * law.survival(r), 0.0, 1.0,
+                                     epsabs=0.0, epsrel=1e-12, limit=200)
             assert quad == pytest.approx(closed, rel=1e-9)
 
 

@@ -61,6 +61,7 @@ from randset.models import (
 )
 from randset.ppp import (
     ProcessSample,
+    RadialMeasure,
     RngStream,
     ShellDepthCdfs,
     _sample_band,
@@ -70,7 +71,6 @@ from randset.ppp import (
     depth_radial_law,
     poisson_band,
     poisson_log_tail_check,
-    radial_law_from_cdf,
     sample_ball_uniform,
     sample_poisson_count,
     sample_shell,
@@ -342,14 +342,17 @@ _COUNT_ENTRY_POINTS = (
     ("replicates", 2, lambda n, rng: meeting_count_mc("boolean", 2, 10.0, 0.01, n, rng)),
     ("t", 1, lambda n, rng: coupon_empirical(2, [0.5, 0.5], n, 4, rng)),
     ("replicates", 1, lambda n, rng: coupon_empirical(2, [0.5, 0.5], 4, n, rng)),
+    ("k", 1, lambda n, rng: coupon_bound(n, 0.5, 10.0)),
+    ("k", 1, lambda n, rng: coupon_empirical(n, [1.0], 3, 3, rng)),
     ("grid size", 1, lambda n, rng: direction_grid(2, n)),
     ("n", 0, lambda n, rng: segment_crossing_count(2, 1.0, n, rng)),
     ("n", 0, lambda n, rng: models.crofton_cells(2, n, rng)),
     ("n", 0, lambda n, rng: windowed_ball_pins(2, 10.0, n, rng)),
+    ("n", 0, lambda n, rng: axis_cosines(2, n, rng)),
 )
 
 
-@pytest.mark.parametrize("bad", [2.5, -1])
+@pytest.mark.parametrize("bad", [2.5, -1, True])
 @pytest.mark.parametrize("name, minimum, call", _COUNT_ENTRY_POINTS)
 def test_bad_count(name, minimum, call, bad, rng):
     with pytest.raises(ValueError, match=f"{name} must be an integer >= {minimum}, got {bad}"):
@@ -525,8 +528,8 @@ class TestSampleModel:
                 call(342)
 
     def test_custom_law_without_pins(self):
-        # a Poisson count of 0 hands the bisection inverse an empty target
-        law = radial_law_from_cdf("sq", lambda r: np.asarray(r) ** 2)
+        # a Poisson count of 0 hands the law's inverse an empty array
+        law = RadialMeasure("sq", lambda r: np.asarray(r) ** 2, np.sqrt)
         m = sample_intersection_model(2, 1e-9, law, HALF_SPACE, RngStream(1))
         assert m.count == 0
         radii = intersection_radius(HALF_SPACE, m.pin_radii, m.pin_dirs,

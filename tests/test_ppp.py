@@ -21,7 +21,6 @@ from randset.ppp import (
     poisson_log_tail_check,
     poisson_tail_crossover,
     poisson_total_variation,
-    radial_law_from_cdf,
     sample_ball_uniform,
     sample_poisson_count,
     sample_shell,
@@ -57,6 +56,19 @@ class TestStreams:
                root.spawn(0.25).stream_id}
         assert len(ids) == 7
 
+    @pytest.mark.parametrize("seed, stream_id, name", [
+        (1.2, 0, "seed"), (1.0, 0, "seed"), (True, 0, "seed"), ("1", 0, "seed"),
+        (1, 0.5, "stream_id"), (1, False, "stream_id")])
+    def test_integer_keys_only(self, seed, stream_id, name):
+        # int() would put 1.2 and 1.7 on one stream, and True on seed 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            RngStream(seed, stream_id)
+
+    def test_integer_keys_unchanged(self):
+        # numpy integers key the same stream; negatives are taken mod 2^64
+        assert repr(RngStream(np.int64(5), np.uint64(9))) == repr(RngStream(5, 9))
+        assert (RngStream(-1, -2).seed, RngStream(-1, -2).stream_id) == (2**64 - 1, 2**64 - 2)
+
     def test_stream_id_stable(self):
         # keyed by value, not by interpreter hash randomization
         assert stream_id_for("x", 3, 0.5) == stream_id_for("x", 3, 0.5)
@@ -85,12 +97,6 @@ class TestRadialMeasures:
         x = np.array([1e-300, 1e-17, 1e-12])
         assert np.allclose(mu.cdf(x), 4.0 * x, rtol=1e-11, atol=0.0)
         assert np.allclose(mu.inverse_cdf(4.0 * x), x, rtol=1e-11, atol=0.0)
-
-    def test_bisection_inverse(self):
-        mu = radial_law_from_cdf("sq", lambda r: np.asarray(r) ** 2)
-        assert mu.inverse_cdf(0.25) == pytest.approx(0.5, abs=1e-9)
-        u = np.linspace(0.0, 1.0, 33)
-        assert np.allclose(mu.cdf(mu.inverse_cdf(u)), u, atol=1e-9)
 
 
 class TestPoissonCount:
