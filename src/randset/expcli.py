@@ -385,7 +385,7 @@ def _block_coupling(cfg: ExperimentConfig, lam: float, rng: RngStream) -> list[t
         if margin < 1.0:
             depths, normals, rho, _ = next(pins)
             contained += rho <= margin or bool(np.max(models.intersection_radius(
-                models.BALL, 1.0 - depths, -normals, grid.points)) <= margin)
+                models.BALL, 1.0 - depths, -normals, grid)) <= margin)
         else:
             contained += 1
     out: list[tuple] = []

@@ -26,8 +26,8 @@ def validate_dimension(d) -> int:
 
 def validate_intensity(lam) -> float:
     """Check that a Poisson intensity is finite and >= 0 and return it as a
-    float; lam = 0 (the empty process) is valid."""
-    if not np.isfinite(lam) or lam < 0:
+    float; lam = 0 (the empty process) is valid, bools are not intensities."""
+    if isinstance(lam, (bool, np.bool_)) or not np.isfinite(lam) or lam < 0:
         raise ValueError(f"intensity must be finite and >= 0, got {lam}")
     return float(lam)
 
@@ -38,16 +38,6 @@ def validate_count(n, name: str, minimum: int = 0) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
     return int(n)
-
-
-def validate_unit_rows(points: np.ndarray, name: str) -> None:
-    """Check that every row of points is finite and of unit length to
-    within 1e-9."""
-    if not np.all(np.isfinite(points)):
-        raise ValueError(f"{name} must be finite")
-    with np.errstate(over="ignore"):  # a finite row's norm may overflow to inf
-        if not np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-9):
-            raise ValueError(f"{name} must be unit vectors")
 
 
 _MAX_BALL_DIM = 341
@@ -153,16 +143,27 @@ def cap_hyp_distance(delta: float) -> float:
 
 @dataclass(frozen=True)
 class DirectionGrid:
-    """A fixed set of unit vectors used for quadrature and sup-norm scans."""
+    """A fixed set of unit vectors used for quadrature and sup-norm scans,
+    the one form of directions the grid kernels take.
+
+    The rows are copied and checked once, here: each must be finite and of
+    unit length to within 1e-9.  The copy is read-only, so the check holds
+    for the grid's lifetime and the kernels need not repeat it.
+    """
 
     dim: int
-    points: np.ndarray  # shape (n, dim), unit rows
+    points: np.ndarray  # shape (n, dim), unit rows, read-only
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, dim) array")
-        validate_unit_rows(pts, "grid rows")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid rows must be finite")
+        with np.errstate(over="ignore"):  # a finite row's norm may overflow to inf
+            if not np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-9):
+                raise ValueError("grid rows must be unit vectors")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property

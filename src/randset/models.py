@@ -20,7 +20,6 @@ from .geomcore import (
     validate_count,
     validate_dimension,
     validate_intensity,
-    validate_unit_rows,
 )
 from .ppp import (
     RadialMeasure,
@@ -169,27 +168,27 @@ def _pin_bound(shape: ShapeKind) -> tuple[float, float]:
 
 
 def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.ndarray,
-                        dirs: np.ndarray, rmax: float = 1.0) -> np.ndarray:
-    """Radial exit distance along each unit direction of the ball of radius
-    rmax intersected with the copies of `shape` pinned at p_i * Theta_i.
+                        grid: DirectionGrid, rmax: float = 1.0) -> np.ndarray:
+    """Radial exit distance along each direction of `grid` of the ball of
+    radius rmax intersected with the copies of `shape` pinned at p_i * Theta_i.
 
-    pin_radii, pin_dirs and dirs have shapes (n,), (n, d) and (m, d), all
-    directions must be finite and dirs unit.  Ball pins must lie in [0, 1],
-    half-space and cone offsets must be positive.  Directions no copy closes
-    off, and every direction when there are no pins, stay at rmax.  Ball
-    pins are evaluated from their centers p * Theta (_ball_exit), the others
-    from <dir, Theta> (exit_distance).  No exit of a pin falls below its
-    bound b(p) (_pin_bound), so only the pins whose bound is at most the
-    largest radius are evaluated (_binding_min): the radii are those of
-    every pin, bit for bit.
+    pin_radii and pin_dirs have shapes (n,) and (n, grid.dim), and the pin
+    directions must be finite; the grid checked its own rows.  Ball pins
+    must lie in [0, 1], half-space and cone offsets must be positive.
+    Directions no copy closes off, and every direction when there are no
+    pins, stay at rmax.  Ball pins are evaluated from their centers
+    p * Theta (_ball_exit), the others from <dir, Theta> (exit_distance).
+    No exit of a pin falls below its bound b(p) (_pin_bound), so only the
+    pins whose bound is at most the largest radius are evaluated
+    (_binding_min): the radii are those of every pin, bit for bit.
     """
     if not rmax > 0:
         raise ValueError("rmax must be > 0")
     rmax = float(rmax)
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    dirs = grid.points
     p = np.atleast_1d(np.asarray(pin_radii, dtype=float))
     th = np.atleast_2d(np.asarray(pin_dirs, dtype=float))
-    if p.ndim != 1 or th.shape != (p.size, dirs.shape[1]):
+    if p.ndim != 1 or th.shape != (p.size, grid.dim):
         raise ValueError(f"pin radii of shape {p.shape}, pin directions of shape {th.shape} "
                          f"and directions of shape {dirs.shape} do not match")
     if shape.kind == "ball" and not np.all((p >= 0.0) & (p * p <= 1.0 + 1e-9)):
@@ -198,9 +197,8 @@ def intersection_radius(shape: ShapeKind, pin_radii: np.ndarray, pin_dirs: np.nd
         raise ValueError("offsets must be positive (origin strictly inside)")
     if not np.all(np.isfinite(th)):
         raise ValueError("pin directions must be finite")
-    validate_unit_rows(dirs, "directions")
     if p.size == 0:
-        return np.full(dirs.shape[0], rmax)
+        return np.full(grid.size, rmax)
     b0, slope = _pin_bound(shape)
     if shape.kind == "ball":
         c = p[:, None] * th
@@ -287,7 +285,8 @@ def _binding_min(exit_, vecs: np.ndarray, params: np.ndarray, bound: np.ndarray,
 @dataclass(frozen=True)
 class ModelRealization:
     """One sampled intersection model: its pins p_i * Theta_i.  The set's
-    radii are intersection_radius(shape, pin_radii, pin_dirs, dirs)."""
+    radii on a DirectionGrid are intersection_radius(shape, pin_radii,
+    pin_dirs, grid)."""
 
     pin_radii: np.ndarray
     pin_dirs: np.ndarray
@@ -403,7 +402,7 @@ class CroftonCell:
     computed with the round's certificate) or qhull's hull volume for
     d = 3 and 4.  The cell is certified to lie inside the sampling window,
     so deeper hyperplanes cannot change it; its radii are
-    intersection_radius(HALF_SPACE, offsets, normals, dirs, rmax=window).
+    intersection_radius(HALF_SPACE, offsets, normals, grid, rmax=window).
     """
 
     dim: int
@@ -724,8 +723,8 @@ def windowed_ball_pins(d: int, lam: float, n: int, rng: RngStream
     Poisson(lam omega_d (F(hi) - F(lo))) centers with depths F^-1(u), u
     uniform on (F(lo), F(hi)).  F and its inverse are depth_radial_law's,
     so the depths keep their relative precision at any lam.  P's
-    radii are intersection_radius(HALF_SPACE, depths, normals, dirs), I's
-    are intersection_radius(BALL, 1 - depths, -normals, dirs).  P's
+    radii are intersection_radius(HALF_SPACE, depths, normals, grid), I's
+    are intersection_radius(BALL, 1 - depths, -normals, grid).  P's
     vertices are the certificate's, scaled out of first-window units: for
     d = 2 counter-clockwise, one per corner, for d = 3 and 4 one per qhull
     facet, so a corner where more than d facets meet repeats.  Every vertex
@@ -764,7 +763,7 @@ def segment_crossing_count(d: int, length: float, n: int, rng: RngStream) -> np.
     if validate_dimension(d) < 2:
         raise ValueError("crossing counts need d >= 2")
     n = validate_count(n, "n")
-    if not 0.0 < length < np.inf:
+    if isinstance(length, (bool, np.bool_)) or not 0.0 < length < np.inf:
         raise ValueError(f"length must be finite and > 0, got {length}")
     mean = 2.0 * length
 
@@ -812,29 +811,28 @@ def _circle_exit(dot, s2):
     return np.where(r > _TINY, r, np.inf)
 
 
-def first_circle_crossing(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Distance along each unit direction to the first crossing with any of
-    the unit circles centered at `centers`, or +inf when a ray meets none.
+def first_circle_crossing(centers: np.ndarray, grid: DirectionGrid) -> np.ndarray:
+    """Distance along each direction of `grid` to the first crossing with any
+    of the unit circles centered at `centers`, or +inf when a ray meets none.
 
-    Centers and directions must be finite, the directions unit; the centers
-    may lie inside or outside the unit sphere.  Roots of
+    Centers must be finite, and may lie inside or outside the unit sphere;
+    the grid checked its own rows.  Roots of
     t^2 - 2 t <dir,c> + |c|^2 - 1 = 0 give the crossings; circles around
     interior centers enclose the origin and always provide one positive
-    root, exterior ones contribute only when hit tangentially or better.  Every point of the circle lies at
-    least |1 - |c|| from the origin, so only the centers with |1 - |c|| at
-    most the largest crossing are evaluated (_binding_min): the distances
-    are those of every center, bit for bit.
+    root, exterior ones contribute only when hit tangentially or better.  Every point of the circle lies
+    at least |1 - |c|| from the origin, so only the centers with |1 - |c||
+    at most the largest crossing are evaluated (_binding_min): the
+    distances are those of every center, bit for bit.
     """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    validate_unit_rows(dirs, "directions")
     centers = np.asarray(centers, dtype=float)
     if centers.size == 0:
-        return np.full(dirs.shape[0], np.inf)
+        return np.full(grid.size, np.inf)
     centers = np.atleast_2d(centers)
     if not np.all(np.isfinite(centers)):
         raise ValueError("circle centers must be finite")
     s2 = _squared_norms(centers)
-    return _binding_min(_circle_exit, centers, s2, np.abs(1.0 - np.sqrt(s2)), dirs, np.inf)
+    return _binding_min(_circle_exit, centers, s2, np.abs(1.0 - np.sqrt(s2)), grid.points,
+                        np.inf)
 
 
 _JUMP_THRESHOLD = 0.2
@@ -848,7 +846,7 @@ def sphere_tessellation_cell_2d(points, grid: DirectionGrid) -> TessellationCell
         raise ValueError("sphere tessellation cell is implemented for d = 2")
     if grid.dim != 2:
         raise ValueError("need a planar direction grid")
-    radii = np.minimum(first_circle_crossing(pts, grid.points), 1.0)
+    radii = np.minimum(first_circle_crossing(pts, grid), 1.0)
     nxt = np.roll(radii, -1)
     scale = np.minimum(radii, nxt)
     flagged = np.abs(radii - nxt) > _JUMP_THRESHOLD * scale
@@ -925,11 +923,11 @@ def coupling_transform(points: np.ndarray, lam: float, eps: float, rng: RngStrea
     pin_dirs = sign[:, None] * (pts / s[:, None])
 
     cell = sphere_tessellation_cell_2d(pts, grid)
-    inter_radii = intersection_radius(BALL, p, pin_dirs, grid.points)
+    inter_radii = intersection_radius(BALL, p, pin_dirs, grid)
     if np.max(inter_radii) + _CULL_MARGIN >= eps:
         bulk_p, bulk_dirs = _center_pins(sample_ball_uniform(2, lam, rng, rmax=1.0 - eps).points)
         inter_radii = intersection_radius(BALL, np.concatenate([p, bulk_p]),
-                                          np.vstack([pin_dirs, bulk_dirs]), grid.points)
+                                          np.vstack([pin_dirs, bulk_dirs]), grid)
     h = float(np.max(np.abs(inter_radii - cell.radii)))
     return CouplingOutput(p[:, None] * pin_dirs, cell, lam * h)
 
@@ -954,7 +952,7 @@ def shell_containment_indicator(d: int, lam: float, rng: RngStream,
     if margin >= 1.0:
         return True
     shell = sample_shell(d, lam, margin, "inner", rng)
-    radii = intersection_radius(BALL, *_center_pins(shell.points), grid.points)
+    radii = intersection_radius(BALL, *_center_pins(shell.points), grid)
     return bool(np.max(radii) <= margin)
 
 

@@ -28,7 +28,7 @@ def polygon_radii(grid, angles_deg=None, normals=None, offsets=None):
     if normals is None:
         ang = np.deg2rad(np.asarray(angles_deg, dtype=float))
         normals = np.column_stack([np.cos(ang), np.sin(ang)])
-    return intersection_radius(HALF_SPACE, offsets, normals, grid.points)
+    return intersection_radius(HALF_SPACE, offsets, normals, grid)
 
 
 def radial_gap(ra, rb):
@@ -281,6 +281,19 @@ class TestDirectionGrid:
         assert direction_grid(2, np.int64(4)).size == 4
         with pytest.raises(ValueError):
             DirectionGrid(2, np.array([[1.0, 1.0]]))
+
+    def test_rows_are_the_checked_rows(self):
+        # the grid keeps its own read-only copy of the rows it checked, so
+        # neither the caller's array nor a write into points can change them
+        rows = np.eye(2)
+        g = DirectionGrid(2, rows)
+        rows[0] = [3.0, 0.0]
+        assert np.array_equal(g.points, np.eye(2))
+        for grid in (g, direction_grid(2, 8)):
+            before = grid.points.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                grid.points[1] = [np.nan, 0.0]
+            assert np.array_equal(grid.points, before)
 
 
 class TestStarVolume:

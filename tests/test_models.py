@@ -83,11 +83,16 @@ from conftest import assert_close_sigma, binomial_se
 
 def star_contains(radius, x):
     """Whether each row of x lies in the set, star-shaped about the origin,
-    whose radii along unit directions are radius(dirs): |x| <= radius(x/|x|),
+    whose radii on a DirectionGrid are radius(grid): |x| <= radius(x/|x|),
     and the origin is inside."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     nx = np.linalg.norm(x, axis=1)
-    return (nx == 0.0) | (nx <= radius(x / np.where(nx > 0.0, nx, 1.0)[:, None]))
+    grid = DirectionGrid(x.shape[1], x / np.where(nx > 0.0, nx, 1.0)[:, None])
+    return (nx == 0.0) | (nx <= radius(grid))
+
+
+# the one-direction grid along e1
+E1_GRID = DirectionGrid(2, [[1.0, 0.0]])
 
 
 class TestShapes:
@@ -121,37 +126,39 @@ class TestCountScale:
             4.0 * np.pi / 3.0)
 
 
-def ball_pin_radius(centers, dirs):
+def ball_pin_radius(centers, grid):
     """intersection_radius(BALL, ...) of the unit balls centered at the rows
     of `centers`, passed as pins (|c|, c / |c|) as the library passes them."""
-    return intersection_radius(BALL, *_center_pins(np.asarray(centers, dtype=float)), dirs)
+    return intersection_radius(BALL, *_center_pins(np.asarray(centers, dtype=float)), grid)
 
 
 class TestBallRadius:
     def test_no_centers(self):
-        dirs = direction_grid(2, 8).points
-        assert np.array_equal(intersection_radius(BALL, np.empty(0), np.empty((0, 2)), dirs),
+        grid = direction_grid(2, 8)
+        assert np.array_equal(intersection_radius(BALL, np.empty(0), np.empty((0, 2)), grid),
                               np.ones(8))
-        assert np.array_equal(ball_pin_radius(np.empty((0, 2)), dirs), np.ones(8))
+        assert np.array_equal(ball_pin_radius(np.empty((0, 2)), grid), np.ones(8))
 
     def test_pinned_values(self):
         e1 = np.array([[1.0, 0.0]])
-        assert intersection_radius(BALL, [0.5], e1, e1)[0] == pytest.approx(1.0)
-        assert intersection_radius(BALL, [0.5], e1, -e1)[0] == pytest.approx(0.5)
+        back = DirectionGrid(2, -e1)
+        assert intersection_radius(BALL, [0.5], e1, E1_GRID)[0] == pytest.approx(1.0)
+        assert intersection_radius(BALL, [0.5], e1, back)[0] == pytest.approx(0.5)
         # a center at the origin: pin radius 0, with any direction or none
-        assert intersection_radius(BALL, [0.0], e1, e1)[0] == 1.0
-        assert ball_pin_radius(np.zeros((1, 2)), e1)[0] == 1.0
+        assert intersection_radius(BALL, [0.0], e1, E1_GRID)[0] == 1.0
+        assert ball_pin_radius(np.zeros((1, 2)), E1_GRID)[0] == 1.0
 
     def test_center_outside_rejected(self):
         with pytest.raises(ValueError, match=r"ball pin radii must lie in \[0, 1\]"):
-            intersection_radius(BALL, [1.2], [[1.0, 0.0]], [[1.0, 0.0]])
+            intersection_radius(BALL, [1.2], [[1.0, 0.0]], E1_GRID)
 
     def test_scan_oracle(self, rng):
         g = rng.spawn("ball-scan").gen
         c = 0.9 * g.standard_normal((5, 2))
         c /= np.maximum(1.0, np.linalg.norm(c, axis=1))[:, None] * 1.1
-        dirs = direction_grid(2, 8).points
-        r = ball_pin_radius(c, dirs)
+        grid = direction_grid(2, 8)
+        dirs = grid.points
+        r = ball_pin_radius(c, grid)
         t = np.linspace(0.0, 1.0, 10_001)
         for k in range(8):
             pts = t[:, None] * dirs[k]
@@ -167,30 +174,30 @@ class TestHalfspaceRadius:
         normals = np.eye(2)
         offsets = np.array([0.3, 0.4])
         diag = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
-        r = intersection_radius(HALF_SPACE, offsets, normals, diag)
+        r = intersection_radius(HALF_SPACE, offsets, normals, DirectionGrid(2, diag))
         assert r[0] == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-12)
         # no constraint faces -e1, so the unit ball caps the radius
-        r = intersection_radius(HALF_SPACE, offsets, normals, np.array([[-1.0, 0.0]]))
+        r = intersection_radius(HALF_SPACE, offsets, normals, DirectionGrid(2, [[-1.0, 0.0]]))
         assert r[0] == 1.0
 
     def test_empty_and_rmax(self):
-        dirs = direction_grid(2, 4).points
-        r = intersection_radius(HALF_SPACE, np.empty(0), np.empty((0, 2)), dirs,
+        grid = direction_grid(2, 4)
+        r = intersection_radius(HALF_SPACE, np.empty(0), np.empty((0, 2)), grid,
                                 rmax=2.5)
         assert np.array_equal(r, np.full(4, 2.5))
 
     def test_nonpositive_offsets(self):
         with pytest.raises(ValueError):
-            intersection_radius(HALF_SPACE, np.array([0.3, 0.0]), np.eye(2),
-                                np.array([[1.0, 0.0]]))
+            intersection_radius(HALF_SPACE, np.array([0.3, 0.0]), np.eye(2), E1_GRID)
 
     def test_contains_consistency(self, rng):
         g = rng.spawn("hs-scan").gen
         th = g.standard_normal((4, 2))
         th /= np.linalg.norm(th, axis=1)[:, None]
         p = g.uniform(0.2, 0.8, 4)
-        dirs = direction_grid(2, 16).points
-        r = intersection_radius(HALF_SPACE, p, th, dirs)
+        grid = direction_grid(2, 16)
+        dirs = grid.points
+        r = intersection_radius(HALF_SPACE, p, th, grid)
         for k in range(16):
             x_in = (r[k] - 1e-9) * dirs[k]
             assert np.all(th @ x_in <= p + 1e-12)
@@ -201,18 +208,18 @@ class TestHalfspaceRadius:
 
 class TestConeExit:
     def test_empty(self):
-        dirs = direction_grid(2, 4).points
+        grid = direction_grid(2, 4)
         assert np.array_equal(intersection_radius(cone(1.0), np.empty(0), np.empty((0, 2)),
-                                                  dirs), np.ones(4))
+                                                  grid), np.ones(4))
 
     def test_right_angle_is_halfspace(self, rng):
         g = rng.spawn("cone-hs").gen
         th = g.standard_normal((5, 2))
         th /= np.linalg.norm(th, axis=1)[:, None]
         p = g.uniform(0.3, 0.7, 5)
-        dirs = direction_grid(2, 64).points
-        rc = intersection_radius(cone(np.pi / 2.0), p, th, dirs)
-        rh = intersection_radius(HALF_SPACE, p, th, dirs)
+        grid = direction_grid(2, 64)
+        rc = intersection_radius(cone(np.pi / 2.0), p, th, grid)
+        rh = intersection_radius(HALF_SPACE, p, th, grid)
         assert np.allclose(rc, rh, atol=1e-10)
 
     def test_membership_scan(self, rng):
@@ -224,8 +231,9 @@ class TestConeExit:
         th /= np.linalg.norm(th, axis=1)[:, None]
         p = g.uniform(0.3, 0.7, 3)
         apex = p[:, None] * th
-        dirs = direction_grid(2, 12).points
-        r = intersection_radius(cone(beta), p, th, dirs)
+        grid = direction_grid(2, 12)
+        dirs = grid.points
+        r = intersection_radius(cone(beta), p, th, grid)
         t = np.linspace(0.0, 1.0, 10_001)
         for k in range(12):
             pts = t[:, None] * dirs[k]
@@ -373,30 +381,21 @@ _OUT_OF_RANGE_CALLS = {
     "ShellDepthCdfs.transport": lambda: ShellDepthCdfs(0.1, 2).transport(np.nan),
     "ShellDepthCdfs.inner_inverse": lambda: ShellDepthCdfs(0.1, 2).inner_inverse(np.nan),
     "intersection_radius-ball": lambda: intersection_radius(
-        BALL, [np.nan], [[1.0, 0.0]], [[1.0, 0.0]]),
+        BALL, [np.nan], [[1.0, 0.0]], E1_GRID),
     "intersection_radius-half-space": lambda: intersection_radius(
-        HALF_SPACE, [np.nan], [[1.0, 0.0]], [[1.0, 0.0]]),
+        HALF_SPACE, [np.nan], [[1.0, 0.0]], E1_GRID),
     "intersection_radius-cone": lambda: intersection_radius(
-        cone(1.0), [np.nan], [[1.0, 0.0]], [[1.0, 0.0]]),
+        cone(1.0), [np.nan], [[1.0, 0.0]], E1_GRID),
     "intersection_radius-pin-direction": lambda: intersection_radius(
-        BALL, [0.5], [[np.nan, 0.0]], [[1.0, 0.0]]),
+        BALL, [0.5], [[np.nan, 0.0]], E1_GRID),
     "intersection_radius-rmax": lambda: intersection_radius(
-        BALL, [0.5], [[1.0, 0.0]], [[1.0, 0.0]], rmax=np.nan),
-    "first_circle_crossing": lambda: first_circle_crossing([[np.nan, 0.0]], [[1.0, 0.0]]),
-    "first_circle_crossing-inf": lambda: first_circle_crossing([[np.inf, 0.0]], [[1.0, 0.0]]),
-    "intersection_radius-direction": lambda: intersection_radius(
-        BALL, [0.5], [[1.0, 0.0]], [[np.nan, 0.0]]),
-    "intersection_radius-direction-inf": lambda: intersection_radius(
-        HALF_SPACE, [0.5], [[1.0, 0.0]], [[np.inf, 0.0]]),
-    "intersection_radius-direction-no-pins": lambda: intersection_radius(
-        cone(1.0), [], np.empty((0, 2)), [[np.nan, 0.0]]),
-    "first_circle_crossing-direction": lambda: first_circle_crossing(
-        [[0.5, 0.0]], [[np.nan, 0.0]]),
-    "first_circle_crossing-direction-inf": lambda: first_circle_crossing(
-        [[0.5, 0.0]], [[-np.inf, 0.0]]),
-    "first_circle_crossing-direction-no-centers": lambda: first_circle_crossing(
-        np.empty((0, 2)), [[np.inf, 0.0]]),
+        BALL, [0.5], [[1.0, 0.0]], E1_GRID, rmax=np.nan),
+    "first_circle_crossing": lambda: first_circle_crossing([[np.nan, 0.0]], E1_GRID),
+    "first_circle_crossing-inf": lambda: first_circle_crossing([[np.inf, 0.0]], E1_GRID),
+    # the grid checks its rows once, for every kernel that takes it
     "DirectionGrid": lambda: DirectionGrid(2, np.array([[np.nan, 0.0]])),
+    "DirectionGrid-inf": lambda: DirectionGrid(2, np.array([[np.inf, 0.0]])),
+    "DirectionGrid-minus-inf": lambda: DirectionGrid(2, np.array([[-np.inf, 0.0]])),
 }
 
 
@@ -421,43 +420,36 @@ _GUARD_CALLS = {
     # intersection_radius checks the pin dimension itself (pins-dimension),
     # so the circles are the one route into _binding_min's own check
     "binding-min-dimensions": (
-        lambda rng: first_circle_crossing([[0.5, 0.0, 0.0]], [[1.0, 0.0]]),
+        lambda rng: first_circle_crossing([[0.5, 0.0, 0.0]], E1_GRID),
         "centers of dimension 3 and directions of dimension 2 do not match"),
     "axis-cosines-line": (lambda rng: axis_cosines(1, 4000, rng), _fair_signs),
     "band-bounds": (lambda rng: _sample_band(2, 1.0, 0.5, 0.5, rng), "need 0 <= lo < hi"),
     "ball-rmax": (lambda rng: sample_ball_uniform(2, 1.0, rng, rmax=0.0),
                   "rmax must be > 0"),
-    "pins-rmax": (lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0]], [[1.0, 0.0]],
+    "pins-rmax": (lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0]], E1_GRID,
                                                   rmax=-1.0), "rmax must be > 0"),
     # one radius, two directions: not two pins of radius 0.5
     "pins-fewer-radii": (
-        lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0]]),
+        lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0], [-1.0, 0.0]], E1_GRID),
         r"pin radii of shape \(1,\), pin directions of shape \(2, 2\) .* do not match"),
     "pins-more-radii": (
         lambda rng: intersection_radius(HALF_SPACE, [0.5, 0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]],
-                                        [[1.0, 0.0]]),
+                                        E1_GRID),
         r"pin radii of shape \(3,\), pin directions of shape \(2, 2\) .* do not match"),
     "pins-dimension": (
         lambda rng: intersection_radius(HALF_SPACE, [0.5], [[1.0, 0.0, 0.0]],
-                                        direction_grid(2, 8).points),
+                                        direction_grid(2, 8)),
         r"pin directions of shape \(1, 3\) and directions of shape \(8, 2\) do not match"),
     # the ball's bound 1 - p holds only for p >= 0
     "pins-negative-ball-radius": (
-        lambda rng: intersection_radius(BALL, [-0.5], [[1.0, 0.0]], [[1.0, 0.0]]),
+        lambda rng: intersection_radius(BALL, [-0.5], [[1.0, 0.0]], E1_GRID),
         r"ball pin radii must lie in \[0, 1\]"),
-    # a direction of norm 3 would scale the exits and one of norm 1e200
-    # overflow them; the check itself takes the norm without a warning
-    "pins-direction-norm-3": (
-        lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0]], [[3.0, 0.0]], rmax=10.0),
-        "directions must be unit vectors"),
-    "pins-direction-norm-1e200": (
-        lambda rng: intersection_radius(BALL, [0.5], [[1.0, 0.0]], [[1e200, 0.0]]),
-        "directions must be unit vectors"),
-    "circles-direction-norm-3": (lambda rng: first_circle_crossing([[0.5, 0.0]], [[3.0, 0.0]]),
-                                 "directions must be unit vectors"),
-    "circles-direction-norm-1e200": (
-        lambda rng: first_circle_crossing([[0.5, 0.0]], [[1e200, 0.0]]),
-        "directions must be unit vectors"),
+    # a grid row of norm 3 would scale the kernels' exits and one of norm
+    # 1e200 overflow them; the check itself takes the norm without a warning
+    "direction-grid-norm-3": (lambda rng: DirectionGrid(2, np.array([[3.0, 0.0]])),
+                              "grid rows must be unit vectors"),
+    "direction-grid-norm-1e200": (lambda rng: DirectionGrid(2, np.array([[1e200, 0.0]])),
+                                  "grid rows must be unit vectors"),
     "empty-direction-grid": (lambda rng: DirectionGrid(2, np.empty((0, 2))), "nonempty"),
     "quadrature-radius": (lambda rng: halfspace_miss_quadrature(3, 1.5),
                           r"r must lie in \[0, 1\]"),
@@ -480,7 +472,7 @@ class TestSampleModel:
                                       rng.spawn("empty"))
         assert m.count == 0
         radius = partial(intersection_radius, BALL, m.pin_radii, m.pin_dirs)
-        assert np.array_equal(radius(direction_grid(2, 32).points), np.ones(32))
+        assert np.array_equal(radius(direction_grid(2, 32)), np.ones(32))
         assert star_contains(radius, [0.0, 0.999]).all()
 
     def test_cone_needs_plane(self, rng):
@@ -494,7 +486,7 @@ class TestSampleModel:
         with pytest.raises(ValueError):
             sample_intersection_model(2, -2.0, uniform_radial_law(2), BALL, rng)
 
-    @pytest.mark.parametrize("lam", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize("lam", [np.nan, -1.0, np.inf, True])
     def test_bad_intensity(self, lam, rng):
         for call in _INTENSITY_ENTRY_POINTS:
             with pytest.raises(ValueError, match="intensity must be finite and >= 0"):
@@ -532,8 +524,7 @@ class TestSampleModel:
         law = RadialMeasure("sq", lambda r: np.asarray(r) ** 2, np.sqrt)
         m = sample_intersection_model(2, 1e-9, law, HALF_SPACE, RngStream(1))
         assert m.count == 0
-        radii = intersection_radius(HALF_SPACE, m.pin_radii, m.pin_dirs,
-                                    direction_grid(2, 8).points)
+        radii = intersection_radius(HALF_SPACE, m.pin_radii, m.pin_dirs, direction_grid(2, 8))
         assert np.array_equal(radii, np.ones(8))
 
     def test_membership_brute_force_ball(self, rng):
@@ -567,20 +558,20 @@ class TestSampleModel:
         # every added ball can only shrink the intersection
         g = rng.spawn("mono").gen
         c = g.uniform(-0.6, 0.6, (8, 2))
-        dirs = direction_grid(2, 128).points
+        grid = direction_grid(2, 128)
         prev = np.ones(128)
         for k in range(1, 9):
-            cur = ball_pin_radius(c[:k], dirs)
+            cur = ball_pin_radius(c[:k], grid)
             assert np.all(cur <= prev + 1e-12)
             prev = cur
 
 
-def full_evaluation(kernel, centers, dirs):
+def full_evaluation(kernel, centers, grid):
     """kernel over every center: the culled kernel with the cull switched
     off, so the arithmetic of each radius is the same."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "_CULL_KEEP", 10**9)
-        return kernel(centers, dirs)
+        return kernel(centers, grid)
 
 
 def symmetric_copies(a, b):
@@ -593,12 +584,13 @@ PIN_SHAPES = [BALL, HALF_SPACE, cone(np.pi / 3.0), cone(2.0 * np.pi / 3.0)]
 PIN_SHAPE_IDS = ["ball", "half-space", "cone-pi/3", "cone-2pi/3"]
 
 
-def pin_reference(shape, pins, dirs, rmax=1.0):
+def pin_reference(shape, pins, grid, rmax=1.0):
     """Every pin's exits, direction-major, from the same products summed in
     the same order as intersection_radius: its radii bit for bit.  Ball
     pins go through their centers c = p * Theta, <dir, c> and |c|^2, as
     intersection_radius takes them; the other shapes through <dir, Theta>."""
     p, th = pins
+    dirs = grid.points
     vecs = p[:, None] * th if shape.kind == "ball" else th
     dot = dirs[:, 0, None] * vecs[:, 0]
     for j in range(1, dirs.shape[1]):
@@ -616,7 +608,7 @@ class TestCulledKernels:
     is at most the largest radius; the result must be the full
     evaluation's, bit for bit."""
 
-    GRID = direction_grid(2, 1024).points
+    GRID = direction_grid(2, 1024)
     KERNELS = [ball_pin_radius, first_circle_crossing]
 
     def assert_exact(self, kernel, centers):
@@ -677,7 +669,7 @@ class TestCulledKernels:
     def test_three_dimensions(self, kernel, rng):
         # the center-major dot products run over every coordinate; 200
         # centers spread in depth leave the cull some to skip
-        grid = direction_grid(3, 1000).points
+        grid = direction_grid(3, 1000)
         g = rng.spawn("cull-3d").gen
         u = g.standard_normal((200, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -690,9 +682,10 @@ class TestCulledKernels:
         if kernel is ball_pin_radius:
             assert np.array_equal(culled, pin_reference(BALL, _center_pins(centers), grid))
             return
-        dot = grid[:, 0, None] * centers[:, 0]
+        dirs = grid.points
+        dot = dirs[:, 0, None] * centers[:, 0]
         for j in range(1, 3):
-            dot += grid[:, j, None] * centers[:, j]
+            dot += dirs[:, j, None] * centers[:, j]
         s2 = np.sum(centers * centers, axis=1)
         assert np.array_equal(culled, np.min(models._circle_exit(dot, s2), axis=1))
 
@@ -737,12 +730,12 @@ class TestCulledKernels:
     # intersection_radius culls pins by their bound b(p) = b0 + slope * p
     # (_pin_bound): 1 - p for balls, p for half-spaces, p sin(beta) for cones
 
-    def assert_pins_exact(self, shape, pins, dirs, rmax=1.0):
-        culled = intersection_radius(shape, *pins, dirs, rmax=rmax)
-        assert np.array_equal(culled, pin_reference(shape, pins, dirs, rmax))
+    def assert_pins_exact(self, shape, pins, grid, rmax=1.0):
+        culled = intersection_radius(shape, *pins, grid, rmax=rmax)
+        assert np.array_equal(culled, pin_reference(shape, pins, grid, rmax))
         kernel = partial(intersection_radius, shape, rmax=rmax)
-        assert np.array_equal(culled, full_evaluation(lambda pins, dirs: kernel(*pins, dirs),
-                                                      pins, dirs))
+        assert np.array_equal(culled, full_evaluation(lambda pins, grid: kernel(*pins, grid),
+                                                      pins, grid))
         return culled
 
     @pytest.mark.parametrize("shape", PIN_SHAPES, ids=PIN_SHAPE_IDS)
@@ -802,7 +795,7 @@ class TestCulledKernels:
             p, turn = v / np.sin(shape.beta), np.pi / 2.0 - shape.beta
         # each first-pass pin exits below v, so its bound lies below the new pin's
         assert np.min(pin_reference(shape, (first[0][:1], first[1][:1]), self.GRID)) < v
-        extra = pin_arrays([(p, np.arctan2(self.GRID[i, 1], self.GRID[i, 0]) + turn)])
+        extra = pin_arrays([(p, np.arctan2(self.GRID.points[i, 1], self.GRID.points[i, 0]) + turn)])
         pins = tuple(np.concatenate(pair) for pair in zip(first, extra))
         assert self.assert_pins_exact(shape, pins, self.GRID)[i] < r[i]
 
@@ -812,9 +805,9 @@ class TestCulledKernels:
         u = g.standard_normal((200, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         self.assert_pins_exact(shape, (g.uniform(0.05, 0.999, 200), u),
-                               direction_grid(3, 1000).points)
+                               direction_grid(3, 1000))
 
-    @pytest.mark.parametrize("d, dirs", [(2, GRID), (3, direction_grid(3, 1000).points)])
+    @pytest.mark.parametrize("d, dirs", [(2, GRID), (3, direction_grid(3, 1000))])
     def test_zero_cell_window(self, d, dirs, rng):
         # offsets up to the window, clipped at rmax = window
         for cell in models.crofton_cells(d, 10, rng.spawn("cull-cells", d)):
@@ -863,26 +856,26 @@ def pin_arrays(pins):
     return p, th
 
 
-def model_radius(shape, pins, dirs):
+def model_radius(shape, pins, grid):
     """The public radius function of `shape` for the given pins."""
-    return intersection_radius(shape, *pin_arrays(pins), dirs)
+    return intersection_radius(shape, *pin_arrays(pins), grid)
 
 
 class TestExitKernelProperties:
-    DIRS = direction_grid(2, 64).points
+    GRID = direction_grid(2, 64)
 
     @KERNEL_SETTINGS
     @given(shape=SHAPES, pins=PINS)
     def test_radii_in_unit_interval(self, shape, pins):
-        r = model_radius(shape, pins, self.DIRS)
+        r = model_radius(shape, pins, self.GRID)
         assert np.all((r >= 0.0) & (r <= 1.0))
 
     @KERNEL_SETTINGS
     @given(shape=SHAPES, pins=PINS)
     def test_adding_a_pin_never_grows_a_radius(self, shape, pins):
-        prev = np.ones(self.DIRS.shape[0])
+        prev = np.ones(self.GRID.size)
         for k in range(1, len(pins) + 1):
-            cur = model_radius(shape, pins[:k], self.DIRS)
+            cur = model_radius(shape, pins[:k], self.GRID)
             assert np.all(cur <= prev + 1e-12)
             prev = cur
 
@@ -893,7 +886,7 @@ class TestExitKernelProperties:
         # forms <e1, Theta>, and for balls <e1, c> of the centers c = p Theta
         p, th = pin_arrays(pins)
         axis = np.clip(np.min(exit_distance(shape, p, th[:, 0])), 0.0, 1.0)
-        vector = model_radius(shape, pins, np.array([[1.0, 0.0]]))[0]
+        vector = model_radius(shape, pins, E1_GRID)[0]
         assert abs(axis - vector) <= 1e-12
 
     @KERNEL_SETTINGS
@@ -903,9 +896,9 @@ class TestExitKernelProperties:
         # exit_distance(BALL, p, cos) takes p and <dir, Theta>, direction by
         # direction
         p, th = pin_arrays(pins)
-        by_centers = intersection_radius(BALL, p, th, self.DIRS)
+        by_centers = intersection_radius(BALL, p, th, self.GRID)
         by_pins = np.array([np.clip(np.min(exit_distance(BALL, p, th @ u)), 0.0, 1.0)
-                            for u in self.DIRS])
+                            for u in self.GRID.points])
         assert np.max(np.abs(by_pins - by_centers)) <= 1e-12
 
 
@@ -1015,7 +1008,7 @@ class TestWindowedPins:
         full = np.empty(2000)
         for i in range(full.size):
             m = sample_intersection_model(2, lam, mu, shape, root.spawn("full", i))
-            full[i] = intersection_radius(shape, m.pin_radii, m.pin_dirs, [[1.0, 0.0]])[0]
+            full[i] = intersection_radius(shape, m.pin_radii, m.pin_dirs, E1_GRID)[0]
         assert stats.ks_2samp(windowed, full).pvalue > 1e-3
 
     def test_law_in_small_chunks(self, rng, monkeypatch):
@@ -1062,11 +1055,11 @@ class TestWindowedPins:
     def test_certificate_holds_the_undrawn_centers(self, d, lam, rng):
         # the centers left undrawn (depth above rho) change no radius, and
         # every radius is within the certified window
-        dirs = direction_grid(d, 256).points
+        grid = direction_grid(d, 256)
 
         def radii(centers):
             s = np.linalg.norm(centers, axis=1)
-            return intersection_radius(BALL, s, centers / s[:, None], dirs)
+            return intersection_radius(BALL, s, centers / s[:, None], grid)
 
         certified = undrawn = 0
         for i in range(40):
@@ -1089,7 +1082,7 @@ class TestWindowedPins:
         # the tangent polytope P is the half-space model with depth-law
         # offsets, so its radius along an axis has that model's law
         lam, n = 50.0, 2000
-        e1 = np.eye(d)[:1]
+        e1 = DirectionGrid(d, np.eye(d)[:1])
         root = rng.spawn("polytope-law", d)
         drawn = np.empty(n)
         for i, (depths, normals, _, _) in enumerate(windowed_ball_pins(d, lam, n, root)):
@@ -1105,8 +1098,8 @@ class TestWindowedPins:
         # at 1; depths drawn as depths still certify P within a few
         # rounds, from a few dozen half-spaces, and lam R_P along an axis
         # has its limit law Exp(omega_{d-1}) (the gap is of order 1/lam)
-        dirs = direction_grid(d, 512).points
-        e1 = np.eye(d)[:1]
+        grid = direction_grid(d, 512)
+        e1 = DirectionGrid(d, np.eye(d)[:1])
         root = rng.spawn("huge", d, lam)
         scaled = np.empty(500)
         for i, (depths, normals, rho, _) in enumerate(windowed_ball_pins(d, lam, 500, root)):
@@ -1114,7 +1107,7 @@ class TestWindowedPins:
             scaled[i] = lam * intersection_radius(HALF_SPACE, depths, normals, e1)[0]
             if i < 20:
                 assert depths.size < 100
-                assert np.all(intersection_radius(HALF_SPACE, depths, normals, dirs,
+                assert np.all(intersection_radius(HALF_SPACE, depths, normals, grid,
                                                   rmax=np.inf) <= rho)
         rate = unit_ball_volume(d - 1)
         assert stats.kstest(scaled, lambda t: -np.expm1(-rate * t)).pvalue > 1e-3
@@ -1230,7 +1223,7 @@ class TestRotationInvariance:
         for i in range(reps):
             m = sample_intersection_model(2, lam, uniform_radial_law(2), BALL,
                                           root.spawn(i))
-            radii[i] = intersection_radius(BALL, m.pin_radii, m.pin_dirs, grid.points)
+            radii[i] = intersection_radius(BALL, m.pin_radii, m.pin_dirs, grid)
         # exact marginal law in every direction
         cdf = lambda r: 1.0 - np.exp(-lam * np.pi * lune_fraction(2, np.clip(r, 0, 1)))
         crit = 1.95 / np.sqrt(reps)
@@ -1247,8 +1240,8 @@ class TestRotationInvariance:
 
 class TestConvexity:
     def _midpoints_inside(self, radius, rng):
-        dirs = direction_grid(2, 128).points
-        pts = (radius(dirs) * (1.0 - 1e-6))[:, None] * dirs
+        grid = direction_grid(2, 128)
+        pts = (radius(grid) * (1.0 - 1e-6))[:, None] * grid.points
         g = rng.gen
         i = g.integers(0, len(pts), 200)
         j = g.integers(0, len(pts), 200)
@@ -1909,8 +1902,9 @@ class TestSphereTessellation:
 
     def test_crossing_scan_oracle(self):
         centers = np.array([[0.5, 0.3], [-0.2, -0.6], [1.2, 0.9], [-1.4, 0.2]])
-        dirs = direction_grid(2, 16).points
-        r = first_circle_crossing(centers, dirs)
+        grid = direction_grid(2, 16)
+        dirs = grid.points
+        r = first_circle_crossing(centers, grid)
         t = np.linspace(0.0, 3.0, 12_001)
         for k in range(16):
             pts = t[:, None] * dirs[k]
@@ -2038,8 +2032,7 @@ class TestCouplingTransform:
             assert shape == BALL and np.array_equal(p[:, None] * th, out.corrected_points)
             bulk_p, bulk_th = _center_pins(
                 bulk_sampler(2, lam, r.spawn("bulk"), rmax=1.0 - eps).points)
-            ref = kernel(BALL, np.concatenate([p, bulk_p]), np.vstack([th, bulk_th]),
-                         grid.points)
+            ref = kernel(BALL, np.concatenate([p, bulk_p]), np.vstack([th, bulk_th]), grid)
             assert np.array_equal(calls[-1][1], ref)
             assert out.hausdorff_scaled == lam * float(np.max(np.abs(
                 ref - out.tess_cell.radii)))
@@ -2089,7 +2082,7 @@ class TestCouplingTransform:
         monkeypatch.setattr(models, "sample_ball_uniform", with_origin)
         grid = direction_grid(2, 256)
         out = coupling_transform(np.empty((0, 2)), 5.0, 0.1, rng.spawn("origin"), grid)
-        ref = intersection_radius(BALL, *_center_pins(drawn[0]), grid.points)
+        ref = intersection_radius(BALL, *_center_pins(drawn[0]), grid)
         assert len(drawn) == 1 and out.hausdorff_scaled == 5.0 * float(np.max(np.abs(
             ref - out.tess_cell.radii)))
         s, th = _center_pins(np.array([[0.0, 0.0], [3.0, -4.0]]))
